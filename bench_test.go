@@ -248,67 +248,6 @@ func BenchmarkFullRunCoopPart(b *testing.B) {
 	}
 }
 
-// BenchmarkFullRunCoopPartFastForward is BenchmarkFullRunCoopPart at
-// the FastForward RNG-walk tier (DESIGN.md §11): the same end-to-end
-// simulation with ALU-run draws skipped by the O(1) geometric sampler.
-// The pair quantifies the wall-clock win bit-identity forbids.
-func BenchmarkFullRunCoopPartFastForward(b *testing.B) {
-	g, err := workload.FindGroup("G2-8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(sim.RunConfig{
-			Scale: sim.UnitScale(), Scheme: sim.CoopPart, Group: g, Seed: 1,
-			Fidelity: sim.FidelityFastForward,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFullRunCoopPartSetSampled is BenchmarkFullRunCoopPart at
-// the set-sampled LLC tier (DESIGN.md §15): the same end-to-end
-// simulation with 1 in 8 LLC sets modelled and the rest served by the
-// hit-rate estimator. Together with the FastForward pair above it
-// quantifies the tier ladder's wall-clock trajectory; the headline
-// speedup EXPERIMENTS.md records comes from this pair.
-func BenchmarkFullRunCoopPartSetSampled(b *testing.B) {
-	g, err := workload.FindGroup("G2-8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(sim.RunConfig{
-			Scale: sim.UnitScale(), Scheme: sim.CoopPart, Group: g, Seed: 1,
-			Fidelity: sim.FidelitySetSampled,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEventStreamFastForward is BenchmarkEventStream at the
-// FastForward tier: per-instruction generator cost with ALU runs
-// sampled in O(1) instead of drawn per instruction.
-func BenchmarkEventStreamFastForward(b *testing.B) {
-	bench := workload.MustGet("gcc")
-	cfg := bench.TraceConfig(workload.Params{
-		LineBytes: 64, WayLines: 128, InstrScale: 0.001, Seed: 1,
-		Fidelity: trace.FidelityFastForward,
-	})
-	gen := trace.NewGenerator(cfg)
-	var ev trace.Event
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		gen.NextEvent(&ev)
-		done += ev.ALURun
-		if ev.HasRec {
-			done++
-		}
-	}
-}
-
 func BenchmarkAblationRandomVictim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := newRunner().AblationRandomVictim(); err != nil {

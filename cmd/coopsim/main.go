@@ -6,8 +6,7 @@
 // Usage:
 //
 //	coopsim -group G2-8 -scheme CoopPart [-threshold 0.05]
-//	        [-scale test|full] [-seed 1] [-compare] [-workers N]
-//	        [-fidelity exact|fastforward|set-sampled] [-sample-sets K]
+//	        [-scale unit|test|full] [-seed 1] [-compare] [-workers N]
 //	        [-cache-dir DIR] [-server URL]
 //	        [-checkpoint-dir DIR] [-checkpoint-every N]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
@@ -44,10 +43,6 @@ func main() {
 	compare := flag.Bool("compare", false, "run every scheme and print a comparison")
 	workers := flag.Int("workers", cliutil.DefaultWorkers(),
 		"concurrent simulations (default: one per CPU)")
-	fidelity := flag.String("fidelity", "exact",
-		"simulation tier: exact (bit-identical, default), fastforward or set-sampled (statistical, validated by cmd/tiercheck)")
-	sampleSets := flag.Int("sample-sets", 0,
-		"LLC set-sampling ratio K for -fidelity=set-sampled: model 1 in K sets (power of two; 0 = default)")
 	server := flag.String("server", "",
 		"expd server URL to fetch results from (empty = compute locally)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -78,14 +73,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fid, err := cliutil.Fidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	scale.SampleStride, err = cliutil.SampleSets(*sampleSets, fid)
-	if err != nil {
-		fatal(err)
-	}
 	nw, err := cliutil.Workers(*workers)
 	if err != nil {
 		fatal(err)
@@ -113,7 +100,7 @@ func main() {
 	}
 	defer cl.ReportStats("coopsim")
 	cfg := experiments.Config{
-		Scale: scale, Seed: *seed, Threshold: th, Workers: nw, Fidelity: fid,
+		Scale: scale, Seed: *seed, Threshold: th, Workers: nw,
 		Store: st, Checkpoints: ckpts,
 	}
 	if cl != nil {
@@ -133,11 +120,7 @@ func main() {
 }
 
 func report(r *experiments.Runner, res *sim.Results) {
-	fmt.Printf("scheme %s on %s (%v)\n", res.Scheme, res.Group, res.Benchmarks)
-	if res.Fidelity != sim.FidelityExact {
-		fmt.Printf("fidelity %s (statistical tier, not byte-comparable to exact runs)\n", res.Fidelity)
-	}
-	fmt.Println()
+	fmt.Printf("scheme %s on %s (%v)\n\n", res.Scheme, res.Group, res.Benchmarks)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "benchmark\tIPC\tMPKI\tL1 miss rate")
 	for i, b := range res.Benchmarks {

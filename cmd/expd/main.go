@@ -3,12 +3,11 @@
 // other binaries with -server) post fully keyed run requests; expd
 // deduplicates them through the same in-memory memo and persistent
 // store layers local runs use, simulates misses, and returns verified
-// result envelopes. Fidelity travels per request, not per daemon: a
-// client's -fidelity/-sample-sets choice arrives inside the run key
-// (the sample stride is part of the scale fingerprint), so one daemon
-// serves exact, fast-forward and set-sampled runs without aliasing. SIGINT/SIGTERM drains: in-flight simulations
-// complete and are served, new requests get 503, then lockfiles are
-// released and store stats flushed.
+// result envelopes. The full scale travels inside every request (its
+// fingerprint is part of the run key), so one daemon serves clients of
+// any scale without aliasing. SIGINT/SIGTERM drains: in-flight
+// simulations complete and are served, new requests get 503, then
+// lockfiles are released and store stats flushed.
 //
 // Usage:
 //

@@ -251,19 +251,18 @@ func TestExpdGracefulDrain(t *testing.T) {
 }
 
 // TestFlagValidationFailsFast: every binary rejects nonsensical
-// -workers/-scale/-fidelity/-server values with a non-zero exit and a
-// message naming the problem, before any simulation starts.
+// -workers/-scale/-server/-checkpoint-every values with a non-zero exit
+// and a message naming the problem, before any simulation starts.
 func TestFlagValidationFailsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the client binaries")
 	}
 	binDir := t.TempDir()
 	bins := map[string]string{
-		"figures":   "repro/cmd/figures",
-		"tables":    "repro/cmd/tables",
-		"report":    "repro/cmd/report",
-		"coopsim":   "repro/cmd/coopsim",
-		"tiercheck": "repro/cmd/tiercheck",
+		"figures": "repro/cmd/figures",
+		"tables":  "repro/cmd/tables",
+		"report":  "repro/cmd/report",
+		"coopsim": "repro/cmd/coopsim",
 	}
 	cases := []struct {
 		name string
@@ -298,19 +297,6 @@ func TestFlagValidationFailsFast(t *testing.T) {
 				}
 			})
 		}
-	}
-	// The two binaries with a -fidelity flag reject garbage tiers.
-	for _, name := range []string{"figures", "report", "coopsim"} {
-		t.Run(name+"/bad-fidelity", func(t *testing.T) {
-			bin := filepath.Join(binDir, name)
-			_, errOut, err := runClient(bin, "-fidelity", "approximate")
-			if err == nil {
-				t.Fatalf("%s -fidelity=approximate exited zero", name)
-			}
-			if !strings.Contains(strings.ToLower(string(errOut)), "fidelity") {
-				t.Fatalf("%s stderr %q does not mention fidelity", name, errOut)
-			}
-		})
 	}
 	// expd itself validates too.
 	expd := buildBinary(t, binDir, "repro/cmd/expd", "expd")

@@ -4,8 +4,7 @@
 //
 // Usage:
 //
-//	figures [-fig N] [-scale test|full] [-seed N] [-csv] [-threshold T] [-workers N]
-//	        [-fidelity exact|fastforward|set-sampled] [-sample-sets K]
+//	figures [-fig N] [-scale unit|test|full] [-seed N] [-csv] [-threshold T] [-workers N]
 //	        [-cache-dir DIR] [-server URL]
 //	        [-checkpoint-dir DIR] [-checkpoint-every N]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
@@ -42,10 +41,6 @@ func main() {
 		"Cooperative Partitioning takeover threshold T")
 	workers := flag.Int("workers", cliutil.DefaultWorkers(),
 		"concurrent simulations (default: one per CPU)")
-	fidelity := flag.String("fidelity", "exact",
-		"simulation tier: exact (bit-identical, default), fastforward or set-sampled (statistical, validated by cmd/tiercheck)")
-	sampleSets := flag.Int("sample-sets", 0,
-		"LLC set-sampling ratio K for -fidelity=set-sampled: model 1 in K sets (power of two; 0 = default)")
 	server := flag.String("server", "",
 		"expd server URL to fetch results from (empty = compute locally)")
 	sweep := flag.String("sweep", "", `sweep to run instead of figures ("scaling")`)
@@ -72,14 +67,6 @@ func main() {
 	}()
 
 	sc, err := cliutil.Scale(*scale)
-	if err != nil {
-		fatal(err)
-	}
-	fid, err := cliutil.Fidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	sc.SampleStride, err = cliutil.SampleSets(*sampleSets, fid)
 	if err != nil {
 		fatal(err)
 	}
@@ -110,7 +97,7 @@ func main() {
 	}
 	defer cl.ReportStats("figures")
 	cfg := experiments.Config{
-		Scale: sc, Seed: *seed, Threshold: th, Workers: nw, Fidelity: fid,
+		Scale: sc, Seed: *seed, Threshold: th, Workers: nw,
 		Store: st, Checkpoints: ckpts,
 	}
 	if cl != nil {

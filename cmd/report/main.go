@@ -1,12 +1,13 @@
 // Command report regenerates the complete evaluation — Tables 1-4,
 // Figures 5-16, the ablations and the extensions — in one run (sharing
 // simulations across figures) and writes a self-contained markdown
-// report plus per-figure CSV files.
+// report plus per-figure CSV files. The output directory is a pure
+// function of the scale and seed: two runs of the same code write
+// identical files at any worker count, so `diff -r` compares reports.
 //
 // Usage:
 //
-//	report [-out report] [-scale test|full] [-seed 1] [-workers N]
-//	       [-fidelity exact|fastforward|set-sampled] [-sample-sets K]
+//	report [-out report] [-scale unit|test|full] [-seed 1] [-workers N]
 //	       [-cache-dir DIR] [-server URL]
 //	       [-checkpoint-dir DIR] [-checkpoint-every N]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
@@ -17,14 +18,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -34,10 +33,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", cliutil.DefaultWorkers(),
 		"concurrent simulations (default: one per CPU)")
-	fidelity := flag.String("fidelity", "exact",
-		"simulation tier: exact (bit-identical, default), fastforward or set-sampled (statistical, validated by cmd/tiercheck)")
-	sampleSets := flag.Int("sample-sets", 0,
-		"LLC set-sampling ratio K for -fidelity=set-sampled: model 1 in K sets (power of two; 0 = default)")
 	server := flag.String("server", "",
 		"expd server URL to fetch results from (empty = compute locally)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -61,14 +56,6 @@ func main() {
 	}()
 
 	scale, err := cliutil.Scale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
-	fid, err := cliutil.Fidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	scale.SampleStride, err = cliutil.SampleSets(*sampleSets, fid)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,7 +85,7 @@ func main() {
 	}
 	defer cl.ReportStats("report")
 	cfg := experiments.Config{
-		Scale: scale, Seed: *seed, Workers: nw, Fidelity: fid,
+		Scale: scale, Seed: *seed, Workers: nw,
 		Store: st, Checkpoints: ckpts,
 	}
 	if cl != nil {
@@ -113,12 +100,7 @@ func main() {
 	defer md.Close()
 
 	fmt.Fprintf(md, "# Cooperative Partitioning — regenerated evaluation\n\n")
-	fmt.Fprintf(md, "scale: %s, seed: %d, generated: %s\n\n",
-		scale.Name, *seed, time.Now().Format(time.RFC3339))
-	if fid != sim.FidelityExact {
-		fmt.Fprintf(md, "**fidelity: %s** — statistical RNG-walk tier, not byte-comparable "+
-			"to exact-tier reports (see cmd/tiercheck for the equivalence contract)\n\n", fid)
-	}
+	fmt.Fprintf(md, "scale: %s, seed: %d\n\n", scale.Name, *seed)
 
 	// Tables.
 	fmt.Fprintf(md, "## Tables\n\n```\n")

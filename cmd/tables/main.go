@@ -2,8 +2,7 @@
 //
 // Usage:
 //
-//	tables [-table N] [-scale test|full] [-seed N] [-workers N]
-//	       [-fidelity exact|fastforward|set-sampled] [-sample-sets K]
+//	tables [-table N] [-scale unit|test|full] [-seed N] [-workers N]
 //	       [-cache-dir DIR] [-server URL]
 //	       [-checkpoint-dir DIR] [-checkpoint-every N]
 //
@@ -27,10 +26,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", cliutil.DefaultWorkers(),
 		"concurrent simulations (default: one per CPU)")
-	fidelity := flag.String("fidelity", "exact",
-		"simulation tier: exact (bit-identical, default), fastforward or set-sampled (statistical, validated by cmd/tiercheck)")
-	sampleSets := flag.Int("sample-sets", 0,
-		"LLC set-sampling ratio K for -fidelity=set-sampled: model 1 in K sets (power of two; 0 = default)")
 	cacheDir := flag.String("cache-dir", "",
 		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
 	server := flag.String("server", "",
@@ -46,14 +41,6 @@ func main() {
 		fatal(err)
 	}
 	nw, err := cliutil.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
-	fid, err := cliutil.Fidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	sc.SampleStride, err = cliutil.SampleSets(*sampleSets, fid)
 	if err != nil {
 		fatal(err)
 	}
@@ -75,7 +62,7 @@ func main() {
 		fatal(err)
 	}
 	defer cl.ReportStats("tables")
-	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: nw, Fidelity: fid, Store: st, Checkpoints: ckpts}
+	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: nw, Store: st, Checkpoints: ckpts}
 	if cl != nil {
 		cfg.Remote = cl
 	}

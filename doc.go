@@ -13,15 +13,16 @@
 // DESIGN.md for the inventory and concurrency architecture. The
 // measured reproduction of every table and figure is regenerated by
 // cmd/report; EXPERIMENTS.md at the repo root commits its TestScale
-// output, including the many-core scaling sweep (DESIGN.md §9) and
-// the Exact-vs-FastForward tier-equivalence report that cmd/tiercheck
-// gates in CI (DESIGN.md §11). Results persist across processes via
-// internal/store, a crash-safe content-addressed on-disk cache every
-// binary shares through -cache-dir (DESIGN.md §12), and distribute
-// across machines via internal/service and cmd/expd, an HTTP runner
-// front-end every binary can consult through -server — with retry,
-// backoff and transparent local fallback (DESIGN.md §13); the shared
-// flag vocabulary those binaries validate lives in internal/cliutil.
+// output, including the many-core scaling sweep (DESIGN.md §9). The
+// simulator is exact and bit-identical at every layer (DESIGN.md §11
+// records why its approximate tiers were retired). Results persist
+// across processes via internal/store, a crash-safe content-addressed
+// on-disk cache every binary shares through -cache-dir (DESIGN.md §12),
+// and distribute across machines via internal/service and cmd/expd, an
+// HTTP runner front-end every binary can consult through -server —
+// with retry, backoff and transparent local fallback (DESIGN.md §13);
+// the shared flag vocabulary those binaries validate lives in
+// internal/cliutil.
 // Long runs survive crashes via internal/ckpt (DESIGN.md §14):
 // -checkpoint-dir persists warm-up prefixes (each computed exactly
 // once per identity and shared across schemes' solo/profile runs and

@@ -46,21 +46,16 @@ func newBank(localSets, ways int) bank {
 	return b
 }
 
-// at routes a global set index to its bank and the bank-local set row
-// (via the dense sample row when set sampling is on; the sample shift
-// is 0 otherwise and the routing is the pre-sampling identity).
+// at routes a global set index to its bank and the bank-local set row.
 func (c *Cache) at(set int) (*bank, int) {
-	row := set >> c.sampleShift
-	return &c.banks[uint64(row)&c.bankMask], row >> c.bankShift
+	return &c.banks[uint64(set)&c.bankMask], set >> c.bankShift
 }
 
 // Banks returns the number of banks (1 for a monolithic cache).
 func (c *Cache) Banks() int { return len(c.banks) }
 
 // BankOf returns the bank serving a global set index.
-func (c *Cache) BankOf(set int) int {
-	return int((uint64(set) >> c.sampleShift) & c.bankMask)
-}
+func (c *Cache) BankOf(set int) int { return int(uint64(set) & c.bankMask) }
 
 // AcquireBank models bank-port contention for an access to set arriving
 // at time now: each bank serves one access per BankBusyCycles window,
@@ -72,12 +67,12 @@ func (c *Cache) AcquireBank(set int, now int64) int64 {
 	if c.bankBusyCyc == 0 {
 		return 0
 	}
-	i := (uint64(set) >> c.sampleShift) & c.bankMask
+	i := uint64(set) & c.bankMask
 	delay := c.bankFree[i] - now
 	if delay < 0 {
 		delay = 0
 	} else if delay > 0 {
-		c.stats.BankConflicts += c.weight
+		c.stats.BankConflicts++
 	}
 	c.bankFree[i] = now + delay + c.bankBusyCyc
 	return delay

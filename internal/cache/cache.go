@@ -29,8 +29,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/umon"
 )
 
 // Addr is a byte address in the simulated machine.
@@ -73,17 +71,6 @@ type Config struct {
 	// charges the queueing delay. 0 (the default) disables contention
 	// modelling, preserving the pre-banking timing exactly.
 	BankBusyCycles int
-
-	// SampleStride opts the cache into SMARTS-style set sampling
-	// (DESIGN.md §15): only every SampleStride-th set is backed by real
-	// storage, selected by the same address-interleaved mask as UMON's
-	// dynamic set sampling (umon.SetSampler — one audited mapping for
-	// the ATDs and the LLC). 0 or 1 disables sampling; otherwise the
-	// stride must be a power of two dividing the set count. Callers
-	// must present only sampled sets (Sampled reports membership) and
-	// every statistics increment is scaled by the stride, so the
-	// counters estimate the full cache from its sampled 1/K subset.
-	SampleStride int
 }
 
 // Sets returns the number of sets implied by the geometry.
@@ -107,22 +94,12 @@ func (c Config) Validate() error {
 	if c.Ways > 64 {
 		return fmt.Errorf("cache %q: %d ways exceed the 64-way mask limit", c.Name, c.Ways)
 	}
-	rows := s
-	if k := c.SampleStride; k > 1 {
-		if k&(k-1) != 0 {
-			return fmt.Errorf("cache %q: sample stride %d is not a power of two", c.Name, k)
-		}
-		if k > s {
-			return fmt.Errorf("cache %q: sample stride %d exceeds %d sets", c.Name, k, s)
-		}
-		rows = s / k
-	}
 	if b := c.Banks; b > 1 {
 		if b&(b-1) != 0 {
 			return fmt.Errorf("cache %q: %d banks is not a power of two", c.Name, b)
 		}
-		if b > rows {
-			return fmt.Errorf("cache %q: %d banks exceed %d sampled sets", c.Name, b, rows)
+		if b > s {
+			return fmt.Errorf("cache %q: %d banks exceed %d sets", c.Name, b, s)
 		}
 	}
 	if c.BankBusyCycles < 0 {
@@ -134,12 +111,9 @@ func (c Config) Validate() error {
 // Cache is a set-associative cache. It is not safe for concurrent use;
 // the simulator drives it from a single goroutine.
 //
-// Layout invariants (struct-of-arrays, banked, optionally sampled):
-//   - with set sampling, global set s maps to dense sample row
-//     r = s >> log2(SampleStride) (only multiples of the stride are
-//     presented); without sampling r = s. The rows are interleaved
-//     across the banks: row r lives in bank r & (Banks-1) at local row
-//     r >> log2(Banks);
+// Layout invariants (struct-of-arrays, banked):
+//   - the sets are interleaved across the banks: global set s lives in
+//     bank s & (Banks-1) at local row s >> log2(Banks);
 //   - within a bank, tags, owners and lru are localSets*ways long,
 //     row-major by local set; valid and dirty hold one bitmask word per
 //     local set (bit w = way w; Ways <= 64 is enforced by
@@ -156,20 +130,13 @@ type Cache struct {
 	idxMask     uint64
 	offBits     uint
 	setBits     uint    // log2(numSets), hoisted out of TagOf/LineFrom
-	bankMask    uint64  // Banks-1: sample row -> bank
-	bankShift   uint    // log2(Banks): sample row -> local row
+	bankMask    uint64  // Banks-1: global set -> bank
+	bankShift   uint    // log2(Banks): global set -> local row
 	allMask     uint64  // mask with every way enabled, precomputed
 	clock       uint64  // global recency counter
 	bankFree    []int64 // per bank: cycle its port frees (contention model)
 	bankBusyCyc int64   // port occupancy per access; 0 = unmodelled
 	stats       Stats
-
-	// Set-sampling state (SampleStride > 1; zero values otherwise, so
-	// the routing below degenerates to the unsampled layout exactly).
-	sampler     umon.SetSampler
-	sampleShift uint   // log2(SampleStride): global set -> sample row
-	sampleStep  int    // SampleStride, the loop stride over global sets
-	weight      uint64 // stats scale factor: true Sets/SampledSets ratio
 }
 
 // New constructs a cache from cfg. It panics on an invalid
@@ -182,7 +149,6 @@ func New(cfg Config) *Cache {
 	numSets := cfg.Sets()
 	nb := cfg.bankCount()
 	mask, shift := cfg.bankGeometry()
-	sampler := umon.NewSetSampler(numSets, cfg.SampleStride)
 	c := &Cache{
 		cfg:         cfg,
 		banks:       make([]bank, nb),
@@ -194,13 +160,9 @@ func New(cfg Config) *Cache {
 		bankMask:    mask,
 		bankShift:   shift,
 		bankBusyCyc: int64(cfg.BankBusyCycles),
-		sampler:     sampler,
-		sampleShift: uint(bits.TrailingZeros(uint(sampler.Stride()))),
-		sampleStep:  sampler.Stride(),
-		weight:      uint64(sampler.Stride()),
 	}
 	for i := range c.banks {
-		c.banks[i] = newBank(sampler.Rows()/nb, cfg.Ways)
+		c.banks[i] = newBank(numSets/nb, cfg.Ways)
 	}
 	if c.bankBusyCyc > 0 {
 		c.bankFree = make([]int64, nb)
@@ -216,34 +178,8 @@ func New(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// NumSets returns the number of sets of the full (nominal) geometry.
+// NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return c.numSets }
-
-// SampledSets returns how many sets are backed by real storage: the
-// full set count without sampling, NumSets/SampleStride with it.
-func (c *Cache) SampledSets() int { return c.sampler.Rows() }
-
-// SampleStride returns the effective sampling stride (1 = unsampled).
-func (c *Cache) SampleStride() int { return c.sampler.Stride() }
-
-// SampleShift returns log2(SampleStride): a sampled global set s packs
-// into dense row s >> SampleShift, which is how per-set caller state
-// (takeover bit vectors, transition progress) is indexed.
-func (c *Cache) SampleShift() uint { return c.sampleShift }
-
-// Sampled reports whether a global set is backed by real storage.
-// Callers must gate every per-set operation on it when sampling is on.
-func (c *Cache) Sampled(set int) bool { return c.sampler.Sampled(set) }
-
-// Sampler returns the cache's set-sampling map (the identity sampler
-// when sampling is off), so monitors can adopt the same selection.
-func (c *Cache) Sampler() umon.SetSampler { return c.sampler }
-
-// SampleWeight returns the factor by which per-event statistics are
-// scaled under sampling: the true Sets/SampledSets ratio (1 when off).
-// Callers maintaining their own counters from per-access events must
-// apply the same weight to stay commensurate with the cache's Stats.
-func (c *Cache) SampleWeight() uint64 { return c.weight }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -317,9 +253,8 @@ func (c *Cache) AllMask() uint64 { return c.allMask }
 // actually reads — which the schemes compute from mask, not from this
 // walk.
 func (c *Cache) Probe(set int, tag uint64, mask uint64) (int, bool) {
-	row := set >> c.sampleShift
-	bk := &c.banks[uint64(row)&c.bankMask]
-	ls := row >> c.bankShift
+	bk := &c.banks[uint64(set)&c.bankMask]
+	ls := set >> c.bankShift
 	base := ls * c.ways
 	tags := bk.tags[base : base+c.ways]
 	for m := bk.valid[ls] & mask; m != 0; m &= m - 1 {
@@ -345,9 +280,8 @@ func (c *Cache) Touch(set, way int) {
 // The invalid-way scan is a single bit operation on the set's valid
 // word; the LRU scan then only visits valid masked ways.
 func (c *Cache) Victim(set int, mask uint64) int {
-	row := set >> c.sampleShift
-	bk := &c.banks[uint64(row)&c.bankMask]
-	ls := row >> c.bankShift
+	bk := &c.banks[uint64(set)&c.bankMask]
+	ls := set >> c.bankShift
 	valid := bk.valid[ls]
 	if inv := ^valid & mask; inv != 0 {
 		// First invalid masked way, as in the old ascending walk.
@@ -432,9 +366,9 @@ func (c *Cache) InstallAt(set, way int, tag uint64, owner int, dirty bool) Evict
 		bk.dirty[ls] &^= bit
 	}
 	if ev.Valid {
-		c.stats.Evictions += c.weight
+		c.stats.Evictions++
 		if ev.Dirty {
-			c.stats.DirtyEvictions += c.weight
+			c.stats.DirtyEvictions++
 		}
 	}
 	return ev
@@ -464,7 +398,7 @@ func (c *Cache) FlushBlock(set, way int) (LineAddr, bool) {
 		return 0, false
 	}
 	bk.dirty[ls] &^= bit
-	c.stats.Flushes += c.weight
+	c.stats.Flushes++
 	return c.LineFrom(set, bk.tags[ls*c.ways+way]), true
 }
 
@@ -505,7 +439,7 @@ func (c *Cache) InvalidateBlock(set, way int) Evicted {
 // gated-Vdd power-off of a way (non-state-preserving, Section 6).
 func (c *Cache) InvalidateWay(way int, wb func(LineAddr)) {
 	bit := uint64(1) << uint(way)
-	for s := 0; s < c.numSets; s += c.sampleStep {
+	for s := 0; s < c.numSets; s++ {
 		bk, ls := c.at(s)
 		if bk.valid[ls]&bk.dirty[ls]&bit != 0 && wb != nil {
 			wb(c.LineFrom(s, bk.tags[ls*c.ways+way]))
@@ -516,7 +450,7 @@ func (c *Cache) InvalidateWay(way int, wb func(LineAddr)) {
 
 // ForEachValid calls fn for every valid block, with its set and way.
 func (c *Cache) ForEachValid(fn func(set, way int, b Block)) {
-	for s := 0; s < c.numSets; s += c.sampleStep {
+	for s := 0; s < c.numSets; s++ {
 		bk, ls := c.at(s)
 		for m := bk.valid[ls]; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
@@ -548,16 +482,16 @@ func (c *Cache) OwnedWays(set, owner int) uint64 {
 func (c *Cache) Access(line LineAddr, owner int, isWrite bool) (Evicted, bool) {
 	set := c.Index(line)
 	tag := c.TagOf(line)
-	c.stats.Accesses += c.weight
+	c.stats.Accesses++
 	if way, hit := c.Probe(set, tag, c.allMask); hit {
-		c.stats.Hits += c.weight
+		c.stats.Hits++
 		c.Touch(set, way)
 		if isWrite {
 			c.MarkDirty(set, way)
 		}
 		return Evicted{}, true
 	}
-	c.stats.Misses += c.weight
+	c.stats.Misses++
 	victim := c.Victim(set, c.allMask)
 	ev := c.InstallAt(set, victim, tag, owner, isWrite)
 	return ev, false

@@ -43,7 +43,8 @@ import (
 //
 // v2: the controller snapshot grew the set-sampling estimator state
 // (partition.controllerState.Est).
-const FormatVersion = 2
+// v3: the controller snapshot loses the set-sampling estimator state.
+const FormatVersion = 3
 
 // Options parameterise New. The zero value is a memory-only manager:
 // warm-up sharing within the process, no mid-run checkpoints.
@@ -140,7 +141,6 @@ func (m *Manager) ReportStats(prog string) {
 type runID struct {
 	scale, group, scheme string
 	seed                 uint64
-	fidelity             sim.Fidelity
 	// fp fingerprints the full config; mid-run checkpoint keys use it.
 	fp string
 	// warmFP fingerprints the config with CaptureProfile normalised
@@ -152,24 +152,23 @@ func identity(cfg sim.RunConfig) runID {
 	warm := cfg
 	warm.CaptureProfile = false
 	return runID{
-		scale:    cfg.Scale.Name,
-		group:    cfg.Group.Name,
-		scheme:   string(cfg.Scheme),
-		seed:     cfg.Seed,
-		fidelity: cfg.Fidelity,
-		fp:       store.Fingerprint(cfg),
-		warmFP:   store.Fingerprint(warm),
+		scale:  cfg.Scale.Name,
+		group:  cfg.Group.Name,
+		scheme: string(cfg.Scheme),
+		seed:   cfg.Seed,
+		fp:     store.Fingerprint(cfg),
+		warmFP: store.Fingerprint(warm),
 	}
 }
 
 func (id runID) warmKey() string {
-	return fmt.Sprintf("ckpt|v%d|warm|scale=%s|group=%s|scheme=%s|seed=%d|fidelity=%s|id=%s",
-		FormatVersion, id.scale, id.group, id.scheme, id.seed, id.fidelity, id.warmFP)
+	return fmt.Sprintf("ckpt|v%d|warm|scale=%s|group=%s|scheme=%s|seed=%d|id=%s",
+		FormatVersion, id.scale, id.group, id.scheme, id.seed, id.warmFP)
 }
 
 func (id runID) midKey(boundary uint64) string {
-	return fmt.Sprintf("ckpt|v%d|mid|scale=%s|group=%s|scheme=%s|seed=%d|fidelity=%s|id=%s|instr=%d",
-		FormatVersion, id.scale, id.group, id.scheme, id.seed, id.fidelity, id.fp, boundary)
+	return fmt.Sprintf("ckpt|v%d|mid|scale=%s|group=%s|scheme=%s|seed=%d|id=%s|instr=%d",
+		FormatVersion, id.scale, id.group, id.scheme, id.seed, id.fp, boundary)
 }
 
 // Run executes cfg with checkpointing: resume from the newest valid
@@ -192,8 +191,8 @@ func (m *Manager) Run(cfg sim.RunConfig) (*sim.Results, error) {
 			m.mid.Add(1)
 			// The one success-path log: an operator rerunning a killed
 			// sweep needs to see the rerun did not start from scratch.
-			m.logf("ckpt: resumed-from-checkpoint %s/%s seed=%d %s (skipping warm-up and measured prefix)",
-				id.group, id.scheme, id.seed, id.fidelity)
+			m.logf("ckpt: resumed-from-checkpoint %s/%s seed=%d (skipping warm-up and measured prefix)",
+				id.group, id.scheme, id.seed)
 			return m.measured(sys, id), nil
 		}
 		// A checkpoint that parses and checksums but does not fit the

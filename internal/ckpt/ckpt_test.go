@@ -13,7 +13,7 @@ import (
 // testCfg is the oracle workload: CoopPart on a two-core group at unit
 // scale exercises the richest snapshot surface (UMONs, the transition
 // engine, way gating) while staying millisecond-fast.
-func testCfg(t *testing.T, fid sim.Fidelity) sim.RunConfig {
+func testCfg(t *testing.T) sim.RunConfig {
 	t.Helper()
 	g, err := workload.FindGroup("G2-8")
 	if err != nil {
@@ -21,7 +21,7 @@ func testCfg(t *testing.T, fid sim.Fidelity) sim.RunConfig {
 	}
 	return sim.RunConfig{
 		Scale: sim.UnitScale(), Scheme: sim.CoopPart, Group: g,
-		Threshold: 0.05, Seed: 1, Fidelity: fid,
+		Threshold: 0.05, Seed: 1,
 	}
 }
 
@@ -57,70 +57,71 @@ func managerOptions(t *testing.T, st *store.Store, every uint64) Options {
 // RunConfig through every checkpointing configuration — nil manager,
 // memory-only, disk-backed, disk-backed with mid-run checkpoints, and
 // a fresh-process resume over the populated directory — must produce
-// results deeply equal to plain sim.Run, at both fidelity tiers.
+// results deeply equal to plain sim.Run.
 func TestRunBitIdenticalAcrossLayers(t *testing.T) {
-	for _, fid := range []sim.Fidelity{sim.FidelityExact, sim.FidelityFastForward} {
-		t.Run(string(fid), func(t *testing.T) {
-			cfg := testCfg(t, fid)
-			want, err := sim.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+	// The case keeps the subtest name it had when this test looped over
+	// fidelity tiers (the exact tier's value, rendered "\x00"), so its
+	// pass history stays under one name.
+	t.Run("\x00", func(t *testing.T) {
+		cfg := testCfg(t)
+		want, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			var nilMgr *Manager
-			res, err := nilMgr.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res, want) {
-				t.Fatal("nil-manager run differs from sim.Run")
-			}
+		var nilMgr *Manager
+		res, err := nilMgr.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatal("nil-manager run differs from sim.Run")
+		}
 
-			mem := New(Options{Logf: func(string, ...any) {}})
-			res, err = mem.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res, want) {
-				t.Fatal("memory-only checkpointed run differs from sim.Run")
-			}
+		mem := New(Options{Logf: func(string, ...any) {}})
+		res, err = mem.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatal("memory-only checkpointed run differs from sim.Run")
+		}
 
-			dir := t.TempDir()
-			st := openStore(t, dir, storeOptions(t))
-			m := New(managerOptions(t, st, testEvery))
-			res, err = m.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res, want) {
-				t.Fatal("disk-checkpointed run differs from sim.Run")
-			}
-			stats := m.Stats()
-			if stats.WarmupsComputed != 1 || stats.CheckpointsWritten < 2 {
-				t.Fatalf("first run stats off: %v", stats)
-			}
+		dir := t.TempDir()
+		st := openStore(t, dir, storeOptions(t))
+		m := New(managerOptions(t, st, testEvery))
+		res, err = m.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatal("disk-checkpointed run differs from sim.Run")
+		}
+		stats := m.Stats()
+		if stats.WarmupsComputed != 1 || stats.CheckpointsWritten < 2 {
+			t.Fatalf("first run stats off: %v", stats)
+		}
 
-			// A "new process" (fresh store and manager over the same
-			// directory) must resume from the newest mid-run checkpoint
-			// and still land on identical results.
-			st2 := openStore(t, dir, storeOptions(t))
-			m2 := New(managerOptions(t, st2, testEvery))
-			res, err = m2.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res, want) {
-				t.Fatal("resumed run differs from sim.Run")
-			}
-			stats = m2.Stats()
-			if stats.MidRunResumed != 1 {
-				t.Fatalf("rerun did not resume from a mid-run checkpoint: %v", stats)
-			}
-			if stats.WarmupsComputed != 0 {
-				t.Fatalf("rerun re-warmed despite a mid-run checkpoint: %v", stats)
-			}
-		})
-	}
+		// A "new process" (fresh store and manager over the same
+		// directory) must resume from the newest mid-run checkpoint
+		// and still land on identical results.
+		st2 := openStore(t, dir, storeOptions(t))
+		m2 := New(managerOptions(t, st2, testEvery))
+		res, err = m2.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatal("resumed run differs from sim.Run")
+		}
+		stats = m2.Stats()
+		if stats.MidRunResumed != 1 {
+			t.Fatalf("rerun did not resume from a mid-run checkpoint: %v", stats)
+		}
+		if stats.WarmupsComputed != 0 {
+			t.Fatalf("rerun re-warmed despite a mid-run checkpoint: %v", stats)
+		}
+	})
 }
 
 // TestWarmupSharedBetweenAloneAndProfile pins the exactly-once
@@ -133,11 +134,11 @@ func TestWarmupSharedBetweenAloneAndProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := g.Benchmarks[0]
-	alone, err := sim.AloneConfig(b, sim.UnitScale(), len(g.Benchmarks), 1, sim.FidelityExact)
+	alone, err := sim.AloneConfig(b, sim.UnitScale(), len(g.Benchmarks), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, err := sim.ProfileConfig(b, sim.UnitScale(), len(g.Benchmarks), 1, sim.FidelityExact)
+	profile, err := sim.ProfileConfig(b, sim.UnitScale(), len(g.Benchmarks), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestWarmupSharedBetweenAloneAndProfile(t *testing.T) {
 // checkpoint and the manager must recompute — results identical, no
 // corrupt state ever trusted.
 func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
-	cfg := testCfg(t, sim.FidelityExact)
+	cfg := testCfg(t)
 	want, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +226,7 @@ func TestCrashConsistencyEveryWriteBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enumerates O(100) crash points, a simulation each")
 	}
-	cfg := testCfg(t, sim.FidelityExact)
+	cfg := testCfg(t)
 	want, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +299,7 @@ func TestCrashConsistencyEveryWriteBoundary(t *testing.T) {
 // normalised away (a checkpoint that dies with the process protects
 // nothing), and the run still matches the oracle.
 func TestEveryWithoutStoreIgnored(t *testing.T) {
-	cfg := testCfg(t, sim.FidelityExact)
+	cfg := testCfg(t)
 	want, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

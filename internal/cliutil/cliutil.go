@@ -1,8 +1,9 @@
 // Package cliutil is the shared flag parser for the repro binaries.
-// Every binary accepts the same -scale/-fidelity/-workers/-threshold
-// vocabulary; parsing and validating it in one place keeps the error
-// messages identical and makes "fail fast on bad flags" a property of
-// all five binaries at once rather than five copies that drift.
+// Every binary accepts the same -scale/-workers/-threshold vocabulary
+// plus the persistence flags (-cache-dir, -checkpoint-dir,
+// -checkpoint-every); parsing and validating it in one place keeps the
+// error messages identical and makes "fail fast on bad flags" a
+// property of every binary at once rather than copies that drift.
 package cliutil
 
 import (
@@ -29,11 +30,6 @@ func Scale(name string) (sim.Scale, error) {
 	}
 }
 
-// Fidelity resolves a -fidelity flag value.
-func Fidelity(name string) (sim.Fidelity, error) {
-	return sim.ParseFidelity(name)
-}
-
 // DefaultWorkers is the -workers flag default: one worker per CPU.
 // Binaries default the flag to this (rather than a 0 sentinel) so an
 // explicit -workers=0 is distinguishable from "unset" and can be
@@ -50,25 +46,6 @@ func Workers(n int) (int, error) {
 			n, DefaultWorkers())
 	}
 	return n, nil
-}
-
-// SampleSets validates the -sample-sets/-fidelity flag pair: the LLC
-// set-sampling ratio K is meaningful only on the set-sampled tier
-// (sim.NewSystem rejects it elsewhere — catch the contradiction at
-// flag parse time with a flag-vocabulary message), and an unset K on
-// that tier resolves to sim.DefaultSampleStride here so the effective
-// ratio is explicit in the run's scale fingerprint.
-func SampleSets(k int, fid sim.Fidelity) (int, error) {
-	if k < 0 || (k != 0 && k&(k-1) != 0) {
-		return 0, fmt.Errorf("invalid -sample-sets=%d: must be a power of two", k)
-	}
-	if k != 0 && fid != sim.FidelitySetSampled {
-		return 0, fmt.Errorf("-sample-sets=%d requires -fidelity=set-sampled", k)
-	}
-	if k == 0 && fid == sim.FidelitySetSampled {
-		k = sim.DefaultSampleStride
-	}
-	return k, nil
 }
 
 // Threshold validates a -threshold flag value (a miss-rate fraction).

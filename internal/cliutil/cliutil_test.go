@@ -5,8 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestScale(t *testing.T) {
@@ -37,31 +35,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestFidelity(t *testing.T) {
-	cases := []struct {
-		name string
-		want sim.Fidelity
-		ok   bool
-	}{
-		{"exact", sim.FidelityExact, true},
-		{"fastforward", sim.FidelityFastForward, true},
-		{"set-sampled", sim.FidelitySetSampled, true},
-		{"", 0, false},
-		{"Exact", 0, false},
-		{"fast", 0, false},
-	}
-	for _, tc := range cases {
-		fid, err := Fidelity(tc.name)
-		if tc.ok != (err == nil) {
-			t.Errorf("Fidelity(%q): err=%v, want ok=%v", tc.name, err, tc.ok)
-			continue
-		}
-		if tc.ok && fid != tc.want {
-			t.Errorf("Fidelity(%q) = %v, want %v", tc.name, fid, tc.want)
-		}
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if n := DefaultWorkers(); n < 1 {
 		t.Fatalf("DefaultWorkers() = %d, want >= 1", n)
@@ -88,40 +61,6 @@ func TestWorkers(t *testing.T) {
 		}
 		if !tc.ok && !strings.Contains(err.Error(), "-workers") {
 			t.Errorf("Workers(%d): error %q does not name the flag", tc.n, err)
-		}
-	}
-}
-
-func TestSampleSets(t *testing.T) {
-	cases := []struct {
-		k       int
-		fid     sim.Fidelity
-		want    int
-		wantErr string
-	}{
-		{0, sim.FidelityExact, 0, ""},
-		{0, sim.FidelityFastForward, 0, ""},
-		{0, sim.FidelitySetSampled, sim.DefaultSampleStride, ""}, // default resolved here
-		{8, sim.FidelitySetSampled, 8, ""},
-		{1, sim.FidelitySetSampled, 1, ""},
-		{64, sim.FidelitySetSampled, 64, ""},
-		{8, sim.FidelityExact, 0, "requires -fidelity=set-sampled"},
-		{8, sim.FidelityFastForward, 0, "requires -fidelity=set-sampled"},
-		{3, sim.FidelitySetSampled, 0, "power of two"},
-		{-8, sim.FidelitySetSampled, 0, "power of two"},
-	}
-	for _, tc := range cases {
-		got, err := SampleSets(tc.k, tc.fid)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("SampleSets(%d, %v): unexpected error %v", tc.k, tc.fid, err)
-			} else if got != tc.want {
-				t.Errorf("SampleSets(%d, %v) = %d, want %d", tc.k, tc.fid, got, tc.want)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("SampleSets(%d, %v): error %v, want containing %q", tc.k, tc.fid, err, tc.wantErr)
 		}
 	}
 }

@@ -52,12 +52,8 @@ func New(cfg partition.Config) *CoopPart {
 	c.owner = make([]int, l2.Ways())
 	c.alloc = make([]int, n)
 	c.donors = make([]donorState, n)
-	// Takeover bit vectors cover the modelled sets: under set sampling
-	// only sampled sets receive accesses and victim events, so a
-	// NumSets-sized vector would never fill and transitions would never
-	// complete.
 	for i := range c.donors {
-		c.donors[i].bits = NewBitVec(l2.SampledSets())
+		c.donors[i].bits = NewBitVec(l2.NumSets())
 	}
 	c.rng = 0x9e3779b97f4a7c15
 
@@ -135,26 +131,11 @@ func (c *CoopPart) Access(core int, addr uint64, isWrite bool, now int64) partit
 	tag := l2.TagOf(line)
 	readMask := c.perms.ReadMask(core)
 
-	// Utility monitoring sees every access, modelled set or not: the
-	// ATDs model the address stream, which set sampling does not
-	// diminish.
-	c.mons[core].Access(set, line)
-
-	// Set sampling: accesses to non-modelled sets are synthesized from
-	// the sampled subset's behaviour (partition/estimate.go) and touch
-	// none of the permission/takeover machinery. The permission check
-	// still happens architecturally, so the estimate charges it.
-	if !l2.Sampled(set) {
-		res := c.EstimatedAccess(core, bits.OnesCount64(readMask), true, line, now)
-		res.UMONSampled = c.UMONSampled(set)
-		return res
-	}
-	w := l2.SampleWeight()
-
 	res := partition.Result{
 		TagsConsulted: bits.OnesCount64(readMask),
 		PermCheck:     true,
 	}
+	c.mons[core].Access(set, line)
 	res.UMONSampled = c.UMONSampled(set)
 
 	way, hit := l2.Probe(set, tag, readMask)
@@ -175,7 +156,7 @@ func (c *CoopPart) Access(core int, addr uint64, isWrite bool, now int64) partit
 		if c.Cfg().RecipientMissOnly && ds.hasRecipient() && (core == d || hit) {
 			continue
 		}
-		if !ds.bits.Set(set >> l2.SampleShift()) {
+		if !ds.bits.Set(set) {
 			continue // bit already set: nothing to flush (Fig. 4, step 5)
 		}
 		tr := c.Transitions()
@@ -188,7 +169,7 @@ func (c *CoopPart) Access(core int, addr uint64, isWrite bool, now int64) partit
 			if flushed, wb := l2.FlushBlock(set, t.way); wb {
 				c.Writeback(flushed, now)
 				res.Writebacks++
-				tr.RecordFlush(now-ds.start, int(w))
+				tr.RecordFlush(now-ds.start, 1)
 			}
 			if t.recipient >= 0 {
 				l2.SetOwner(set, t.way, t.recipient)
@@ -200,15 +181,15 @@ func (c *CoopPart) Access(core int, addr uint64, isWrite bool, now int64) partit
 		if ds.hasRecipient() {
 			if core == d {
 				if hit {
-					tr.DonorHits += w
+					tr.DonorHits++
 				} else {
-					tr.DonorMisses += w
+					tr.DonorMisses++
 				}
 			} else {
 				if hit {
-					tr.RecipientHits += w
+					tr.RecipientHits++
 				} else {
-					tr.RecipientMisses += w
+					tr.RecipientMisses++
 				}
 			}
 		}
@@ -256,11 +237,11 @@ func (c *CoopPart) Access(core int, addr uint64, isWrite bool, now int64) partit
 
 	c.Record(core, hit, res.TagsConsulted)
 	st := l2.Stats()
-	st.Accesses += w
+	st.Accesses++
 	if hit {
-		st.Hits += w
+		st.Hits++
 	} else {
-		st.Misses += w
+		st.Misses++
 	}
 	return res
 }

@@ -442,7 +442,3 @@ func (c *Core) ResetStats() {
 	c.snapClock = c.clock
 	c.stats = Stats{}
 }
-
-// FastForward advances the local clock without retiring instructions
-// (used to model initialisation skipping).
-func (c *Core) FastForward(cycles float64) { c.clock += cycles }

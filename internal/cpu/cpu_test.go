@@ -221,15 +221,6 @@ func TestNewCorePanicsOnBadConfig(t *testing.T) {
 	NewCore(0, cfg, trace.NewGenerator(genConfig(0, 0)), &fixedMem{})
 }
 
-func TestFastForward(t *testing.T) {
-	gen := trace.NewGenerator(genConfig(0, 0))
-	core := NewCore(0, DefaultConfig(), gen, &fixedMem{})
-	core.FastForward(1000)
-	if core.Now() != 1000 {
-		t.Fatalf("Now = %d after FastForward(1000)", core.Now())
-	}
-}
-
 // fetchMem misses the L1I every call but hits all data accesses.
 type fetchMem struct{ fetches int }
 

@@ -125,8 +125,7 @@ func (r *Runner) thresholdSeries(id, title, ylabel string, speedup bool,
 	var reqs []Request
 	for _, T := range Thresholds {
 		for _, g := range groups {
-			reqs = append(reqs, Request{Group: g, Scheme: sim.CoopPart, Threshold: T,
-				Fidelity: r.cfg.Fidelity})
+			reqs = append(reqs, Request{Group: g, Scheme: sim.CoopPart, Threshold: T})
 		}
 	}
 	if err := r.runAll(context.Background(), reqs, speedup); err != nil {

@@ -35,11 +35,11 @@ func (f *runnerRemote) record(key string) bool {
 }
 
 func (f *runnerRemote) RemoteRun(key string, sc sim.Scale, seed uint64, g workload.Group,
-	scheme sim.SchemeKind, threshold float64, v Variant, fid sim.Fidelity) (*sim.Results, bool) {
+	scheme sim.SchemeKind, threshold float64, v Variant, _ sim.Fidelity) (*sim.Results, bool) {
 	if !f.record(key) {
 		return nil, false
 	}
-	res, err := f.r.RunGroupFidelity(g, scheme, threshold, v, fid)
+	res, err := f.r.RunGroupVariant(g, scheme, threshold, v)
 	if err != nil {
 		return nil, false
 	}
@@ -47,11 +47,11 @@ func (f *runnerRemote) RemoteRun(key string, sc sim.Scale, seed uint64, g worklo
 }
 
 func (f *runnerRemote) RemoteAlone(key string, sc sim.Scale, seed uint64,
-	benchmark string, cores int, fid sim.Fidelity) (*sim.Results, bool) {
+	benchmark string, cores int, _ sim.Fidelity) (*sim.Results, bool) {
 	if !f.record(key) {
 		return nil, false
 	}
-	res, err := f.r.aloneResults(benchmark, cores, fid)
+	res, err := f.r.AloneResults(benchmark, cores)
 	if err != nil {
 		return nil, false
 	}
@@ -59,11 +59,11 @@ func (f *runnerRemote) RemoteAlone(key string, sc sim.Scale, seed uint64,
 }
 
 func (f *runnerRemote) RemoteProfile(key string, sc sim.Scale, seed uint64,
-	benchmark string, cores int, fid sim.Fidelity) (partition.CoreProfile, bool) {
+	benchmark string, cores int, _ sim.Fidelity) (partition.CoreProfile, bool) {
 	if !f.record(key) {
 		return partition.CoreProfile{}, false
 	}
-	p, err := f.r.profile(benchmark, cores, fid)
+	p, err := f.r.Profile(benchmark, cores)
 	if err != nil {
 		return partition.CoreProfile{}, false
 	}
@@ -110,7 +110,7 @@ func TestRemoteLayerServesRuns(t *testing.T) {
 	if remote.calls.Load() == 0 {
 		t.Fatal("remote never consulted")
 	}
-	wantKey := front.RunKey(g, sim.CoopPart, DefaultThreshold, VariantNone, sim.FidelityExact)
+	wantKey := front.RunKey(g, sim.CoopPart, DefaultThreshold, VariantNone)
 	select {
 	case key := <-remote.keys:
 		if key != wantKey {

@@ -41,12 +41,6 @@ type Config struct {
 	// every worker count: each simulation is an independent
 	// single-goroutine run keyed only by its configuration.
 	Workers int
-	// Fidelity is the RNG-walk tier every figure/table/ablation method
-	// of the runner executes at. The zero value is sim.FidelityExact —
-	// the statistical FastForward tier is opt-in at every layer and
-	// memoised under distinct keys, so an exact result is never served
-	// to a fast-forward request or vice versa.
-	Fidelity sim.Fidelity
 	// Store is the persistent result cache layered under the in-memory
 	// memo (nil = memory only): lookups go memory → disk → simulate,
 	// and every simulated result is published back. Results are
@@ -81,7 +75,9 @@ type Config struct {
 // the remote layer is unavailable for this request; the caller
 // computes locally. Implementations must be safe for concurrent use
 // and must never block unboundedly — a dead server has to degrade to
-// ok=false in bounded time.
+// ok=false in bounded time. The fid arguments are always
+// sim.FidelityExact and implementations ignore them (see sim.Fidelity
+// for why the parameter survives).
 type Remote interface {
 	RemoteRun(key string, sc sim.Scale, seed uint64, g workload.Group,
 		scheme sim.SchemeKind, threshold float64, v Variant, fid sim.Fidelity) (*sim.Results, bool)
@@ -153,13 +149,11 @@ type runKey struct {
 	scheme    sim.SchemeKind
 	threshold float64
 	variant   Variant
-	fidelity  sim.Fidelity
 }
 
 type aloneKey struct {
 	benchmark string
 	cores     int
-	fidelity  sim.Fidelity
 }
 
 // NewRunner builds a Runner; a zero-value Config gets the test scale,
@@ -196,51 +190,36 @@ func NewRunner(cfg Config) *Runner {
 // Threshold uses the shortest exact float form, so the explicit-zero
 // sentinel and the default threshold stay distinct (DESIGN.md §3).
 func (r *Runner) storeRunKey(k runKey) string {
-	return fmt.Sprintf("run|scale=%s|seed=%d|group=%s|scheme=%s|threshold=%s|variant=%s|fidelity=%s",
+	return fmt.Sprintf("run|scale=%s|seed=%d|group=%s|scheme=%s|threshold=%s|variant=%s",
 		r.scaleFP, r.cfg.Seed, k.group, k.scheme,
-		strconv.FormatFloat(k.threshold, 'g', -1, 64), k.variant, k.fidelity)
+		strconv.FormatFloat(k.threshold, 'g', -1, 64), k.variant)
 }
 
 func (r *Runner) storeAloneKey(kind string, k aloneKey) string {
-	return fmt.Sprintf("%s|scale=%s|seed=%d|benchmark=%s|cores=%d|fidelity=%s",
-		kind, r.scaleFP, r.cfg.Seed, k.benchmark, k.cores, k.fidelity)
+	return fmt.Sprintf("%s|scale=%s|seed=%d|benchmark=%s|cores=%d",
+		kind, r.scaleFP, r.cfg.Seed, k.benchmark, k.cores)
 }
 
 // RunKey renders the canonical store identity of a fully keyed group
 // run. The service protocol sends it with every request and the server
 // recomputes and verifies it, so client and server can never silently
 // disagree about what a result is for.
-func (r *Runner) RunKey(g workload.Group, scheme sim.SchemeKind, threshold float64, v Variant, fid sim.Fidelity) string {
-	return r.storeRunKey(runKey{g.Name, scheme, threshold, v, fid})
+func (r *Runner) RunKey(g workload.Group, scheme sim.SchemeKind, threshold float64, v Variant) string {
+	return r.storeRunKey(runKey{g.Name, scheme, threshold, v})
 }
 
 // AloneKey renders the canonical store identity of a solo run.
-func (r *Runner) AloneKey(benchmark string, cores int, fid sim.Fidelity) string {
-	return r.storeAloneKey("alone", aloneKey{benchmark, cores, fid})
+func (r *Runner) AloneKey(benchmark string, cores int) string {
+	return r.storeAloneKey("alone", aloneKey{benchmark, cores})
 }
 
 // ProfileKey renders the canonical store identity of a DynCPE profile.
-func (r *Runner) ProfileKey(benchmark string, cores int, fid sim.Fidelity) string {
-	return r.storeAloneKey("profile", aloneKey{benchmark, cores, fid})
+func (r *Runner) ProfileKey(benchmark string, cores int) string {
+	return r.storeAloneKey("profile", aloneKey{benchmark, cores})
 }
 
 // Scale returns the runner's simulation scale.
 func (r *Runner) Scale() sim.Scale { return r.cfg.Scale }
-
-// scaleFor returns the scale a request at fid simulates under. The LLC
-// sample stride is meaningful only on the set-sampled tier (NewSystem
-// rejects it elsewhere), so a mixed-tier sweep — ValidateTiers runs
-// exact, fast-forward and set-sampled through one runner — clears it
-// for the other tiers instead of erroring. Store keys and the remote
-// protocol keep using the runner's unadjusted scale; the server applies
-// the same per-request adjustment, so the two sides never disagree.
-func (r *Runner) scaleFor(fid sim.Fidelity) sim.Scale {
-	sc := r.cfg.Scale
-	if fid != sim.FidelitySetSampled {
-		sc.SampleStride = 0
-	}
-	return sc
-}
 
 // Simulations returns how many simulator executions the runner has
 // actually performed (as opposed to answered from the memo) — the
@@ -252,16 +231,9 @@ func (r *Runner) Simulations() uint64 { return r.sims.Load() }
 func (r *Runner) Checkpoints() *ckpt.Manager { return r.cfg.Checkpoints }
 
 // AloneResults returns (memoised) the solo run of a benchmark on the
-// LLC geometry used by groups of the given core count, at the runner's
-// fidelity.
+// LLC geometry used by groups of the given core count.
 func (r *Runner) AloneResults(benchmark string, cores int) (*sim.Results, error) {
-	return r.aloneResults(benchmark, cores, r.cfg.Fidelity)
-}
-
-// aloneResults is the fully keyed solo run: fidelity is part of the
-// memo key so the two tiers' solo IPCs never alias.
-func (r *Runner) aloneResults(benchmark string, cores int, fid sim.Fidelity) (*sim.Results, error) {
-	key := aloneKey{benchmark, cores, fid}
+	key := aloneKey{benchmark, cores}
 	return r.alone.Do(key, func() (*sim.Results, error) {
 		skey := r.storeAloneKey("alone", key)
 		if st := r.cfg.Store; st != nil {
@@ -271,14 +243,14 @@ func (r *Runner) aloneResults(benchmark string, cores int, fid sim.Fidelity) (*s
 			}
 		}
 		if rem := r.cfg.Remote; rem != nil {
-			if res, ok := rem.RemoteAlone(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, fid); ok {
+			if res, ok := rem.RemoteAlone(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, sim.FidelityExact); ok {
 				if r.cfg.Store != nil {
 					r.cfg.Store.Put(skey, res)
 				}
 				return res, nil
 			}
 		}
-		cfg, err := sim.AloneConfig(benchmark, r.scaleFor(fid), cores, r.cfg.Seed, fid)
+		cfg, err := sim.AloneConfig(benchmark, r.cfg.Scale, cores, r.cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -291,14 +263,9 @@ func (r *Runner) aloneResults(benchmark string, cores int, fid sim.Fidelity) (*s
 	})
 }
 
-// AloneIPC returns a benchmark's alone IPC for Equation 1 at the
-// runner's fidelity.
+// AloneIPC returns a benchmark's alone IPC for Equation 1.
 func (r *Runner) AloneIPC(benchmark string, cores int) (float64, error) {
-	return r.aloneIPC(benchmark, cores, r.cfg.Fidelity)
-}
-
-func (r *Runner) aloneIPC(benchmark string, cores int, fid sim.Fidelity) (float64, error) {
-	res, err := r.aloneResults(benchmark, cores, fid)
+	res, err := r.AloneResults(benchmark, cores)
 	if err != nil {
 		return 0, err
 	}
@@ -306,13 +273,9 @@ func (r *Runner) aloneIPC(benchmark string, cores int, fid sim.Fidelity) (float6
 }
 
 // Profile returns (memoised) the per-phase utility profile of a
-// benchmark for Dynamic CPE, at the runner's fidelity.
+// benchmark for Dynamic CPE.
 func (r *Runner) Profile(benchmark string, cores int) (partition.CoreProfile, error) {
-	return r.profile(benchmark, cores, r.cfg.Fidelity)
-}
-
-func (r *Runner) profile(benchmark string, cores int, fid sim.Fidelity) (partition.CoreProfile, error) {
-	key := aloneKey{benchmark, cores, fid}
+	key := aloneKey{benchmark, cores}
 	return r.profiles.Do(key, func() (partition.CoreProfile, error) {
 		skey := r.storeAloneKey("profile", key)
 		if st := r.cfg.Store; st != nil {
@@ -322,14 +285,14 @@ func (r *Runner) profile(benchmark string, cores int, fid sim.Fidelity) (partiti
 			}
 		}
 		if rem := r.cfg.Remote; rem != nil {
-			if p, ok := rem.RemoteProfile(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, fid); ok {
+			if p, ok := rem.RemoteProfile(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, sim.FidelityExact); ok {
 				if r.cfg.Store != nil {
 					r.cfg.Store.Put(skey, p)
 				}
 				return p, nil
 			}
 		}
-		cfg, err := sim.ProfileConfig(benchmark, r.scaleFor(fid), cores, r.cfg.Seed, fid)
+		cfg, err := sim.ProfileConfig(benchmark, r.cfg.Scale, cores, r.cfg.Seed)
 		if err != nil {
 			return partition.CoreProfile{}, err
 		}
@@ -359,18 +322,10 @@ func (r *Runner) RunGroupThreshold(g workload.Group, scheme sim.SchemeKind, thre
 	return r.RunGroupVariant(g, scheme, threshold, VariantNone)
 }
 
-// RunGroupVariant is RunGroupFidelity at the runner's fidelity.
+// RunGroupVariant is the fully keyed run: group x scheme x threshold x
+// ablation variant.
 func (r *Runner) RunGroupVariant(g workload.Group, scheme sim.SchemeKind, threshold float64, v Variant) (*sim.Results, error) {
-	return r.RunGroupFidelity(g, scheme, threshold, v, r.cfg.Fidelity)
-}
-
-// RunGroupFidelity is the fully keyed run: group x scheme x threshold
-// x ablation variant x RNG-walk tier. Fidelity is part of the memo key
-// (like the threshold sentinel, regression-pinned by
-// TestFidelityMemoisedDistinctly), and a DynCPE run gathers its
-// profiles at its own tier.
-func (r *Runner) RunGroupFidelity(g workload.Group, scheme sim.SchemeKind, threshold float64, v Variant, fid sim.Fidelity) (*sim.Results, error) {
-	key := runKey{g.Name, scheme, threshold, v, fid}
+	key := runKey{g.Name, scheme, threshold, v}
 	return r.runs.Do(key, func() (*sim.Results, error) {
 		skey := r.storeRunKey(key)
 		if st := r.cfg.Store; st != nil {
@@ -384,7 +339,7 @@ func (r *Runner) RunGroupFidelity(g workload.Group, scheme sim.SchemeKind, thres
 		if rem := r.cfg.Remote; rem != nil {
 			// A remote hit likewise skips the DynCPE profiles: the
 			// server gathers its own.
-			if res, ok := rem.RemoteRun(skey, r.cfg.Scale, r.cfg.Seed, g, scheme, threshold, v, fid); ok {
+			if res, ok := rem.RemoteRun(skey, r.cfg.Scale, r.cfg.Seed, g, scheme, threshold, v, sim.FidelityExact); ok {
 				if r.cfg.Store != nil {
 					r.cfg.Store.Put(skey, res)
 				}
@@ -392,19 +347,18 @@ func (r *Runner) RunGroupFidelity(g workload.Group, scheme sim.SchemeKind, thres
 			}
 		}
 		cfg := sim.RunConfig{
-			Scale:     r.scaleFor(fid),
+			Scale:     r.cfg.Scale,
 			Scheme:    scheme,
 			Group:     g,
 			Threshold: sim.EncodeThreshold(threshold),
 			Seed:      r.cfg.Seed,
-			Fidelity:  fid,
 		}
 		if err := applyVariant(&cfg, v); err != nil {
 			return nil, err
 		}
 		if scheme == sim.DynCPE {
 			for _, b := range g.Benchmarks {
-				p, err := r.profile(b, len(g.Benchmarks), fid)
+				p, err := r.Profile(b, len(g.Benchmarks))
 				if err != nil {
 					return nil, err
 				}
@@ -420,14 +374,11 @@ func (r *Runner) RunGroupFidelity(g workload.Group, scheme sim.SchemeKind, thres
 	})
 }
 
-// WeightedSpeedup computes Equation 1 for one run. The solo
-// denominators come from the run's own RNG-walk tier (res.Fidelity):
-// a fast-forward numerator over an exact denominator would fold the
-// tier delta into every speedup.
+// WeightedSpeedup computes Equation 1 for one run.
 func (r *Runner) WeightedSpeedup(res *sim.Results) (float64, error) {
 	alone := make(map[string]float64, len(res.Benchmarks))
 	for _, b := range res.Benchmarks {
-		ipc, err := r.aloneIPC(b, len(res.Benchmarks), res.Fidelity)
+		ipc, err := r.AloneIPC(b, len(res.Benchmarks))
 		if err != nil {
 			return 0, err
 		}
@@ -438,16 +389,12 @@ func (r *Runner) WeightedSpeedup(res *sim.Results) (float64, error) {
 
 // Request names one memoisable run for RunAll. Threshold follows
 // RunGroupThreshold semantics: 0 is an explicit zero threshold, not the
-// runner's default. Fidelity is explicit — the zero value is
-// sim.FidelityExact, never the runner's default — so hand-built
-// requests stay on the bit-identical tier unless they opt out; the
-// runner's own request builders stamp its configured fidelity.
+// runner's default.
 type Request struct {
 	Group     workload.Group
 	Scheme    sim.SchemeKind
 	Threshold float64
 	Variant   Variant
-	Fidelity  sim.Fidelity
 }
 
 // RunAll executes every request — plus the Dynamic CPE profiles any
@@ -484,23 +431,23 @@ func (r *Runner) RunRequest(ctx context.Context, req Request) (*sim.Results, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.RunGroupFidelity(req.Group, req.Scheme, req.Threshold, req.Variant, req.Fidelity)
+	return r.RunGroupVariant(req.Group, req.Scheme, req.Threshold, req.Variant)
 }
 
 // AloneRequest is the cancellable fully keyed solo run.
-func (r *Runner) AloneRequest(ctx context.Context, benchmark string, cores int, fid sim.Fidelity) (*sim.Results, error) {
+func (r *Runner) AloneRequest(ctx context.Context, benchmark string, cores int) (*sim.Results, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return r.aloneResults(benchmark, cores, fid)
+	return r.AloneResults(benchmark, cores)
 }
 
 // ProfileRequest is the cancellable fully keyed DynCPE profile run.
-func (r *Runner) ProfileRequest(ctx context.Context, benchmark string, cores int, fid sim.Fidelity) (partition.CoreProfile, error) {
+func (r *Runner) ProfileRequest(ctx context.Context, benchmark string, cores int) (partition.CoreProfile, error) {
 	if err := ctx.Err(); err != nil {
 		return partition.CoreProfile{}, err
 	}
-	return r.profile(benchmark, cores, fid)
+	return r.Profile(benchmark, cores)
 }
 
 func (r *Runner) runAll(ctx context.Context, reqs []Request, speedup bool) error {
@@ -510,18 +457,18 @@ func (r *Runner) runAll(ctx context.Context, reqs []Request, speedup bool) error
 	for _, req := range reqs {
 		cores := len(req.Group.Benchmarks)
 		for _, b := range req.Group.Benchmarks {
-			k := aloneKey{b, cores, req.Fidelity}
+			k := aloneKey{b, cores}
 			if speedup && !seenAlone[k] {
 				seenAlone[k] = true
 				tasks = append(tasks, func() error {
-					_, err := r.aloneResults(k.benchmark, k.cores, k.fidelity)
+					_, err := r.AloneResults(k.benchmark, k.cores)
 					return err
 				})
 			}
 			if req.Scheme == sim.DynCPE && !seenProfile[k] {
 				seenProfile[k] = true
 				tasks = append(tasks, func() error {
-					_, err := r.profile(k.benchmark, k.cores, k.fidelity)
+					_, err := r.Profile(k.benchmark, k.cores)
 					return err
 				})
 			}
@@ -529,7 +476,7 @@ func (r *Runner) runAll(ctx context.Context, reqs []Request, speedup bool) error
 	}
 	for _, req := range reqs {
 		tasks = append(tasks, func() error {
-			_, err := r.RunGroupFidelity(req.Group, req.Scheme, req.Threshold, req.Variant, req.Fidelity)
+			_, err := r.RunGroupVariant(req.Group, req.Scheme, req.Threshold, req.Variant)
 			return err
 		})
 	}
@@ -552,25 +499,22 @@ func (r *Runner) PrefetchSpeedup(groups []workload.Group, schemes []sim.SchemeKi
 }
 
 // crossRequests builds the groups x schemes request list at the
-// runner's threshold and fidelity.
+// runner's threshold.
 func (r *Runner) crossRequests(groups []workload.Group, schemes []sim.SchemeKind) []Request {
 	reqs := make([]Request, 0, len(groups)*len(schemes))
 	for _, g := range groups {
 		for _, s := range schemes {
-			reqs = append(reqs, Request{Group: g, Scheme: s, Threshold: r.cfg.Threshold,
-				Fidelity: r.cfg.Fidelity})
+			reqs = append(reqs, Request{Group: g, Scheme: s, Threshold: r.cfg.Threshold})
 		}
 	}
 	return reqs
 }
 
 // runPairs warms a baseline and a comparison arm for every group: the
-// two template requests are stamped with each group in turn (and the
-// runner's fidelity) and fanned out together — the shape every two-arm
-// ablation shares.
+// two template requests are stamped with each group in turn and fanned
+// out together — the shape every two-arm ablation shares.
 func (r *Runner) runPairs(groups []workload.Group, speedup bool, base, alt Request) error {
 	reqs := make([]Request, 0, 2*len(groups))
-	base.Fidelity, alt.Fidelity = r.cfg.Fidelity, r.cfg.Fidelity
 	for _, g := range groups {
 		base.Group, alt.Group = g, g
 		reqs = append(reqs, base, alt)

@@ -101,67 +101,6 @@ func TestThresholdZeroMemoisedDistinctly(t *testing.T) {
 	}
 }
 
-// TestFidelityMemoisedDistinctly is the tier mirror of the threshold-
-// sentinel regression test: an Exact run and a FastForward run of the
-// same (group, scheme, threshold) must land under distinct memo keys —
-// an Exact result must never be served to a FastForward request or
-// vice versa — while repeated same-tier requests still hit the memo.
-// The solo runs Equation 1 consumes are keyed the same way.
-func TestFidelityMemoisedDistinctly(t *testing.T) {
-	r := NewRunner(Config{Scale: sim.UnitScale()})
-	g := workload.Groups2[0]
-
-	exact, err := r.RunGroupFidelity(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelityExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff, err := r.RunGroupFidelity(g, sim.CoopPart, r.cfg.Threshold, VariantNone, sim.FidelityFastForward)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact == ff {
-		t.Fatal("exact and fast-forward runs memoised under one key")
-	}
-	if exact.Fidelity != sim.FidelityExact || ff.Fidelity != sim.FidelityFastForward {
-		t.Fatalf("results mislabelled: exact=%v ff=%v", exact.Fidelity, ff.Fidelity)
-	}
-	if got := r.Simulations(); got != 2 {
-		t.Fatalf("executed %d simulations, want 2 (one per tier)", got)
-	}
-
-	// The default-fidelity path must alias the explicit Exact run, not
-	// re-execute (the runner's default tier is Exact).
-	def, err := r.RunGroup(g, sim.CoopPart)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def != exact {
-		t.Fatal("default-fidelity run did not hit the exact-tier memo")
-	}
-	if got := r.Simulations(); got != 2 {
-		t.Fatalf("default-fidelity run re-executed: %d simulations", got)
-	}
-
-	// Equation 1's solo denominators are tier-keyed too: computing the
-	// weighted speedup of both results must run each benchmark's solo
-	// twice (once per tier), never serving one tier's alone IPC to the
-	// other.
-	before := r.Simulations()
-	if _, err := r.WeightedSpeedup(exact); err != nil {
-		t.Fatal(err)
-	}
-	afterExact := r.Simulations()
-	if _, err := r.WeightedSpeedup(ff); err != nil {
-		t.Fatal(err)
-	}
-	afterFF := r.Simulations()
-	solo := uint64(len(g.Benchmarks))
-	if afterExact-before != solo || afterFF-afterExact != solo {
-		t.Fatalf("solo runs per tier = %d then %d, want %d each (tier-keyed alone memo)",
-			afterExact-before, afterFF-afterExact, solo)
-	}
-}
-
 // TestPrefetchWarmsFigures checks PrefetchSpeedup completeness: after
 // one warm-up of the two-core cross product, generating Figures 5-7
 // must execute zero additional simulations (group runs, solo runs and

@@ -235,32 +235,3 @@ func TestStoreFaultsNeverBreakARun(t *testing.T) {
 		t.Fatalf("store never degraded under persistent write faults: %v", stats)
 	}
 }
-
-// TestValidateTiersWithStore: the tier harness accepts a shared store
-// and a second sweep over it executes zero simulations with an
-// identical report.
-func TestValidateTiersWithStore(t *testing.T) {
-	dir := t.TempDir()
-	cfg := TierCheckConfig{
-		Scale:     sim.UnitScale(),
-		Seeds:     []uint64{1, 2},
-		MaxGroups: 1,
-		Store:     openStoreT(t, dir),
-	}
-	rep1, err := ValidateTiers(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Store = openStoreT(t, dir)
-	rep2, err := ValidateTiers(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Simulations != 0 {
-		t.Fatalf("warm tier sweep executed %d simulations", rep2.Simulations)
-	}
-	rep1.Simulations, rep2.Simulations = 0, 0
-	if !reflect.DeepEqual(rep1, rep2) {
-		t.Fatal("warm tier report differs from cold")
-	}
-}

@@ -31,18 +31,6 @@ type Controller struct {
 	shared bool // cores exceed ways: shared-way fallback in effect
 	stats  Stats
 	trans  *TransitionStats
-
-	// Set-sampling support (estimate.go; all neutral when the cache is
-	// unsampled): weight scales per-event counters by the true
-	// Sets/SampledSets ratio and est drives the estimated path for
-	// non-sampled sets. umonSampling is the configured monitor stride,
-	// independent of the cache's: the ATDs model the *address stream*,
-	// which exists in full whether or not the LLC simulates a set, so
-	// sampling the cache must not coarsen the miss curves the
-	// allocation decisions run on.
-	weight       uint64
-	umonSampling int
-	est          []estimator
 }
 
 // NewController validates cfg, applies defaults and builds the shared
@@ -52,18 +40,14 @@ func NewController(cfg Config) Controller {
 		panic(err)
 	}
 	cfg = cfg.withDefaults()
-	l2 := cache.New(cfg.Cache)
 	return Controller{
-		cfg:          cfg,
-		l2:           l2,
-		dram:         cfg.DRAM,
-		n:            cfg.NumCores,
-		shared:       cfg.NumCores > cfg.Cache.Ways,
-		stats:        Stats{PerCore: make([]CoreStats, cfg.NumCores)},
-		trans:        NewTransitionStats(cfg.TimelineBucket, cfg.TimelineBuckets),
-		weight:       l2.SampleWeight(),
-		umonSampling: cfg.UMONSampling,
-		est:          make([]estimator, cfg.NumCores),
+		cfg:    cfg,
+		l2:     cache.New(cfg.Cache),
+		dram:   cfg.DRAM,
+		n:      cfg.NumCores,
+		shared: cfg.NumCores > cfg.Cache.Ways,
+		stats:  Stats{PerCore: make([]CoreStats, cfg.NumCores)},
+		trans:  NewTransitionStats(cfg.TimelineBucket, cfg.TimelineBuckets),
 	}
 }
 
@@ -76,37 +60,24 @@ func (b *Controller) Stats() *Stats { return &b.stats }
 // Transitions implements Scheme.
 func (b *Controller) Transitions() *TransitionStats { return b.trans }
 
-// Decide implements Scheme for schemes with a fixed partition: it
-// counts the decision point and ages the set-sampling estimators.
-// Adaptive schemes shadow it (their estimator aging runs through
-// DecayMonitors or, for profile-driven CPE, an explicit call) — every
-// scheme ages the estimators exactly once per decision, so the
-// estimator dynamics are identical across schemes and any windowing
-// bias cancels in the FairShare-normalised figures.
-func (b *Controller) Decide(now int64) {
-	b.stats.Decisions++
-	b.decayEstimators()
-}
+// Decide implements Scheme for schemes with a fixed partition: it only
+// counts the decision point. Adaptive schemes shadow it.
+func (b *Controller) Decide(now int64) { b.stats.Decisions++ }
 
 // PoweredWayEquiv implements Scheme for the schemes that cannot gate
 // ways (Unmanaged, Fair Share, UCP, PIPP): everything stays powered.
 // Gating schemes (Dynamic CPE, Cooperative Partitioning) shadow it.
 func (b *Controller) PoweredWayEquiv() float64 { return float64(b.l2.Ways()) }
 
-// record tallies one access outcome for a core, scaled by the sampling
-// weight (1 when unsampled); the raw counts also feed the core's
-// estimator, which needs the unscaled sampled hit rate.
+// record tallies one access outcome for a core.
 func (b *Controller) record(core int, hit bool, tags int) {
 	cs := &b.stats.PerCore[core]
-	cs.Accesses += b.weight
-	cs.TagsConsulted += uint64(tags) * b.weight
-	e := &b.est[core]
-	e.Accesses++
+	cs.Accesses++
+	cs.TagsConsulted += uint64(tags)
 	if hit {
-		cs.Hits += b.weight
-		e.Hits++
+		cs.Hits++
 	} else {
-		cs.Misses += b.weight
+		cs.Misses++
 	}
 }
 
@@ -116,18 +87,10 @@ func (b *Controller) fill(line uint64, now int64) int64 {
 	return b.dram.Read(line, now)
 }
 
-// writeback posts dirty lines to memory. Under set sampling each
-// sampled writeback stands for weight writebacks — its own and those
-// of the weight-1 neighbouring non-sampled sets it represents — so it
-// posts that many, at the neighbouring sets' line addresses, keeping
-// the DRAM write traffic (and the bank/bus pressure it exerts on
-// reads) at the full rate rather than 1/K of it. Unsampled caches
-// have weight 1 and post exactly the one line, unchanged.
+// writeback posts one dirty line to memory.
 func (b *Controller) writeback(line uint64, now int64) {
-	for i := uint64(0); i < b.weight; i++ {
-		b.dram.Write(line+i, now)
-	}
-	b.stats.WritebacksToMem += b.weight
+	b.dram.Write(line, now)
+	b.stats.WritebacksToMem++
 }
 
 // newMonitors builds one utility monitor per core.
@@ -137,7 +100,7 @@ func (b *Controller) newMonitors() []*umon.Monitor {
 		mons[i] = umon.New(umon.Config{
 			Sets:     b.l2.NumSets(),
 			Ways:     b.l2.Ways(),
-			Sampling: b.umonSampling,
+			Sampling: b.cfg.UMONSampling,
 		})
 	}
 	return mons
@@ -145,7 +108,7 @@ func (b *Controller) newMonitors() []*umon.Monitor {
 
 // umonSampled reports whether set falls in a monitored sample.
 func (b *Controller) umonSampled(set int) bool {
-	return set%b.umonSampling == 0
+	return set%b.cfg.UMONSampling == 0
 }
 
 // accessHooks carries the policy of one scheme's access path. A scheme
@@ -189,23 +152,12 @@ func (b *Controller) access(core int, addr uint64, isWrite bool, now int64, h *a
 	if h.mask != nil {
 		mask = h.mask(core)
 	}
-	// Utility monitoring sees every access, sampled set or not: the
-	// ATDs model the address stream, which the estimated path below
-	// does not diminish.
-	umonSampled := false
+	res := Result{TagsConsulted: bits.OnesCount64(mask)}
+
 	if h.mons != nil {
 		h.mons[core].Access(set, line)
-		umonSampled = b.umonSampled(set)
+		res.UMONSampled = b.umonSampled(set)
 	}
-	if !l2.Sampled(set) {
-		// Non-sampled set of a set-sampled LLC: synthesize the outcome
-		// (estimate.go). No cache or scaled-counter state is touched;
-		// the energy layer still charges the access at weight 1.
-		res := b.estimated(core, bits.OnesCount64(mask), false, line, now)
-		res.UMONSampled = umonSampled
-		return res
-	}
-	res := Result{TagsConsulted: bits.OnesCount64(mask), UMONSampled: umonSampled}
 
 	if mask == 0 {
 		// No ways at all (a region-less core): straight to memory.
@@ -256,11 +208,11 @@ func (b *Controller) access(core int, addr uint64, isWrite bool, now int64, h *a
 
 	b.record(core, res.Hit, res.TagsConsulted)
 	st := l2.Stats()
-	st.Accesses += b.weight
+	st.Accesses++
 	if res.Hit {
-		st.Hits += b.weight
+		st.Hits++
 	} else {
-		st.Misses += b.weight
+		st.Misses++
 	}
 	return res
 }
@@ -295,10 +247,9 @@ func (b *Controller) EqualShares() []int {
 // memory banks and bus, delaying subsequent misses — the
 // reconfiguration cost the paper's evaluation highlights.
 func (b *Controller) FlushWays(mask uint64, now int64) {
-	step := b.l2.SampleStride()
 	for m := mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
-		for s := 0; s < b.l2.NumSets(); s += step {
+		for s := 0; s < b.l2.NumSets(); s++ {
 			if !b.l2.ValidAt(s, w) {
 				continue
 			}
@@ -306,7 +257,7 @@ func (b *Controller) FlushWays(mask uint64, now int64) {
 			if ev.Dirty {
 				b.writeback(ev.Line, now)
 			}
-			b.stats.FlushedOnDecide += b.weight
+			b.stats.FlushedOnDecide++
 		}
 	}
 }
@@ -320,40 +271,11 @@ func (b *Controller) MissCurves(mons []*umon.Monitor) []umon.Curve {
 	return curves
 }
 
-// estDecayFloor is the minimum estimator sample below which decision
-// decay leaves the counts alone. Halving an already-small sample
-// degrades the hit-rate estimate toward quantized extremes (0, 1/2,
-// 1) whose variance inflates estimated IPC — convexity: variance in
-// the miss rate raises mean IPC — so very short runs (UnitScale)
-// keep their cumulative estimate instead of a windowed one.
-const estDecayFloor = 256
-
-// decayEstimators ages the set-sampling estimators at a decision
-// boundary: halving the counts makes the estimated hit rate track the
-// *recent* sampled hit rate rather than the whole run's. A scheme
-// that improves its allocation over time (UCP, Cooperative
-// Partitioning) would otherwise see its estimated traffic priced at
-// the stale early-run rate — a lag penalty static schemes never pay,
-// which the tier-equivalence gate caught as a WS bias confined to the
-// adaptive schemes. Every scheme must age at the same cadence (see
-// Decide), or the windowing itself becomes a scheme-relative bias.
-func (b *Controller) decayEstimators() {
-	for i := range b.est {
-		if e := &b.est[i]; e.Accesses >= estDecayFloor {
-			e.Accesses >>= 1
-			e.Hits >>= 1
-		}
-	}
-}
-
-// DecayMonitors ages every monitor after a decision, and the
-// set-sampling estimators with them (the monitor-driven schemes
-// shadow Decide, so this is their once-per-decision aging point).
+// DecayMonitors ages every monitor after a decision.
 func (b *Controller) DecayMonitors(mons []*umon.Monitor) {
 	for _, m := range mons {
 		m.Decay()
 	}
-	b.decayEstimators()
 }
 
 // Exported accessors for schemes implemented outside this package.

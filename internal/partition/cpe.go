@@ -113,7 +113,6 @@ func (c *CPE) Access(core int, addr uint64, isWrite bool, now int64) Result {
 // counter advances.
 func (c *CPE) Decide(now int64) {
 	c.stats.Decisions++
-	c.decayEstimators()
 	defer func() { c.phase++ }()
 	if c.shared {
 		return

@@ -38,10 +38,6 @@ type controllerState struct {
 	Cache *cache.State
 	Stats Stats
 	Trans TransitionStats
-	// Est carries the set-sampled estimator (estimate.go). It is
-	// populated on every tier (record always maintains it) but only
-	// influences behaviour under sampling.
-	Est []estimator
 }
 
 func (b *Controller) state() controllerState {
@@ -55,7 +51,6 @@ func (b *Controller) state() controllerState {
 			FlushedOnDecide: b.stats.FlushedOnDecide,
 		},
 		Trans: *b.trans,
-		Est:   append([]estimator(nil), b.est...),
 	}
 	st.Trans.Timeline = append([]uint64(nil), b.trans.Timeline...)
 	return st
@@ -81,11 +76,6 @@ func (b *Controller) restoreState(st *controllerState) error {
 	b.stats.Decisions = st.Stats.Decisions
 	b.stats.Repartitions = st.Stats.Repartitions
 	b.stats.FlushedOnDecide = st.Stats.FlushedOnDecide
-	if len(st.Est) != len(b.est) {
-		return fmt.Errorf("partition: snapshot has %d estimator blocks, controller has %d",
-			len(st.Est), len(b.est))
-	}
-	copy(b.est, st.Est)
 	timeline := b.trans.Timeline
 	copy(timeline, st.Trans.Timeline)
 	*b.trans = st.Trans
@@ -240,9 +230,9 @@ func (u *UCP) RestoreStateJSON(data []byte) error {
 	copy(u.quotas, st.Quotas)
 	u.tr = nil
 	if t := st.Transition; t != nil {
-		if len(t.SetDone) != u.l2.SampledSets() {
-			return fmt.Errorf("ucp: snapshot transition covers %d sets, cache samples %d",
-				len(t.SetDone), u.l2.SampledSets())
+		if len(t.SetDone) != u.l2.NumSets() {
+			return fmt.Errorf("ucp: snapshot transition covers %d sets, cache has %d",
+				len(t.SetDone), u.l2.NumSets())
 		}
 		donors := make(map[int]bool, len(t.Donors))
 		for _, d := range t.Donors {

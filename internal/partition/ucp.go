@@ -70,13 +70,9 @@ func (u *UCP) onVictim(core int, ev victimEvent, now int64) {
 		return
 	}
 	if ev.valid && tr.donors[ev.owner] && ev.owner != core && ev.dirty {
-		u.trans.RecordFlush(now-tr.start, int(u.weight))
+		u.trans.RecordFlush(now-tr.start, 1)
 	}
-	// Convergence is tracked per simulated set: under sampling only the
-	// sampled sets receive victim events, so the per-set progress state
-	// is indexed by dense sample row.
-	row := ev.set >> u.l2.SampleShift()
-	if tr.setDone[row] {
+	if tr.setDone[ev.set] {
 		return
 	}
 	for d := range tr.donors {
@@ -84,7 +80,7 @@ func (u *UCP) onVictim(core int, ev victimEvent, now int64) {
 			return
 		}
 	}
-	tr.setDone[row] = true
+	tr.setDone[ev.set] = true
 	tr.remaining--
 	if tr.remaining == 0 {
 		u.trans.Completed++
@@ -128,8 +124,8 @@ func (u *UCP) Decide(now int64) {
 		start:     now,
 		donors:    donors,
 		waysMoved: moved,
-		setDone:   make([]bool, u.l2.SampledSets()),
-		remaining: u.l2.SampledSets(),
+		setDone:   make([]bool, u.l2.NumSets()),
+		remaining: u.l2.NumSets(),
 	}
 }
 

@@ -189,10 +189,10 @@ func (c *Client) warnOnce(class, format string, args ...any) {
 
 // RemoteRun implements experiments.Remote for group runs.
 func (c *Client) RemoteRun(key string, sc sim.Scale, seed uint64, g workload.Group,
-	scheme sim.SchemeKind, threshold float64, v experiments.Variant, fid sim.Fidelity) (*sim.Results, bool) {
+	scheme sim.SchemeKind, threshold float64, v experiments.Variant, _ sim.Fidelity) (*sim.Results, bool) {
 	var res sim.Results
 	if !c.exchange(RunRequest{
-		Kind: KindRun, Key: key, Scale: sc, Seed: seed, Fidelity: fid.String(),
+		Kind: KindRun, Key: key, Scale: sc, Seed: seed,
 		Group: g, Scheme: scheme, Threshold: threshold, Variant: v,
 	}, &res) {
 		return nil, false
@@ -202,10 +202,10 @@ func (c *Client) RemoteRun(key string, sc sim.Scale, seed uint64, g workload.Gro
 
 // RemoteAlone implements experiments.Remote for solo runs.
 func (c *Client) RemoteAlone(key string, sc sim.Scale, seed uint64,
-	benchmark string, cores int, fid sim.Fidelity) (*sim.Results, bool) {
+	benchmark string, cores int, _ sim.Fidelity) (*sim.Results, bool) {
 	var res sim.Results
 	if !c.exchange(RunRequest{
-		Kind: KindAlone, Key: key, Scale: sc, Seed: seed, Fidelity: fid.String(),
+		Kind: KindAlone, Key: key, Scale: sc, Seed: seed,
 		Benchmark: benchmark, Cores: cores,
 	}, &res) {
 		return nil, false
@@ -215,10 +215,10 @@ func (c *Client) RemoteAlone(key string, sc sim.Scale, seed uint64,
 
 // RemoteProfile implements experiments.Remote for DynCPE profiles.
 func (c *Client) RemoteProfile(key string, sc sim.Scale, seed uint64,
-	benchmark string, cores int, fid sim.Fidelity) (partition.CoreProfile, bool) {
+	benchmark string, cores int, _ sim.Fidelity) (partition.CoreProfile, bool) {
 	var p partition.CoreProfile
 	if !c.exchange(RunRequest{
-		Kind: KindProfile, Key: key, Scale: sc, Seed: seed, Fidelity: fid.String(),
+		Kind: KindProfile, Key: key, Scale: sc, Seed: seed,
 		Benchmark: benchmark, Cores: cores,
 	}, &p) {
 		return partition.CoreProfile{}, false

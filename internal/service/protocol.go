@@ -53,7 +53,6 @@ type RunRequest struct {
 	Key       string              `json:"key"`
 	Scale     sim.Scale           `json:"scale"`
 	Seed      uint64              `json:"seed"`
-	Fidelity  string              `json:"fidelity"`
 	Group     workload.Group      `json:"group,omitempty"`     // KindRun
 	Scheme    sim.SchemeKind      `json:"scheme,omitempty"`    // KindRun
 	Threshold float64             `json:"threshold,omitempty"` // KindRun

@@ -198,11 +198,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "decoding request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	fid, err := sim.ParseFidelity(req.Fidelity)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	runner := s.runner(req.Scale, req.Seed)
 
 	// Recompute the canonical key from the request fields; the client
@@ -212,11 +207,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var want string
 	switch req.Kind {
 	case KindRun:
-		want = runner.RunKey(req.Group, req.Scheme, req.Threshold, req.Variant, fid)
+		want = runner.RunKey(req.Group, req.Scheme, req.Threshold, req.Variant)
 	case KindAlone:
-		want = runner.AloneKey(req.Benchmark, req.Cores, fid)
+		want = runner.AloneKey(req.Benchmark, req.Cores)
 	case KindProfile:
-		want = runner.ProfileKey(req.Benchmark, req.Cores, fid)
+		want = runner.ProfileKey(req.Benchmark, req.Cores)
 	default:
 		http.Error(w, fmt.Sprintf("unknown kind %q", req.Kind), http.StatusBadRequest)
 		return
@@ -247,12 +242,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case KindRun:
 		value, err = runner.RunRequest(ctx, experiments.Request{
 			Group: req.Group, Scheme: req.Scheme, Threshold: req.Threshold,
-			Variant: req.Variant, Fidelity: fid,
+			Variant: req.Variant,
 		})
 	case KindAlone:
-		value, err = runner.AloneRequest(ctx, req.Benchmark, req.Cores, fid)
+		value, err = runner.AloneRequest(ctx, req.Benchmark, req.Cores)
 	case KindProfile:
-		value, err = runner.ProfileRequest(ctx, req.Benchmark, req.Cores, fid)
+		value, err = runner.ProfileRequest(ctx, req.Benchmark, req.Cores)
 	}
 	if err != nil {
 		s.failed.Add(1)

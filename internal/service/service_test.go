@@ -95,15 +95,15 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	g := mustGroup(t, "G2-1")
 
 	local := experiments.NewRunner(experiments.Config{Scale: sc})
-	want, err := local.RunGroupFidelity(g, sim.CoopPart, experiments.DefaultThreshold,
-		experiments.VariantNone, sim.FidelityExact)
+	want, err := local.RunGroupVariant(g, sim.CoopPart, experiments.DefaultThreshold,
+		experiments.VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	remote := experiments.NewRunner(experiments.Config{Scale: sc, Remote: cl})
-	got, err := remote.RunGroupFidelity(g, sim.CoopPart, experiments.DefaultThreshold,
-		experiments.VariantNone, sim.FidelityExact)
+	got, err := remote.RunGroupVariant(g, sim.CoopPart, experiments.DefaultThreshold,
+		experiments.VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,8 @@ func TestEveryFaultScheduleConverges(t *testing.T) {
 	sc := sim.UnitScale()
 	g := mustGroup(t, "G2-1")
 	baseline := experiments.NewRunner(experiments.Config{Scale: sc})
-	want, err := baseline.RunGroupFidelity(g, sim.UCP, experiments.DefaultThreshold,
-		experiments.VariantNone, sim.FidelityExact)
+	want, err := baseline.RunGroupVariant(g, sim.UCP, experiments.DefaultThreshold,
+		experiments.VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +180,8 @@ func TestEveryFaultScheduleConverges(t *testing.T) {
 				MaxFailures:    4,
 			})
 			remote := experiments.NewRunner(experiments.Config{Scale: sc, Remote: cl})
-			got, err := remote.RunGroupFidelity(g, sim.UCP, experiments.DefaultThreshold,
-				experiments.VariantNone, sim.FidelityExact)
+			got, err := remote.RunGroupVariant(g, sim.UCP, experiments.DefaultThreshold,
+				experiments.VariantNone)
 			if err != nil {
 				t.Fatalf("fault schedule surfaced an error: %v", err)
 			}
@@ -272,8 +272,8 @@ func TestKeyMismatchIsPermanent(t *testing.T) {
 	}
 }
 
-// TestServerRejectsGarbage: malformed bodies, bad fidelity, unknown
-// kinds, wrong methods.
+// TestServerRejectsGarbage: malformed bodies, unknown kinds, wrong
+// methods.
 func TestServerRejectsGarbage(t *testing.T) {
 	base, _, _ := newTestServer(t)
 	post := func(body string) int {
@@ -287,10 +287,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 	if code := post("{not json"); code != http.StatusBadRequest {
 		t.Fatalf("malformed body: %d", code)
 	}
-	if code := post(`{"kind":"run","fidelity":"warp9"}`); code != http.StatusBadRequest {
-		t.Fatalf("bad fidelity: %d", code)
-	}
-	if code := post(`{"kind":"teleport","fidelity":"exact"}`); code != http.StatusBadRequest {
+	if code := post(`{"kind":"teleport"}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown kind: %d", code)
 	}
 	resp, err := http.Get(base + "/v1/run")
@@ -429,7 +426,7 @@ func BenchmarkServiceRoundTrip(b *testing.B) {
 	sc := sim.UnitScale()
 	local := experiments.NewRunner(experiments.Config{Scale: sc})
 	key := local.RunKey(g, sim.CoopPart, experiments.DefaultThreshold,
-		experiments.VariantNone, sim.FidelityExact)
+		experiments.VariantNone)
 	if _, ok := cl.RemoteRun(key, sc, 1, g, sim.CoopPart,
 		experiments.DefaultThreshold, experiments.VariantNone, sim.FidelityExact); !ok {
 		b.Fatal("warmup request failed")

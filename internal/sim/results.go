@@ -8,14 +8,23 @@ import (
 	"repro/internal/workload"
 )
 
+// Fidelity is a leftover of the retired approximate simulation tiers:
+// the simulator is exact, so FidelityExact is its only value. It stays
+// because the benchmark module pins it: its output goldens hash
+// Results as encoding/json marshals them ("Fidelity":0 included), and
+// its experiments.Remote implementation spells the type in the method
+// signatures. Drop it, Results.Fidelity and the Remote parameters
+// together once the goldens are re-recorded.
+type Fidelity uint8
+
+// FidelityExact is the exact, bit-identical simulation.
+const FidelityExact Fidelity = 0
+
 // Results captures everything one run produces.
 type Results struct {
 	Scheme string
 	Group  string
-	// Fidelity is the RNG-walk tier the run executed at. Consumers
-	// comparing or normalising results must only mix runs of one tier
-	// (experiments keys its memo on it, and WeightedSpeedup picks
-	// matching-tier solo runs through it).
+	// Fidelity is always FidelityExact (see Fidelity).
 	Fidelity   Fidelity
 	Benchmarks []string
 
@@ -93,14 +102,18 @@ func SoloGroup(benchmark string) workload.Group {
 // will be compared with, so the core count of the target group is part
 // of the key.
 func RunAlone(benchmark string, sc Scale, coresInGroup int, seed uint64) (*Results, error) {
-	return RunAloneFidelity(benchmark, sc, coresInGroup, seed, FidelityExact)
+	cfg, err := AloneConfig(benchmark, sc, coresInGroup, seed)
+	if err != nil {
+		return nil, err
+	}
+	return Run(cfg)
 }
 
 // AloneConfig builds the RunConfig of a benchmark's alone run: a scale
 // whose two-core L2 is the target group geometry, one core on it. The
 // checkpoint layer routes solo runs through this builder so the config
 // (and thus the warm-up checkpoint identity) is canonical.
-func AloneConfig(benchmark string, sc Scale, coresInGroup int, seed uint64, fid Fidelity) (RunConfig, error) {
+func AloneConfig(benchmark string, sc Scale, coresInGroup int, seed uint64) (RunConfig, error) {
 	l2, err := sc.L2For(coresInGroup)
 	if err != nil {
 		return RunConfig{}, err
@@ -108,11 +121,10 @@ func AloneConfig(benchmark string, sc Scale, coresInGroup int, seed uint64, fid 
 	solo := sc
 	solo.L2TwoCore = l2
 	return RunConfig{
-		Scale:    solo,
-		Scheme:   Unmanaged,
-		Group:    SoloGroup(benchmark),
-		Seed:     seed,
-		Fidelity: fid,
+		Scale:  solo,
+		Scheme: Unmanaged,
+		Group:  SoloGroup(benchmark),
+		Seed:   seed,
 	}, nil
 }
 
@@ -120,8 +132,8 @@ func AloneConfig(benchmark string, sc Scale, coresInGroup int, seed uint64, fid 
 // configs differ in nothing else, which is what lets one warm-up
 // checkpoint serve both runs (capture only observes; its monitor is
 // reset at the warm-up boundary).
-func ProfileConfig(benchmark string, sc Scale, coresInGroup int, seed uint64, fid Fidelity) (RunConfig, error) {
-	cfg, err := AloneConfig(benchmark, sc, coresInGroup, seed, fid)
+func ProfileConfig(benchmark string, sc Scale, coresInGroup int, seed uint64) (RunConfig, error) {
+	cfg, err := AloneConfig(benchmark, sc, coresInGroup, seed)
 	if err != nil {
 		return RunConfig{}, err
 	}
@@ -129,28 +141,10 @@ func ProfileConfig(benchmark string, sc Scale, coresInGroup int, seed uint64, fi
 	return cfg, nil
 }
 
-// RunAloneFidelity is RunAlone at an explicit RNG-walk tier: Equation
-// 1's denominators must come from the same tier as the shared runs
-// they normalise, so FastForward evaluations solo-run at FastForward.
-func RunAloneFidelity(benchmark string, sc Scale, coresInGroup int, seed uint64, fid Fidelity) (*Results, error) {
-	cfg, err := AloneConfig(benchmark, sc, coresInGroup, seed, fid)
-	if err != nil {
-		return nil, err
-	}
-	return Run(cfg)
-}
-
 // ProfileBenchmark runs a benchmark solo and captures its per-phase
 // utility curves for Dynamic CPE (the paper's offline profiling step).
 func ProfileBenchmark(benchmark string, sc Scale, coresInGroup int, seed uint64) (partition.CoreProfile, error) {
-	return ProfileBenchmarkFidelity(benchmark, sc, coresInGroup, seed, FidelityExact)
-}
-
-// ProfileBenchmarkFidelity is ProfileBenchmark at an explicit RNG-walk
-// tier (Dynamic CPE's profiles feed allocation decisions, so a
-// FastForward evaluation profiles at FastForward).
-func ProfileBenchmarkFidelity(benchmark string, sc Scale, coresInGroup int, seed uint64, fid Fidelity) (partition.CoreProfile, error) {
-	cfg, err := ProfileConfig(benchmark, sc, coresInGroup, seed, fid)
+	cfg, err := ProfileConfig(benchmark, sc, coresInGroup, seed)
 	if err != nil {
 		return partition.CoreProfile{}, err
 	}

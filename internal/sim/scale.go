@@ -45,14 +45,6 @@ type Scale struct {
 	UMONSampling int
 	// MSHRs bounds each core's outstanding L2 misses.
 	MSHRs int
-	// SampleStride is the LLC set-sampling ratio K of the set-sampled
-	// fidelity tier (DESIGN.md §15): the shared cache models every K-th
-	// set and scales its counters back up. 0 means DefaultSampleStride
-	// when the run's fidelity is FidelitySetSampled; setting it under
-	// any other fidelity is a NewSystem error (the zero value keeps
-	// every existing scale bit-identical). Must be a power of two no
-	// larger than half the LLC set count.
-	SampleStride int
 }
 
 // FullScale is the paper's Table 2 configuration.

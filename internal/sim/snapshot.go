@@ -18,11 +18,11 @@ import (
 // (which carries the shared LLC, monitors and all policy state), the
 // DRAM timing state, the energy meter, and the phased-run bookkeeping.
 // Everything derived from RunConfig — geometry, latencies, masks,
-// profiles, the FastForward CDF tables — is rebuilt by NewSystem, so a
-// snapshot restored into a freshly built System of the same RunConfig
-// continues the run bit-identically (pinned by the ckpt round-trip
-// fuzz and the checkpointed-vs-uncheckpointed oracle tests). Taking a
-// snapshot is a pure read: it never perturbs the run.
+// profiles — is rebuilt by NewSystem, so a snapshot restored into a
+// freshly built System of the same RunConfig continues the run
+// bit-identically (pinned by the ckpt round-trip fuzz and the
+// checkpointed-vs-uncheckpointed oracle tests). Taking a snapshot is a
+// pure read: it never perturbs the run.
 type Snapshot struct {
 	// Scheme is the scheme's Name(), cross-checked on restore so a
 	// mis-keyed checkpoint fails loudly instead of restoring one

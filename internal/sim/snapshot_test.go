@@ -8,8 +8,8 @@ import (
 )
 
 // snapshotCfg builds the round-trip oracle config: CoopPart on a
-// two-core group at unit scale, at either fidelity tier.
-func snapshotCfg(t testing.TB, fid Fidelity, seed uint64) RunConfig {
+// two-core group at unit scale.
+func snapshotCfg(t testing.TB, seed uint64) RunConfig {
 	t.Helper()
 	g, err := workload.FindGroup("G2-8")
 	if err != nil {
@@ -17,7 +17,7 @@ func snapshotCfg(t testing.TB, fid Fidelity, seed uint64) RunConfig {
 	}
 	return RunConfig{
 		Scale: UnitScale(), Scheme: CoopPart, Group: g,
-		Threshold: 0.05, Seed: seed, Fidelity: fid,
+		Threshold: 0.05, Seed: seed,
 	}
 }
 
@@ -91,22 +91,19 @@ func roundTripEveryBoundary(t testing.TB, cfg RunConfig, every uint64) int {
 	return len(snaps)
 }
 
-// TestSnapshotRoundTripAtEveryRecordBoundary exercises both fidelity
-// tiers at an aligned cadence and an off-grid prime one. The prime
-// cadence is the hard case: boundaries land mid-phase at arbitrary
-// points of the generators' RNG walks, FastForward's jump state and
-// the fractional-MLP clocks, none of which may lose precision through
-// the JSON round-trip.
+// TestSnapshotRoundTripAtEveryRecordBoundary exercises an aligned
+// cadence and an off-grid prime one. The prime cadence is the hard
+// case: boundaries land mid-phase at arbitrary points of the
+// generators' RNG walks and the fractional-MLP clocks, none of which
+// may lose precision through the JSON round-trip.
 func TestSnapshotRoundTripAtEveryRecordBoundary(t *testing.T) {
-	for _, fid := range []Fidelity{FidelityExact, FidelityFastForward} {
-		for _, every := range []uint64{30_000, 7_919} {
-			cfg := snapshotCfg(t, fid, 1)
-			n := roundTripEveryBoundary(t, cfg, every)
-			if n < 2 {
-				t.Fatalf("%s/every=%d: only %d boundaries exercised", fid, every, n)
-			}
-			t.Logf("%s/every=%d: %d boundaries round-tripped", fid, every, n)
+	for _, every := range []uint64{30_000, 7_919} {
+		cfg := snapshotCfg(t, 1)
+		n := roundTripEveryBoundary(t, cfg, every)
+		if n < 2 {
+			t.Fatalf("every=%d: only %d boundaries exercised", every, n)
 		}
+		t.Logf("every=%d: %d boundaries round-tripped", every, n)
 	}
 }
 
@@ -119,7 +116,7 @@ func TestSnapshotRoundTripCaptureProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := ProfileConfig(g.Benchmarks[0], UnitScale(), len(g.Benchmarks), 1, FidelityExact)
+	cfg, err := ProfileConfig(g.Benchmarks[0], UnitScale(), len(g.Benchmarks), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +128,7 @@ func TestSnapshotRoundTripCaptureProfile(t *testing.T) {
 // mismatches fail loudly instead of continuing from inconsistent
 // state.
 func TestSnapshotRejectsMismatchedSystem(t *testing.T) {
-	cfg := snapshotCfg(t, FidelityExact, 1)
+	cfg := snapshotCfg(t, 1)
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -164,14 +161,14 @@ func TestSnapshotRejectsMismatchedSystem(t *testing.T) {
 }
 
 // FuzzSnapshotRoundTrip drives the round-trip property over fuzzed
-// (cadence, seed, tier) triples. The seed corpus covers both tiers and
-// off-grid cadences; `go test` runs the corpus as a smoke, `go test
+// (cadence, seed) pairs. The seed corpus covers off-grid cadences;
+// `go test` runs the corpus as a smoke, `go test
 // -fuzz=FuzzSnapshotRoundTrip` explores further.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	f.Add(uint64(7_919), uint64(1), false)
-	f.Add(uint64(7_919), uint64(2), true)
-	f.Add(uint64(41_333), uint64(3), true)
-	f.Fuzz(func(t *testing.T, every, seed uint64, fastForward bool) {
+	f.Add(uint64(7_919), uint64(1))
+	f.Add(uint64(7_919), uint64(2))
+	f.Add(uint64(41_333), uint64(3))
+	f.Fuzz(func(t *testing.T, every, seed uint64) {
 		scale := UnitScale()
 		// Clamp the cadence into (0, InstrPerApp) without collapsing the
 		// fuzzed variety; tiny cadences would mean thousands of
@@ -180,10 +177,6 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if every < 5_000 {
 			every += 5_000
 		}
-		fid := FidelityExact
-		if fastForward {
-			fid = FidelityFastForward
-		}
-		roundTripEveryBoundary(t, snapshotCfg(t, fid, seed), every)
+		roundTripEveryBoundary(t, snapshotCfg(t, seed), every)
 	})
 }

@@ -40,11 +40,6 @@ var AllSchemes = []SchemeKind{Unmanaged, FairShare, DynCPE, UCP, CoopPart}
 // access latency.
 const bankBusyCycles = 4
 
-// DefaultSampleStride is the LLC set-sampling ratio K applied when a
-// set-sampled run does not set Scale.SampleStride. K=8 keeps 1/8 of
-// the sets modelled — the validated sweet spot of DESIGN.md §15.
-const DefaultSampleStride = 8
-
 // RunConfig describes one simulation run.
 type RunConfig struct {
 	Scale  Scale
@@ -65,12 +60,6 @@ type RunConfig struct {
 	// exceeds the LLC ways (partition.Config.SharedWays); without it
 	// such configurations fail loudly.
 	SharedWays bool
-	// Fidelity selects the trace generators' RNG-walk tier. The zero
-	// value (FidelityExact) is the bit-identical walk and the only
-	// default at every layer; FidelityFastForward is the opt-in
-	// statistical tier (DESIGN.md §11) whose results must never be
-	// compared byte-for-byte against exact runs.
-	Fidelity Fidelity
 	// Threshold is Cooperative Partitioning's T (Algorithm 1), also
 	// used by Dynamic CPE's profile-driven allocation. The paper's
 	// default is 0.05.
@@ -110,11 +99,6 @@ type System struct {
 	lineBytes    int
 	lineShift    uint  // log2(lineBytes), hoisted out of the access path
 	measureFrom  int64 // clock at the end of warm-up (energy reset point)
-	// wbWeight is the set-sampling scale factor K applied to writeback
-	// energy: each sampled writeback stands for K writebacks of the
-	// full cache. 1 outside the set-sampled tier. (The DRAM side needs
-	// no factor — the controller posts K writes per sampled writeback.)
-	wbWeight int
 	// stepRecords forces the per-record Step path instead of the
 	// event-compressed StepEvent path (DESIGN.md §10). The two are
 	// bit-identical — this switch exists for the differential tests
@@ -139,9 +123,6 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	if err := cfg.Group.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Fidelity.Validate(); err != nil {
-		return nil, err
-	}
 	n := len(cfg.Group.Benchmarks)
 	if cfg.Cores > 0 {
 		if cfg.Cores < n {
@@ -158,32 +139,6 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	if cfg.Banks > 1 {
 		l2cfg.Banks = cfg.Banks
 		l2cfg.BankBusyCycles = bankBusyCycles
-	}
-	wbWeight := 1
-	if cfg.Fidelity == FidelitySetSampled {
-		stride := cfg.Scale.SampleStride
-		if stride == 0 {
-			stride = DefaultSampleStride
-		}
-		// Dynamic CPE folds set indices with set & (coreSets-1) where
-		// coreSets can shrink to Sets/2; the fold preserves sampledness
-		// (the low log2(K) bits) only when K divides the folded set
-		// count, so larger strides would silently desample CPE runs.
-		if stride > l2cfg.Sets()/2 {
-			return nil, fmt.Errorf("sim: sample stride %d exceeds half the %d LLC sets",
-				stride, l2cfg.Sets())
-		}
-		l2cfg.SampleStride = stride
-		wbWeight = stride
-		// The cache substrate panics on bad configs (experiment-fixed in
-		// every other path); the stride comes from user flags, so turn
-		// its validation into a returned error here.
-		if err := l2cfg.Validate(); err != nil {
-			return nil, err
-		}
-	} else if cfg.Scale.SampleStride != 0 {
-		return nil, fmt.Errorf("sim: Scale.SampleStride = %d requires the set-sampled fidelity (run has %s)",
-			cfg.Scale.SampleStride, cfg.Fidelity)
 	}
 	cfg.Threshold = effectiveThreshold(cfg.Threshold, cfg.Scheme)
 
@@ -238,7 +193,6 @@ func NewSystem(cfg RunConfig) (*System, error) {
 		nextDecision: cfg.Scale.PhaseCycles,
 		lineBytes:    l2cfg.LineBytes,
 		lineShift:    uint(bits.TrailingZeros(uint(l2cfg.LineBytes))),
-		wbWeight:     wbWeight,
 	}
 	wayLines := l2cfg.Sets()
 	for i, name := range cfg.Group.Benchmarks {
@@ -250,7 +204,6 @@ func NewSystem(cfg RunConfig) (*System, error) {
 			InstrScale: cfg.Scale.InstrScale(),
 			PhaseScale: cfg.Scale.PhaseScale(),
 			Seed:       cfg.Seed,
-			Fidelity:   cfg.Fidelity,
 		})
 		s.l1 = append(s.l1, cache.New(cfg.Scale.L1D))
 		s.l1i = append(s.l1i, cache.New(cfg.Scale.L1I))
@@ -329,11 +282,7 @@ func (s *System) chargeAccess(res partition.Result, isWrite bool, now int64) {
 		UMONSampled:   res.UMONSampled,
 		TakeoverOps:   res.TakeoverOps,
 	})
-	// Each sampled writeback stands for wbWeight writebacks of the full
-	// cache (1 outside the set-sampled tier). decide()'s flush loop
-	// needs no such factor: FlushedOnDecide is already weight-scaled by
-	// the partition layer.
-	for i := 0; i < res.Writebacks*s.wbWeight; i++ {
+	for i := 0; i < res.Writebacks; i++ {
 		s.meter.OnWriteback()
 	}
 	if pw := s.scheme.PoweredWayEquiv(); pw != s.meter.PoweredEquiv() {
@@ -494,7 +443,6 @@ func (s *System) RunMeasured(every uint64, onCkpt func(boundary uint64)) *Result
 	res := &Results{
 		Scheme:     string(s.cfg.Scheme),
 		Group:      s.cfg.Group.Name,
-		Fidelity:   s.cfg.Fidelity,
 		Benchmarks: append([]string(nil), s.cfg.Group.Benchmarks...),
 	}
 
@@ -575,10 +523,6 @@ func (s *System) RunMeasured(every uint64, onCkpt func(boundary uint64)) *Result
 	res.Allocations = s.scheme.Allocations()
 	res.SchemeStats = cloneStats(s.scheme.Stats())
 	res.Transition = cloneTransitions(s.scheme.Transitions())
-	// No set-sampling scaling here: the controller keeps DRAM traffic at
-	// full-cache magnitudes itself — estimated misses issue real reads
-	// and each sampled writeback posts wbWeight writes — so the DRAM
-	// counters are full-rate on every tier.
 	res.DRAM = s.dram.Stats()
 	if s.cfg.CaptureProfile {
 		res.Profile = partition.CoreProfile{Phases: s.profPhases}

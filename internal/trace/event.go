@@ -58,22 +58,15 @@ func (g *Generator) NextEvent(ev *Event) {
 }
 
 // FillEvents overwrites evs with the next len(evs) events of the
-// stream. At the default FidelityExact tier the records the events
-// decompress to are exactly the records Fill/Next would produce — each
-// ALU instruction of a run still costs its one mixture draw
-// (x >= MemFrac+BranchFrac), so the RNG walk, the PC walk and every
-// downstream draw are unchanged; only the Record stores are elided.
-// The record-materialization arm below mirrors Fill's body line for
-// line and must stay in lockstep with it — the pairing is pinned by
-// TestEventStreamMatchesNext and FuzzEventStreamMatchesNext. A
-// FidelityFastForward (or higher — FidelitySetSampled keeps the same
-// walk) config dispatches to the O(1) geometric run sampler instead
-// (fidelity.go) — a different, statistically equivalent walk.
+// stream. The records the events decompress to are exactly the records
+// Fill/Next would produce — each ALU instruction of a run still costs
+// its one mixture draw (x >= MemFrac+BranchFrac), so the RNG walk, the
+// PC walk and every downstream draw are unchanged; only the Record
+// stores are elided. The record-materialization arm below mirrors
+// Fill's body line for line and must stay in lockstep with it — the
+// pairing is pinned by TestEventStreamMatchesNext and
+// FuzzEventStreamMatchesNext.
 func (g *Generator) FillEvents(evs []Event) {
-	if g.cfg.Fidelity >= FidelityFastForward {
-		g.fillEventsFF(evs)
-		return
-	}
 	cfg := &g.cfg
 	rng := g.rng
 	curPC := g.curPC

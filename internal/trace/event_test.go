@@ -186,8 +186,11 @@ func BenchmarkFillEvents(b *testing.B) {
 	}
 }
 
-func BenchmarkNextEvent(b *testing.B) {
-	g := NewGenerator(baseConfig())
+// benchNextEvent drives the event stream of cfg; ns/op is per
+// instruction.
+func benchNextEvent(b *testing.B, cfg Config) {
+	b.Helper()
+	g := NewGenerator(cfg)
 	var ev Event
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -202,4 +205,17 @@ func BenchmarkNextEvent(b *testing.B) {
 			records = 1
 		}
 	}
+}
+
+func BenchmarkNextEvent(b *testing.B) {
+	benchNextEvent(b, baseConfig())
+}
+
+// BenchmarkNextEventLongRuns is BenchmarkNextEvent on an ALU-heavy mix
+// (90% ALU, mean run ~9), where the per-draw ALU-run walk dominates
+// generation.
+func BenchmarkNextEventLongRuns(b *testing.B) {
+	cfg := baseConfig()
+	cfg.MemFrac, cfg.BranchFrac = 0.06, 0.04
+	benchNextEvent(b, cfg)
 }

@@ -51,38 +51,6 @@ func fuzzConfig(mem, branch, stream, huge, depth, noise byte, period uint16, cod
 	return cfg
 }
 
-// FuzzFastForwardStateJump pins the RNG jump identity the FastForward
-// tier rests on: after jumping a run of length n, the generator state
-// and every subsequent draw are byte-identical to n sequential
-// SplitMix64 draws. Arbitrary 64-bit starting states exercise the
-// wrapping arithmetic; n is capped only so the sequential reference
-// stays cheap (the jump itself is a wrapping multiply-add, so larger n
-// adds no new behaviour).
-func FuzzFastForwardStateJump(f *testing.F) {
-	f.Add(uint64(0), uint64(0))
-	f.Add(uint64(1), uint64(1))
-	f.Add(uint64(0xabcdef12345678), uint64(12345))
-	f.Add(^uint64(0), uint64(65536))
-	f.Add(uint64(0x9e3779b97f4a7c15), uint64(999_999))
-	f.Fuzz(func(t *testing.T, state, n uint64) {
-		n %= 1 << 20
-		seq := rng{state: state}
-		for i := uint64(0); i < n; i++ {
-			seq.next()
-		}
-		jmp := rng{state: state}
-		jmp.jump(n)
-		if seq.state != jmp.state {
-			t.Fatalf("state after jump(%d) = %#x, want %#x", n, jmp.state, seq.state)
-		}
-		for i := 0; i < 16; i++ {
-			if a, b := seq.next(), jmp.next(); a != b {
-				t.Fatalf("draw %d after jump(%d) = %#x, want %#x", i, n, b, a)
-			}
-		}
-	})
-}
-
 // FuzzEventStreamMatchesNext fuzzes generator configurations and
 // asserts the event stream decompresses to the exact Next record
 // sequence — the bit-identity foundation of the event-compressed

@@ -3,10 +3,10 @@ package trace
 import "fmt"
 
 // State is the dynamic portion of a Generator: everything the record
-// and event streams (both fidelity tiers — Fill and fillEventsFF write
-// back exactly these fields) mutate as they advance. The address-space
-// layout, cumulative weights, phase bounds and FastForward CDF table
-// are pure functions of the Config and are rebuilt by NewGenerator, so
+// and event streams (Fill and FillEvents write back exactly these
+// fields) mutate as they advance. The address-space layout, cumulative
+// weights and phase bounds are pure functions of the Config and are
+// rebuilt by NewGenerator, so
 // restoring a snapshot into a freshly built generator of the same
 // Config continues the walk bit-identically (pinned by the ckpt
 // round-trip fuzz tests).

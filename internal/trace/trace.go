@@ -22,10 +22,7 @@
 // attributes to astar, bzip2, gcc and povray.
 package trace
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Kind is an instruction class.
 type Kind uint8
@@ -107,12 +104,6 @@ type Config struct {
 	LineBytes int    // cache line size for address alignment
 	AddrBase  uint64 // high-bit offset separating address spaces
 	Seed      uint64
-
-	// Fidelity selects the RNG-walk tier of the event stream: the zero
-	// value (FidelityExact) is the bit-identical per-draw walk;
-	// FidelityFastForward opts the event path into the O(1) geometric
-	// run sampler (see fidelity.go). Next/Fill are exact at any tier.
-	Fidelity Fidelity
 }
 
 // Validate reports configuration errors.
@@ -160,18 +151,13 @@ func (c Config) Validate() error {
 	if c.LineBytes <= 0 {
 		return fmt.Errorf("trace: LineBytes = %d", c.LineBytes)
 	}
-	if err := c.Fidelity.Validate(); err != nil {
-		return err
-	}
 	return nil
 }
 
 // rng is a SplitMix64 generator: tiny, fast and deterministic.
 type rng struct{ state uint64 }
 
-// smGamma is SplitMix64's state increment: the state after n draws is
-// state + n*smGamma (wrapping), which is what lets the FastForward
-// tier jump an ALU run's draws in O(1) (rng.jump, fidelity.go).
+// smGamma is SplitMix64's state increment.
 const smGamma = 0x9e3779b97f4a7c15
 
 // smMix is SplitMix64's output finalizer.
@@ -185,12 +171,6 @@ func (r *rng) next() uint64 {
 	r.state += smGamma
 	return smMix(r.state)
 }
-
-// jump advances the state exactly as n sequential next calls would,
-// without computing their outputs: SplitMix64's state after n draws is
-// state + n*smGamma (wrapping), so the jump and the walk leave the
-// generator byte-identical (pinned by FuzzFastForwardStateJump).
-func (r *rng) jump(n uint64) { r.state += n * smGamma }
 
 // float returns a uniform float64 in [0, 1).
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
@@ -231,34 +211,7 @@ type Generator struct {
 	wsActiveCur   []int    // active size wsSweepPos is maintained for (0 = unset)
 	wsSweepPos    []uint64 // wsPos[i] % wsActiveCur[i], maintained incrementally
 	halfPeriod    uint64   // uint64(PhasePeriod)/2
-
-	// FastForward run-length sampler state (fidelity.go): the
-	// geometric CDF over run lengths with pALU = 1-MemFrac-BranchFrac,
-	// tabulated so one uniform draw per event yields both the run
-	// length (linear scan over cum — a compare costs a fraction of the
-	// SplitMix64 draw it replaces, and the scan exit is the only
-	// unpredictable branch per event) and, rescaled through (lo,
-	// scale), the run-terminating mixture draw — no second draw.
-	// ffLogALU = log(pALU) resolves the rare beyond-table tail.
-	ffTab    []ffEntry
-	ffLogALU float64
 }
-
-// ffEntry is one run length's slice of the FastForward sampler's CDF:
-// a uniform u in [lo, cum) selects run k, and (u-lo)*scale recovers a
-// uniform [0, branchCut) variate — the exact conditional distribution
-// of the per-draw walk's run-ending draw — for the terminator arm.
-type ffEntry struct {
-	cum   float64 // P(run <= k) = 1 - pALU^(k+1)
-	lo    float64 // P(run < k); cum of the previous entry
-	scale float64 // branchCut / (cum - lo)
-}
-
-// ffTabLen bounds the FastForward sampler's CDF table. P(run >= 64)
-// is ~2e-19 at the paper's ~half-ALU mixes and ~1e-3 even at 90% ALU,
-// so the log fallback is cold everywhere and the per-event compare
-// count is capped at 64 however long runs get.
-const ffTabLen = 64
 
 // NewGenerator builds a generator. It panics on an invalid config:
 // benchmark definitions are compiled into the workload package, so
@@ -306,28 +259,6 @@ func NewGenerator(cfg Config) *Generator {
 	g.codeBase = next * uint64(cfg.LineBytes)
 	g.curPC = g.codeBase
 	g.pattern = cfg.Seed | 1
-	// The table-built condition must stay aligned with fillEventsFF's
-	// dispatch (which keys on len(ffTab) and branchCut): pALU is
-	// derived from the same branchCut sum the sampler compares
-	// against, so a mix whose non-ALU fraction underflows pALU to
-	// exactly 1.0 (no terminator resolvable at float precision) leaves
-	// the table nil and the sampler treats it as pure-ALU.
-	branchCut := cfg.MemFrac + cfg.BranchFrac
-	if pALU := 1 - branchCut; pALU > 0 && pALU < 1 {
-		g.ffLogALU = math.Log(pALU)
-		g.ffTab = make([]ffEntry, ffTabLen)
-		p, lo := 1.0, 0.0
-		for i := range g.ffTab {
-			p *= pALU
-			cum := 1 - p
-			// cum saturates at 1.0 once pALU^(k+1) underflows the
-			// float64 step below 1; those entries are unreachable
-			// (u < 1 always) and the last reachable entry's slice
-			// stays well-formed (cum - lo > 0).
-			g.ffTab[i] = ffEntry{cum: cum, lo: lo, scale: branchCut / (cum - lo)}
-			lo = cum
-		}
-	}
 	return g
 }
 

@@ -5,13 +5,10 @@ import (
 	"math/bits"
 )
 
-// SetSampler is the address-interleaved set-sampling map shared by the
-// UMON ATDs and the set-sampled LLC fidelity tier: sample every
-// stride-th set (those whose index is a multiple of the stride), and
-// pack the sampled sets densely into rows by dropping the stride bits.
-// Keeping the mapping in one audited place is what lets the LLC tier
-// and the monitors agree on which sets are simulated, so a monitor
-// shadowing a sampled LLC never sees a set the LLC skipped.
+// SetSampler is the address-interleaved set-sampling map of the UMON
+// ATDs (dynamic set sampling): sample every stride-th set (those whose
+// index is a multiple of the stride), and pack the sampled sets densely
+// into rows by dropping the stride bits.
 //
 // The stride must be a power of two (the sampled-set test is then one
 // AND; a non-power-of-two stride has no mask form and the old modulo
@@ -63,7 +60,7 @@ func NewSetSampler(sets, stride int) SetSampler {
 
 // Stride returns the effective (clamped) stride — exactly the true
 // Sets/Rows ratio, the factor counters measured on the sampled subset
-// must be scaled by to estimate the full cache.
+// must be scaled by to estimate all sets of the monitored cache.
 func (s SetSampler) Stride() int { return s.stride }
 
 // Rows returns how many sets are sampled.

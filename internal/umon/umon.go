@@ -45,7 +45,7 @@ type Monitor struct {
 	misses   uint64
 	accesses uint64
 
-	// sampler holds the shared set-sampling map: the sampled-set filter
+	// sampler holds the set-sampling map: the sampled-set filter
 	// on every LLC access is a single AND, and the row index a shift.
 	sampler SetSampler
 	rowMask uint64
@@ -127,10 +127,6 @@ func (m *Monitor) Access(set int, tag uint64) {
 	}
 	tags[0] = tag
 }
-
-// Sampler returns the monitor's set-sampling map, so a cache shadowed
-// by this monitor can adopt the identical sampled-set selection.
-func (m *Monitor) Sampler() SetSampler { return m.sampler }
 
 // Accesses returns the number of monitored accesses since the last
 // decay to zero, scaled by the true Sets/SampledSets ratio to estimate

@@ -88,9 +88,6 @@ type Params struct {
 	// every simulation scale. Defaults to InstrScale when zero.
 	PhaseScale float64
 	Seed       uint64
-	// Fidelity selects the generator's RNG-walk tier (zero value =
-	// trace.FidelityExact, the bit-identical default).
-	Fidelity trace.Fidelity
 }
 
 // Validate reports parameter errors.
@@ -357,7 +354,6 @@ func (b Benchmark) TraceConfig(p Params) trace.Config {
 		LineBytes:   p.LineBytes,
 		AddrBase:    uint64(p.CoreID+1) << 44,
 		Seed:        p.Seed ^ uint64(p.CoreID)<<32 ^ hashName(b.Name),
-		Fidelity:    p.Fidelity,
 	}
 	if s.HugeFrac > 0 {
 		cfg.HugeLines = linesFor(s.HugeWays, p.WayLines)
