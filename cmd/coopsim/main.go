@@ -25,10 +25,7 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/prof"
-	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -36,77 +33,16 @@ func main() {
 	group := flag.String("group", "G2-8", "workload group from Table 4 (G2-1..G2-14, G4-1..G4-14)")
 	scheme := flag.String("scheme", "CoopPart",
 		"LLC scheme: Unmanaged, FairShare, DynCPE, UCP or CoopPart")
-	threshold := flag.Float64("threshold", experiments.DefaultThreshold,
-		"Cooperative Partitioning takeover threshold T (0..1)")
-	scaleName := flag.String("scale", "test", "simulation scale: unit, test or full")
-	seed := flag.Uint64("seed", 1, "workload seed")
 	compare := flag.Bool("compare", false, "run every scheme and print a comparison")
-	workers := flag.Int("workers", cliutil.DefaultWorkers(),
-		"concurrent simulations (default: one per CPU)")
-	server := flag.String("server", "",
-		"expd server URL to fetch results from (empty = compute locally)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
-	ckptDir := flag.String("checkpoint-dir", "",
-		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
-	ckptEvery := flag.Int64("checkpoint-every", 0,
-		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
-	flag.Parse()
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	runner, cleanup, err := cliutil.Setup("coopsim", cliutil.Options{Threshold: true, Profile: true})
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-	}()
-
+	defer cleanup()
 	g, err := workload.FindGroup(*group)
 	if err != nil {
 		fatal(err)
 	}
-	scale, err := cliutil.Scale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
-	nw, err := cliutil.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
-	th, err := cliutil.Threshold(*threshold)
-	if err != nil {
-		fatal(err)
-	}
-	every, err := cliutil.Checkpointing(*ckptDir, *ckptEvery)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := cliutil.CacheDir(*cacheDir); err != nil {
-		fatal(err)
-	}
-	st := store.OpenCLI(*cacheDir, "coopsim")
-	defer st.ReportStats("coopsim")
-	ckpts, ckptStore := cliutil.OpenCheckpoints(*ckptDir, every, "coopsim")
-	defer ckpts.ReportStats("coopsim")
-	defer ckptStore.ReportStats("coopsim: checkpoints")
-	defer store.HandleSignals("coopsim", st, ckptStore)()
-	cl, err := service.OpenCLI(*server, "coopsim")
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.ReportStats("coopsim")
-	cfg := experiments.Config{
-		Scale: scale, Seed: *seed, Threshold: th, Workers: nw,
-		Store: st, Checkpoints: ckpts,
-	}
-	if cl != nil {
-		cfg.Remote = cl
-	}
-	runner := experiments.NewRunner(cfg)
 
 	if *compare {
 		compareAll(runner, g)

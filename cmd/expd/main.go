@@ -30,24 +30,18 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/service"
-	"repro/internal/store"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9190", "listen address (host:0 picks a free port)")
 	addrFile := flag.String("addr-file", "",
 		"write the bound address to this file once listening (for -addr with port 0)")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
 	workers := flag.Int("workers", cliutil.DefaultWorkers(), "concurrent simulations per request")
 	maxConcurrent := flag.Int("max-concurrent", cliutil.DefaultWorkers(),
 		"run requests executing simultaneously (the rest queue)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long shutdown waits for in-flight requests before giving up")
-	ckptDir := flag.String("checkpoint-dir", "",
-		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
-	ckptEvery := flag.Int64("checkpoint-every", 0,
-		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
+	persist := cliutil.PersistenceFlags("expd")
 	flag.Parse()
 
 	w, err := cliutil.Workers(*workers)
@@ -58,18 +52,12 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("invalid -max-concurrent=%d: must be >= 1", *maxConcurrent))
 	}
-	every, err := cliutil.Checkpointing(*ckptDir, *ckptEvery)
-	if err != nil {
+	if err := persist.Open(); err != nil {
 		fatal(err)
 	}
-	if _, err := cliutil.CacheDir(*cacheDir); err != nil {
-		fatal(err)
-	}
-	st := store.OpenCLI(*cacheDir, "expd")
-	ckpts, ckptStore := cliutil.OpenCheckpoints(*ckptDir, every, "expd")
 
 	srv := service.NewServer(service.ServerOptions{
-		Workers: w, MaxConcurrent: mc, Store: st, Checkpoints: ckpts,
+		Workers: w, MaxConcurrent: mc, Store: persist.Results, Checkpoints: persist.Checkpoints,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "expd: "+format+"\n", args...)
 		},
@@ -85,7 +73,7 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "expd: serving on http://%s (cache-dir=%q workers=%d)\n",
-		bound, *cacheDir, w)
+		bound, persist.CacheDir, w)
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)
@@ -115,11 +103,7 @@ func main() {
 
 	// Whatever path got us here, leave the shared caches clean: no live
 	// lockfiles, stats on stderr for the operator.
-	st.ReleaseLocks()
-	st.ReportStats("expd")
-	ckptStore.ReleaseLocks()
-	ckpts.ReportStats("expd")
-	ckptStore.ReportStats("expd: checkpoints")
+	persist.Close()
 	p := srv.Snapshot()
 	fmt.Fprintf(os.Stderr, "expd: served %d requests (%d completed, %d failed), %d simulations\n",
 		p.Requests, p.RunsCompleted, p.RunsFailed, p.SimulationsStarted)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -62,6 +64,20 @@ func startExpd(t *testing.T, bin, cacheDir string, extra ...string) (string, *ex
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// listedFlags returns the flag names a binary's -h lists, in the
+// sorted order the flag package prints them.
+func listedFlags(bin string) []string {
+	_, errOut, _ := runClient(bin, "-h")
+	var names []string
+	for _, line := range strings.Split(string(errOut), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 func runClient(bin string, args ...string) ([]byte, []byte, error) {
@@ -251,34 +267,59 @@ func TestExpdGracefulDrain(t *testing.T) {
 }
 
 // TestFlagValidationFailsFast: every binary rejects nonsensical
-// -workers/-scale/-server/-checkpoint-every values with a non-zero exit
-// and a message naming the problem, before any simulation starts.
+// -workers/-seed/-scale/-server/-threshold/-checkpoint-every/-cache-dir
+// values with a non-zero exit and a message naming the problem, before
+// any simulation starts — and lists exactly the flags it always had,
+// so the shared bootstrap can neither add nor lose an option.
 func TestFlagValidationFailsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the client binaries")
 	}
 	binDir := t.TempDir()
-	bins := map[string]string{
-		"figures": "repro/cmd/figures",
-		"tables":  "repro/cmd/tables",
-		"report":  "repro/cmd/report",
-		"coopsim": "repro/cmd/coopsim",
+	common := []string{"cache-dir", "checkpoint-dir", "checkpoint-every", "scale", "seed", "server", "workers"}
+	bins := map[string]struct {
+		pkg   string
+		flags []string // beyond common
+	}{
+		"figures": {"repro/cmd/figures", []string{"cpuprofile", "csv", "fig", "memprofile", "sweep", "sweep-cores", "sweep-groups", "threshold"}},
+		"tables":  {"repro/cmd/tables", []string{"table"}},
+		"report":  {"repro/cmd/report", []string{"cpuprofile", "memprofile", "out"}},
+		"coopsim": {"repro/cmd/coopsim", []string{"compare", "cpuprofile", "group", "memprofile", "scheme", "threshold"}},
+	}
+	// A directory beneath a regular file cannot exist, even for root.
+	plain := filepath.Join(t.TempDir(), "plain")
+	if err := os.WriteFile(plain, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	cases := []struct {
 		name string
 		args []string
 		want string
+		only []string // binaries the case applies to; nil = all
 	}{
-		{"workers-zero", []string{"-workers", "0"}, "-workers"},
-		{"workers-negative", []string{"-workers", "-3"}, "-workers"},
-		{"bad-scale", []string{"-scale", "galactic"}, "unknown scale"},
-		{"bad-server", []string{"-server", ":not a url:"}, "URL"},
-		{"ckpt-every-negative", []string{"-checkpoint-every", "-1"}, "-checkpoint-every"},
-		{"ckpt-every-without-dir", []string{"-checkpoint-every", "1000"}, "-checkpoint-dir"},
+		{"workers-zero", []string{"-workers", "0"}, "-workers", nil},
+		{"workers-negative", []string{"-workers", "-3"}, "-workers", nil},
+		{"seed-zero", []string{"-seed", "0"}, "-seed", nil},
+		{"bad-scale", []string{"-scale", "galactic"}, "unknown scale", nil},
+		{"bad-server", []string{"-server", ":not a url:"}, "URL", nil},
+		{"threshold-out-of-range", []string{"-threshold", "1.5"}, "-threshold", []string{"figures", "coopsim"}},
+		{"ckpt-every-negative", []string{"-checkpoint-every", "-1"}, "-checkpoint-every", nil},
+		{"ckpt-every-without-dir", []string{"-checkpoint-every", "1000"}, "-checkpoint-dir", nil},
+		{"cache-dir-unusable", []string{"-cache-dir", filepath.Join(plain, "sub")}, "-cache-dir", nil},
 	}
-	for name, pkg := range bins {
-		bin := buildBinary(t, binDir, pkg, name)
+	for name, b := range bins {
+		bin := buildBinary(t, binDir, b.pkg, name)
+		t.Run(name+"/flag-set", func(t *testing.T) {
+			want := append(append([]string(nil), common...), b.flags...)
+			sort.Strings(want)
+			if got := listedFlags(bin); !slices.Equal(got, want) {
+				t.Fatalf("%s -h lists %v, want %v", name, got, want)
+			}
+		})
 		for _, tc := range cases {
+			if tc.only != nil && !slices.Contains(tc.only, name) {
+				continue
+			}
 			t.Run(name+"/"+tc.name, func(t *testing.T) {
 				args := tc.args
 				if name == "report" {
@@ -333,4 +374,24 @@ func TestFlagValidationFailsFast(t *testing.T) {
 			t.Fatalf("expd stderr %q does not mention -checkpoint-dir", errOut)
 		}
 	})
+}
+
+// TestThresholdZeroFlag: -threshold 0 runs at T=0, not at the paper's
+// default T=0.05 that a zero experiments.Config.Threshold selects.
+func TestThresholdZeroFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs coopsim")
+	}
+	coopsim := buildBinary(t, t.TempDir(), "repro/cmd/coopsim", "coopsim")
+	run := func(threshold string) []byte {
+		out, errOut, err := runClient(coopsim, "-scale", "unit", "-group", "G2-8",
+			"-scheme", "CoopPart", "-threshold", threshold)
+		if err != nil {
+			t.Fatalf("coopsim -threshold %s: %v\n%s", threshold, err, errOut)
+		}
+		return out
+	}
+	if bytes.Equal(run("0"), run("0.05")) {
+		t.Fatal("coopsim -threshold 0 printed the -threshold 0.05 run")
+	}
 }

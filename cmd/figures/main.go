@@ -25,85 +25,20 @@ import (
 	"strings"
 
 	"repro/internal/cliutil"
-	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/prof"
-	"repro/internal/service"
-	"repro/internal/store"
 )
 
 func main() {
 	fig := flag.Int("fig", 0, "figure number (5-16; 0 = all)")
-	scale := flag.String("scale", "test", "simulation scale: unit, test or full")
-	seed := flag.Uint64("seed", 1, "workload seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	threshold := flag.Float64("threshold", experiments.DefaultThreshold,
-		"Cooperative Partitioning takeover threshold T")
-	workers := flag.Int("workers", cliutil.DefaultWorkers(),
-		"concurrent simulations (default: one per CPU)")
-	server := flag.String("server", "",
-		"expd server URL to fetch results from (empty = compute locally)")
 	sweep := flag.String("sweep", "", `sweep to run instead of figures ("scaling")`)
 	sweepCores := flag.String("sweep-cores", "", "comma-separated core counts for -sweep=scaling (default 2,4,8,16)")
 	sweepGroups := flag.Int("sweep-groups", 0, "groups per core count in the sweep (0 = all)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
-	ckptDir := flag.String("checkpoint-dir", "",
-		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
-	ckptEvery := flag.Int64("checkpoint-every", 0,
-		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
-	flag.Parse()
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	r, cleanup, err := cliutil.Setup("figures", cliutil.Options{Threshold: true, Profile: true})
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-	}()
-
-	sc, err := cliutil.Scale(*scale)
-	if err != nil {
-		fatal(err)
-	}
-	nw, err := cliutil.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
-	th, err := cliutil.Threshold(*threshold)
-	if err != nil {
-		fatal(err)
-	}
-	every, err := cliutil.Checkpointing(*ckptDir, *ckptEvery)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := cliutil.CacheDir(*cacheDir); err != nil {
-		fatal(err)
-	}
-	st := store.OpenCLI(*cacheDir, "figures")
-	defer st.ReportStats("figures")
-	ckpts, ckptStore := cliutil.OpenCheckpoints(*ckptDir, every, "figures")
-	defer ckpts.ReportStats("figures")
-	defer ckptStore.ReportStats("figures: checkpoints")
-	defer store.HandleSignals("figures", st, ckptStore)()
-	cl, err := service.OpenCLI(*server, "figures")
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.ReportStats("figures")
-	cfg := experiments.Config{
-		Scale: sc, Seed: *seed, Threshold: th, Workers: nw,
-		Store: st, Checkpoints: ckpts,
-	}
-	if cl != nil {
-		cfg.Remote = cl
-	}
-	r := experiments.NewRunner(cfg)
+	defer cleanup()
 
 	if *sweep != "" {
 		if *sweep != "scaling" {

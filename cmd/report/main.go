@@ -22,76 +22,18 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/prof"
-	"repro/internal/service"
-	"repro/internal/store"
 )
 
 func main() {
 	out := flag.String("out", "report", "output directory")
-	scaleName := flag.String("scale", "test", "simulation scale: unit, test or full")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	workers := flag.Int("workers", cliutil.DefaultWorkers(),
-		"concurrent simulations (default: one per CPU)")
-	server := flag.String("server", "",
-		"expd server URL to fetch results from (empty = compute locally)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
-	ckptDir := flag.String("checkpoint-dir", "",
-		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
-	ckptEvery := flag.Int64("checkpoint-every", 0,
-		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
-	flag.Parse()
-
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	r, cleanup, err := cliutil.Setup("report", cliutil.Options{Profile: true})
 	if err != nil {
 		fatal(err)
 	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-	}()
-
-	scale, err := cliutil.Scale(*scaleName)
-	if err != nil {
-		fatal(err)
-	}
-	nw, err := cliutil.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
+	defer cleanup()
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	every, err := cliutil.Checkpointing(*ckptDir, *ckptEvery)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := cliutil.CacheDir(*cacheDir); err != nil {
-		fatal(err)
-	}
-	st := store.OpenCLI(*cacheDir, "report")
-	defer st.ReportStats("report")
-	ckpts, ckptStore := cliutil.OpenCheckpoints(*ckptDir, every, "report")
-	defer ckpts.ReportStats("report")
-	defer ckptStore.ReportStats("report: checkpoints")
-	defer store.HandleSignals("report", st, ckptStore)()
-	cl, err := service.OpenCLI(*server, "report")
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.ReportStats("report")
-	cfg := experiments.Config{
-		Scale: scale, Seed: *seed, Workers: nw,
-		Store: st, Checkpoints: ckpts,
-	}
-	if cl != nil {
-		cfg.Remote = cl
-	}
-	r := experiments.NewRunner(cfg)
 
 	md, err := os.Create(filepath.Join(*out, "report.md"))
 	if err != nil {
@@ -100,7 +42,7 @@ func main() {
 	defer md.Close()
 
 	fmt.Fprintf(md, "# Cooperative Partitioning — regenerated evaluation\n\n")
-	fmt.Fprintf(md, "scale: %s, seed: %d\n\n", scale.Name, *seed)
+	fmt.Fprintf(md, "scale: %s, seed: %d\n\n", r.Scale().Name, r.Seed())
 
 	// Tables.
 	fmt.Fprintf(md, "## Tables\n\n```\n")

@@ -20,9 +20,12 @@
 // on-disk cache every binary shares through -cache-dir (DESIGN.md §12),
 // and distribute across machines via internal/service and cmd/expd, an
 // HTTP runner front-end every binary can consult through -server —
-// with retry, backoff and transparent local fallback (DESIGN.md §13);
-// the shared flag vocabulary those binaries validate lives in
-// internal/cliutil.
+// with retry, backoff and transparent local fallback (DESIGN.md §13).
+// The four experiment binaries share one bootstrap, internal/cliutil:
+// it validates their common flags and wires the store, checkpoint and
+// service layers into a ready experiments.Runner, whose group runs,
+// solo runs and profiles all resolve through one lookup chain (memo,
+// disk, remote, simulate; DESIGN.md §6).
 // Long runs survive crashes via internal/ckpt (DESIGN.md §14):
 // -checkpoint-dir persists warm-up prefixes (each computed exactly
 // once per identity and shared across schemes' solo/profile runs and

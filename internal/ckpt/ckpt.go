@@ -28,9 +28,9 @@ package ckpt
 import (
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/flight"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -91,7 +91,10 @@ type Manager struct {
 	every uint64
 	logf  func(format string, args ...any)
 
-	warm flightGroup
+	// warm memoises warm-up snapshots: concurrent runs of one identity
+	// block on a single warm-up and share it, and the memo doubles as
+	// the in-process warm-up cache.
+	warm flight.Group[string, *sim.Snapshot]
 
 	computed atomic.Uint64
 	resumed  atomic.Uint64
@@ -295,39 +298,4 @@ func (m *Manager) latestMid(id runID, cfg sim.RunConfig) (*sim.Snapshot, bool) {
 		best = snap
 	}
 	return best, best != nil
-}
-
-// flightGroup is a memoising singleflight over warm-up snapshots:
-// concurrent runs of one identity block on a single warm-up and share
-// it. The memo doubles as the in-process warm-up cache — the identity
-// space (benchmarks x schemes x variants at one scale and seed) is
-// small and finite, like the experiment runner's memo.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{}
-	snap *sim.Snapshot
-	err  error
-}
-
-func (g *flightGroup) Do(key string, fn func() (*sim.Snapshot, error)) (*sim.Snapshot, error) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.snap, c.err
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	g.mu.Unlock()
-
-	c.snap, c.err = fn()
-	close(c.done)
-	return c.snap, c.err
 }

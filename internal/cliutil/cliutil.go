@@ -1,20 +1,179 @@
-// Package cliutil is the shared flag parser for the repro binaries.
-// Every binary accepts the same -scale/-workers/-threshold vocabulary
-// plus the persistence flags (-cache-dir, -checkpoint-dir,
-// -checkpoint-every); parsing and validating it in one place keeps the
-// error messages identical and makes "fail fast on bad flags" a
-// property of every binary at once rather than copies that drift.
+// Package cliutil is the one bootstrap of the repro binaries. Setup
+// registers, parses and validates the flags every experiment binary
+// shares (-scale, -seed, -workers, -server and the persistence flags,
+// plus -threshold and the profiling flags where a binary carries
+// them), wires the store, checkpoint, service and signal layers, and
+// returns a ready Runner. Validating in one place keeps the error
+// messages identical and makes "fail fast on bad flags" a property of
+// every binary at once rather than copies that drift. cmd/expd uses
+// the persistence half, Persistence, on its own.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 
 	"repro/internal/ckpt"
+	"repro/internal/experiments"
+	"repro/internal/prof"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
+
+// Options selects the optional shared flags a binary carries.
+type Options struct {
+	// Threshold registers -threshold, CoopPart/DynCPE's takeover T.
+	Threshold bool
+	// Profile registers -cpuprofile and -memprofile.
+	Profile bool
+}
+
+// Setup registers the shared flags next to the binary's own (which
+// must already be registered), parses the command line, validates the
+// shared flags and builds the Runner over the store, checkpoint and
+// service layers they name. cleanup prints every layer's stats to
+// stderr (stderr, so stdout is identical with and without them) and
+// finishes the profiles; defer it. Any error is a flag error the
+// binary should exit on.
+func Setup(prog string, opts Options) (r *experiments.Runner, cleanup func(), err error) {
+	scaleName := flag.String("scale", "test", "simulation scale: unit, test or full")
+	seed := flag.Uint64("seed", 1, "workload seed")
+	workers := flag.Int("workers", DefaultWorkers(), "concurrent simulations (default: one per CPU)")
+	server := flag.String("server", "", "expd server URL to fetch results from (empty = compute locally)")
+	threshold := new(float64)
+	if opts.Threshold {
+		flag.Float64Var(threshold, "threshold", experiments.DefaultThreshold,
+			"Cooperative Partitioning takeover threshold T (0..1)")
+	}
+	var cpuprofile, memprofile string
+	if opts.Profile {
+		flag.StringVar(&cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+		flag.StringVar(&memprofile, "memprofile", "", "write an allocation profile to this file at exit")
+	}
+	p := PersistenceFlags(prog)
+	flag.Parse()
+
+	stopProf, err := prof.Start(cpuprofile, memprofile)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := experiments.Config{}
+	if cfg.Scale, err = Scale(*scaleName); err != nil {
+		return nil, nil, err
+	}
+	if cfg.Seed, err = Seed(*seed); err != nil {
+		return nil, nil, err
+	}
+	if cfg.Workers, err = Workers(*workers); err != nil {
+		return nil, nil, err
+	}
+	if opts.Threshold {
+		if _, err := Threshold(*threshold); err != nil {
+			return nil, nil, err
+		}
+		// The one flag -> Config handoff of the threshold: -threshold 0
+		// means T=0, which a zero Config.Threshold would not.
+		cfg.Threshold = sim.EncodeThreshold(*threshold)
+	}
+	if err := p.Open(); err != nil {
+		return nil, nil, err
+	}
+	cfg.Store, cfg.Checkpoints = p.Results, p.Checkpoints
+	stopSignals := store.HandleSignals(prog, p.Results, p.ckptStore)
+	cl, err := service.OpenCLI(*server, prog)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cl != nil {
+		cfg.Remote = cl
+	}
+	return experiments.NewRunner(cfg), func() {
+		cl.ReportStats(prog)
+		stopSignals()
+		p.Close()
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(os.Stderr, prog+":", err)
+			os.Exit(1)
+		}
+	}, nil
+}
+
+// Persistence is the persistence half of the bootstrap: the
+// -cache-dir, -checkpoint-dir and -checkpoint-every flags and, once
+// Open succeeds, the stores and checkpoint manager they name.
+type Persistence struct {
+	// CacheDir is the -cache-dir flag value.
+	CacheDir  string
+	prog      string
+	ckptDir   string
+	ckptEvery int64
+
+	// Results is the persistent result cache (nil = in-memory only).
+	Results *store.Store
+	// Checkpoints is never nil after Open: without -checkpoint-dir it
+	// is memory-only (in-process warm-up sharing still on).
+	Checkpoints *ckpt.Manager
+	ckptStore   *store.Store
+}
+
+// PersistenceFlags registers the persistence flags on the command
+// line; call Open after flag.Parse.
+func PersistenceFlags(prog string) *Persistence {
+	p := &Persistence{prog: prog}
+	flag.StringVar(&p.CacheDir, "cache-dir", "",
+		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
+	flag.StringVar(&p.ckptDir, "checkpoint-dir", "",
+		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
+	flag.Int64Var(&p.ckptEvery, "checkpoint-every", 0,
+		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
+	return p
+}
+
+// Open validates the persistence flags and opens what they name. A
+// negative cadence is a typo; a cadence without a directory is a
+// configuration error (mid-run checkpoints that die with the process
+// protect nothing); a directory that cannot be written is caught here
+// too — all fail fast rather than silently running unpersisted. An
+// open failure after validation, and any mid-run store fault, still
+// degrades gracefully (store.OpenCLI): only the startup contract is
+// strict.
+func (p *Persistence) Open() error {
+	if p.ckptEvery < 0 {
+		return fmt.Errorf("invalid -checkpoint-every=%d: must be >= 0 (measured instructions between mid-run checkpoints; 0 = warm-up checkpoints only)", p.ckptEvery)
+	}
+	if p.ckptEvery > 0 && p.ckptDir == "" {
+		return fmt.Errorf("-checkpoint-every=%d requires -checkpoint-dir (mid-run checkpoints need a directory to survive the process)", p.ckptEvery)
+	}
+	if err := ProbeWritable(p.ckptDir, "-checkpoint-dir"); err != nil {
+		return err
+	}
+	if err := ProbeWritable(p.CacheDir, "-cache-dir"); err != nil {
+		return err
+	}
+	p.Results = store.OpenCLI(p.CacheDir, p.prog)
+	p.ckptStore = store.OpenCLI(p.ckptDir, p.prog)
+	p.Checkpoints = ckpt.New(ckpt.Options{
+		Store: p.ckptStore,
+		Every: uint64(p.ckptEvery),
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, p.prog+": "+format+"\n", args...)
+		},
+	})
+	return nil
+}
+
+// Close releases every lockfile the stores still hold and prints
+// their stats to stderr.
+func (p *Persistence) Close() {
+	p.Results.ReleaseLocks()
+	p.ckptStore.ReleaseLocks()
+	p.ckptStore.ReportStats(p.prog + ": checkpoints")
+	p.Checkpoints.ReportStats(p.prog)
+	p.Results.ReportStats(p.prog)
+}
 
 // Scale resolves a -scale flag value to its sim.Scale.
 func Scale(name string) (sim.Scale, error) {
@@ -48,41 +207,21 @@ func Workers(n int) (int, error) {
 	return n, nil
 }
 
+// Seed validates a -seed flag value. Seed 0 is rejected for the reason
+// Workers rejects 0: the library layer would quietly run seed 1.
+func Seed(n uint64) (uint64, error) {
+	if n == 0 {
+		return 0, fmt.Errorf("invalid -seed=0: must be >= 1")
+	}
+	return n, nil
+}
+
 // Threshold validates a -threshold flag value (a miss-rate fraction).
 func Threshold(t float64) (float64, error) {
 	if t != t || t < 0 || t > 1 {
 		return 0, fmt.Errorf("invalid -threshold=%v: must be in [0, 1]", t)
 	}
 	return t, nil
-}
-
-// Checkpointing validates the -checkpoint-dir/-checkpoint-every flag
-// pair. A negative cadence is a typo; a cadence without a directory is
-// a configuration error (mid-run checkpoints that die with the process
-// protect nothing); an unwritable directory is caught here too — all
-// fail fast rather than silently running uncheckpointed. Mid-run
-// store faults still degrade gracefully (the ladder is unchanged);
-// only the startup contract is strict.
-func Checkpointing(dir string, every int64) (uint64, error) {
-	if every < 0 {
-		return 0, fmt.Errorf("invalid -checkpoint-every=%d: must be >= 0 (measured instructions between mid-run checkpoints; 0 = warm-up checkpoints only)", every)
-	}
-	if every > 0 && dir == "" {
-		return 0, fmt.Errorf("-checkpoint-every=%d requires -checkpoint-dir (mid-run checkpoints need a directory to survive the process)", every)
-	}
-	if err := ProbeWritable(dir, "-checkpoint-dir"); err != nil {
-		return 0, err
-	}
-	return uint64(every), nil
-}
-
-// CacheDir validates a -cache-dir flag value: empty opts out of the
-// persistent cache; a non-empty directory must be writable at startup.
-func CacheDir(dir string) (string, error) {
-	if err := ProbeWritable(dir, "-cache-dir"); err != nil {
-		return "", err
-	}
-	return dir, nil
 }
 
 // ProbeWritable fails fast when a persistence flag points at a
@@ -108,21 +247,4 @@ func ProbeWritable(dir, flagName string) error {
 	f.Close()
 	os.Remove(name)
 	return nil
-}
-
-// OpenCheckpoints opens the checkpoint manager for a validated
-// -checkpoint-dir/-checkpoint-every pair. An empty dir yields a
-// memory-only manager (in-process warm-up sharing still on); an
-// unusable directory degrades the same way via store.OpenCLI. The
-// returned store (nil without a dir) is exposed for exit-time stats
-// reporting and signal handling.
-func OpenCheckpoints(dir string, every uint64, prog string) (*ckpt.Manager, *store.Store) {
-	st := store.OpenCLI(dir, prog)
-	return ckpt.New(ckpt.Options{
-		Store: st,
-		Every: every,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
-		},
-	}), st
 }

@@ -88,11 +88,20 @@ func TestProbeWritableFailsFast(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 		t.Fatalf("path beneath a regular file: error %v, want naming the flag", err)
 	}
-	if _, err := Checkpointing(bad, 0); err == nil {
-		t.Fatal("Checkpointing accepted an unusable -checkpoint-dir")
+	if err := (&Persistence{prog: "test", ckptDir: bad}).Open(); err == nil {
+		t.Fatal("Open accepted an unusable -checkpoint-dir")
 	}
-	if _, err := CacheDir(bad); err == nil {
-		t.Fatal("CacheDir accepted an unusable -cache-dir")
+	if err := (&Persistence{prog: "test", CacheDir: bad}).Open(); err == nil {
+		t.Fatal("Open accepted an unusable -cache-dir")
+	}
+}
+
+func TestSeed(t *testing.T) {
+	if got, err := Seed(7); err != nil || got != 7 {
+		t.Errorf("Seed(7) = %d, %v; want identity", got, err)
+	}
+	if _, err := Seed(0); err == nil || !strings.Contains(err.Error(), "-seed") {
+		t.Errorf("Seed(0): error %v, want one naming -seed", err)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // differs. The paper reports a negligible difference.
 func (r *Runner) AblationVictim() (metrics.Figure, error) {
 	err := r.runPairs(workload.Groups2, true,
-		Request{Scheme: sim.UCP, Threshold: r.cfg.Threshold},
-		Request{Scheme: sim.CoopPart, Threshold: 0})
+		request{Scheme: sim.UCP, Threshold: r.cfg.Threshold},
+		request{Scheme: sim.CoopPart, Threshold: 0})
 	if err != nil {
 		return metrics.Figure{}, err
 	}
@@ -38,7 +38,7 @@ func (r *Runner) AblationVictim() (metrics.Figure, error) {
 		if err != nil {
 			return metrics.Figure{}, err
 		}
-		cp0, err := r.RunGroupThreshold(g, sim.CoopPart, 0)
+		cp0, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
 		if err != nil {
 			return metrics.Figure{}, err
 		}
@@ -71,8 +71,8 @@ func (r *Runner) AblationTakeover() (metrics.Figure, error) {
 	// would bias the ablated arm: its slow transitions simply never
 	// finish and drop out of the average).
 	err := r.runPairs(workload.Groups2, false,
-		Request{Scheme: sim.CoopPart, Threshold: 0},
-		Request{Scheme: sim.CoopPart, Threshold: 0, Variant: VariantRecipientMissOnly})
+		request{Scheme: sim.CoopPart, Threshold: 0},
+		request{Scheme: sim.CoopPart, Threshold: 0, Variant: VariantRecipientMissOnly})
 	if err != nil {
 		return metrics.Figure{}, err
 	}
@@ -85,7 +85,7 @@ func (r *Runner) AblationTakeover() (metrics.Figure, error) {
 	var full, missOnly []float64
 	for _, g := range workload.Groups2 {
 		fig.X = append(fig.X, g.Name)
-		cp, err := r.RunGroupThreshold(g, sim.CoopPart, 0)
+		cp, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
 		if err != nil {
 			return metrics.Figure{}, err
 		}
@@ -109,8 +109,8 @@ func (r *Runner) AblationTakeover() (metrics.Figure, error) {
 // never gates.
 func (r *Runner) AblationGating() (metrics.Figure, error) {
 	err := r.runPairs(workload.Groups2, false,
-		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
-		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantNoGating})
+		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
+		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantNoGating})
 	if err != nil {
 		return metrics.Figure{}, err
 	}
@@ -144,8 +144,8 @@ func (r *Runner) AblationGating() (metrics.Figure, error) {
 // "closer in performance to a random choice of replacement block".
 func (r *Runner) AblationRandomVictim() (metrics.Figure, error) {
 	err := r.runPairs(workload.Groups2, true,
-		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
-		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantRandomVictim})
+		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
+		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantRandomVictim})
 	if err != nil {
 		return metrics.Figure{}, err
 	}

@@ -26,8 +26,8 @@ import (
 // without the drowsy extension, normalised to the plain scheme.
 func (r *Runner) ExtDrowsy() (metrics.Figure, error) {
 	err := r.runPairs(workload.Groups2, true,
-		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
-		Request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantDrowsy})
+		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
+		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantDrowsy})
 	if err != nil {
 		return metrics.Figure{}, err
 	}

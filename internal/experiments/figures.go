@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -22,7 +21,7 @@ func (r *Runner) schemeSeries(cores int, id, title, ylabel string, speedup bool,
 	// Fan every (group, scheme) run — and, for the weighted-speedup
 	// figures, the solo runs Equation 1 needs — out over the worker
 	// pool; the serial collection below then hits the warm memo.
-	if err := r.runAll(context.Background(), r.crossRequests(groups, sim.AllSchemes), speedup); err != nil {
+	if err := r.runAll(r.crossRequests(groups, sim.AllSchemes), speedup); err != nil {
 		return metrics.Figure{}, err
 	}
 	fig := metrics.Figure{ID: id, Title: title, YLabel: ylabel, XLabel: "group"}
@@ -122,13 +121,13 @@ func (r *Runner) thresholdSeries(id, title, ylabel string, speedup bool,
 	value func(*Runner, *sim.Results) (float64, error)) (metrics.Figure, error) {
 
 	groups := workload.Groups2
-	var reqs []Request
+	var reqs []request
 	for _, T := range Thresholds {
 		for _, g := range groups {
-			reqs = append(reqs, Request{Group: g, Scheme: sim.CoopPart, Threshold: T})
+			reqs = append(reqs, request{Group: g, Scheme: sim.CoopPart, Threshold: T})
 		}
 	}
-	if err := r.runAll(context.Background(), reqs, speedup); err != nil {
+	if err := r.runAll(reqs, speedup); err != nil {
 		return metrics.Figure{}, err
 	}
 	fig := metrics.Figure{ID: id, Title: title, YLabel: ylabel, XLabel: "group"}
@@ -138,7 +137,7 @@ func (r *Runner) thresholdSeries(id, title, ylabel string, speedup bool,
 
 	base := make([]float64, len(groups))
 	for i, g := range groups {
-		res, err := r.RunGroupThreshold(g, sim.CoopPart, 0)
+		res, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
 		if err != nil {
 			return metrics.Figure{}, err
 		}
@@ -149,7 +148,7 @@ func (r *Runner) thresholdSeries(id, title, ylabel string, speedup bool,
 	for _, T := range Thresholds {
 		vals := make([]float64, len(groups))
 		for i, g := range groups {
-			res, err := r.RunGroupThreshold(g, sim.CoopPart, T)
+			res, err := r.RunGroupVariant(g, sim.CoopPart, T, VariantNone)
 			if err != nil {
 				return metrics.Figure{}, err
 			}

@@ -79,54 +79,85 @@ func jsonOf(t *testing.T, v any) string {
 	return string(b)
 }
 
+// resultKind drives one kind of result — a group run, a solo run or a
+// DynCPE profile — through a runner, so every lookup-chain test pins
+// all three kinds.
+type resultKind struct {
+	name string
+	get  func(r *Runner) (any, error)
+	key  func(r *Runner) string
+}
+
+func resultKinds(g workload.Group, scheme sim.SchemeKind) []resultKind {
+	b, cores := g.Benchmarks[0], len(g.Benchmarks)
+	return []resultKind{
+		{"run",
+			func(r *Runner) (any, error) { return r.RunGroup(g, scheme) },
+			func(r *Runner) string { return r.RunKey(g, scheme, DefaultThreshold, VariantNone) }},
+		{"alone",
+			func(r *Runner) (any, error) { return r.AloneResults(b, cores) },
+			func(r *Runner) string { return r.AloneKey(b, cores) }},
+		{"profile",
+			func(r *Runner) (any, error) { return r.Profile(b, cores) },
+			func(r *Runner) string { return r.ProfileKey(b, cores) }},
+	}
+}
+
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{Logf: func(string, ...any) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestRemoteLayerServesRuns: with a Remote installed, the runner asks
 // it before simulating — zero local simulations, byte-identical
 // results, and the key handed to the Remote is the canonical store
-// key.
+// key. The group run is DynCPE: a remote hit must also skip its
+// profile runs, so the remote sees exactly one request.
 func TestRemoteLayerServesRuns(t *testing.T) {
 	sc := sim.UnitScale()
 	g, err := workload.FindGroup("G2-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewRunner(Config{Scale: sc})
-	want, err := backend.RunGroup(g, sim.CoopPart)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, k := range resultKinds(g, sim.DynCPE) {
+		t.Run(k.name, func(t *testing.T) {
+			backend := NewRunner(Config{Scale: sc})
+			want, err := k.get(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	remote := newRunnerRemote(backend)
-	front := NewRunner(Config{Scale: sc, Remote: remote})
-	got, err := front.RunGroup(g, sim.CoopPart)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jsonOf(t, got) != jsonOf(t, want) {
-		t.Fatal("remote-served result differs from backend computation")
-	}
-	if n := front.Simulations(); n != 0 {
-		t.Fatalf("front runner simulated %d times despite the remote", n)
-	}
-	if remote.calls.Load() == 0 {
-		t.Fatal("remote never consulted")
-	}
-	wantKey := front.RunKey(g, sim.CoopPart, DefaultThreshold, VariantNone)
-	select {
-	case key := <-remote.keys:
-		if key != wantKey {
-			t.Fatalf("remote asked for key %q, canonical is %q", key, wantKey)
-		}
-	default:
-		t.Fatal("no key recorded")
-	}
+			remote := newRunnerRemote(backend)
+			front := NewRunner(Config{Scale: sc, Remote: remote})
+			got, err := k.get(front)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jsonOf(t, got) != jsonOf(t, want) {
+				t.Fatal("remote-served result differs from backend computation")
+			}
+			if n := front.Simulations(); n != 0 {
+				t.Fatalf("front runner simulated %d times despite the remote", n)
+			}
+			if n := remote.calls.Load(); n != 1 {
+				t.Fatalf("remote consulted %d times, want 1", n)
+			}
+			if key := <-remote.keys; key != k.key(front) {
+				t.Fatalf("remote asked for key %q, canonical is %q", key, k.key(front))
+			}
 
-	// Second identical run: memoised, no second remote call.
-	calls := remote.calls.Load()
-	if _, err := front.RunGroup(g, sim.CoopPart); err != nil {
-		t.Fatal(err)
-	}
-	if remote.calls.Load() != calls {
-		t.Fatal("memoised run consulted the remote again")
+			// Second identical request: memoised, no second remote call.
+			if _, err := k.get(front); err != nil {
+				t.Fatal(err)
+			}
+			if remote.calls.Load() != 1 {
+				t.Fatal("memoised result consulted the remote again")
+			}
+		})
 	}
 }
 
@@ -139,28 +170,30 @@ func TestRemoteFailureFallsBackLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := NewRunner(Config{Scale: sc})
-	want, err := baseline.RunGroup(g, sim.UCP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, k := range resultKinds(g, sim.UCP) {
+		t.Run(k.name, func(t *testing.T) {
+			want, err := k.get(NewRunner(Config{Scale: sc}))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	backend := NewRunner(Config{Scale: sc})
-	remote := newRunnerRemote(backend)
-	remote.fail.Store(true)
-	front := NewRunner(Config{Scale: sc, Remote: remote})
-	got, err := front.RunGroup(g, sim.UCP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jsonOf(t, got) != jsonOf(t, want) {
-		t.Fatal("local fallback result differs from baseline")
-	}
-	if front.Simulations() == 0 {
-		t.Fatal("front runner never simulated despite remote failure")
-	}
-	if remote.calls.Load() == 0 {
-		t.Fatal("failing remote never consulted")
+			remote := newRunnerRemote(NewRunner(Config{Scale: sc}))
+			remote.fail.Store(true)
+			front := NewRunner(Config{Scale: sc, Remote: remote})
+			got, err := k.get(front)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jsonOf(t, got) != jsonOf(t, want) {
+				t.Fatal("local fallback result differs from baseline")
+			}
+			if front.Simulations() == 0 {
+				t.Fatal("front runner never simulated despite remote failure")
+			}
+			if remote.calls.Load() == 0 {
+				t.Fatal("failing remote never consulted")
+			}
+		})
 	}
 }
 
@@ -173,38 +206,32 @@ func TestRemoteResultsPublishedToStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend := NewRunner(Config{Scale: sc})
-	remote := newRunnerRemote(backend)
-	front := NewRunner(Config{Scale: sc, Remote: remote, Store: st})
-	want, err := front.RunGroup(g, sim.Unmanaged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := remote.calls.Load()
-	if calls == 0 {
-		t.Fatal("remote never consulted")
-	}
+	for _, k := range resultKinds(g, sim.Unmanaged) {
+		t.Run(k.name, func(t *testing.T) {
+			dir := t.TempDir()
+			remote := newRunnerRemote(NewRunner(Config{Scale: sc}))
+			front := NewRunner(Config{Scale: sc, Remote: remote, Store: openStore(t, dir)})
+			want, err := k.get(front)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if remote.calls.Load() == 0 {
+				t.Fatal("remote never consulted")
+			}
 
-	// Fresh process equivalent: same store dir, no remote.
-	st2, err := store.Open(dir, store.Options{Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	later := NewRunner(Config{Scale: sc, Store: st2})
-	got, err := later.RunGroup(g, sim.Unmanaged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jsonOf(t, got) != jsonOf(t, want) {
-		t.Fatal("store round trip of a remote result differs")
-	}
-	if n := later.Simulations(); n != 0 {
-		t.Fatalf("later runner simulated %d times; remote result was not published to the store", n)
+			// Fresh process equivalent: same store dir, no remote.
+			later := NewRunner(Config{Scale: sc, Store: openStore(t, dir)})
+			got, err := k.get(later)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jsonOf(t, got) != jsonOf(t, want) {
+				t.Fatal("store round trip of a remote result differs")
+			}
+			if n := later.Simulations(); n != 0 {
+				t.Fatalf("later runner simulated %d times; remote result was not published to the store", n)
+			}
+		})
 	}
 }
 
@@ -216,30 +243,24 @@ func TestStorePreemptsRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := NewRunner(Config{Scale: sc, Store: st})
-	if _, err := warm.RunGroup(g, sim.FairShare); err != nil {
-		t.Fatal(err)
-	}
+	for _, k := range resultKinds(g, sim.FairShare) {
+		t.Run(k.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := k.get(NewRunner(Config{Scale: sc, Store: openStore(t, dir)})); err != nil {
+				t.Fatal(err)
+			}
 
-	st2, err := store.Open(dir, store.Options{Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend := NewRunner(Config{Scale: sc})
-	remote := newRunnerRemote(backend)
-	front := NewRunner(Config{Scale: sc, Store: st2, Remote: remote})
-	if _, err := front.RunGroup(g, sim.FairShare); err != nil {
-		t.Fatal(err)
-	}
-	if n := remote.calls.Load(); n != 0 {
-		t.Fatalf("remote consulted %d times despite a warm store", n)
-	}
-	if n := front.Simulations(); n != 0 {
-		t.Fatalf("front runner simulated %d times despite a warm store", n)
+			remote := newRunnerRemote(NewRunner(Config{Scale: sc}))
+			front := NewRunner(Config{Scale: sc, Store: openStore(t, dir), Remote: remote})
+			if _, err := k.get(front); err != nil {
+				t.Fatal(err)
+			}
+			if n := remote.calls.Load(); n != 0 {
+				t.Fatalf("remote consulted %d times despite a warm store", n)
+			}
+			if n := front.Simulations(); n != 0 {
+				t.Fatalf("front runner simulated %d times despite a warm store", n)
+			}
+		})
 	}
 }

@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -17,6 +16,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -35,8 +35,9 @@ type Config struct {
 	Scale sim.Scale
 	Seed  uint64
 	// Threshold for CoopPart/DynCPE runs; DefaultThreshold if zero.
+	// sim.EncodeThreshold(0) asks for exactly zero (DESIGN.md §3).
 	Threshold float64
-	// Workers bounds the number of simulations Prefetch/RunAll execute
+	// Workers bounds the number of simulations the prefetchers execute
 	// concurrently; GOMAXPROCS if zero. Results are bit-identical for
 	// every worker count: each simulation is an independent
 	// single-goroutine run keyed only by its configuration.
@@ -139,9 +140,9 @@ type Runner struct {
 	scaleFP string
 	sims    atomic.Uint64
 
-	runs     flight[runKey, *sim.Results]
-	alone    flight[aloneKey, *sim.Results]
-	profiles flight[aloneKey, partition.CoreProfile]
+	runs     flight.Group[runKey, *sim.Results]
+	alone    flight.Group[aloneKey, *sim.Results]
+	profiles flight.Group[aloneKey, partition.CoreProfile]
 }
 
 type runKey struct {
@@ -157,7 +158,9 @@ type aloneKey struct {
 }
 
 // NewRunner builds a Runner; a zero-value Config gets the test scale,
-// seed 1, the paper's threshold and one worker per CPU.
+// seed 1, the paper's threshold and one worker per CPU. The runner
+// keeps the decoded threshold, so an encoded explicit zero shares the
+// memo and store keys of RunGroupVariant(g, s, 0, VariantNone).
 func NewRunner(cfg Config) *Runner {
 	if cfg.Scale.Name == "" {
 		cfg.Scale = sim.TestScale()
@@ -165,9 +168,7 @@ func NewRunner(cfg Config) *Runner {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = DefaultThreshold
-	}
+	cfg.Threshold = sim.DecodeThreshold(cfg.Threshold)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -183,43 +184,38 @@ func NewRunner(cfg Config) *Runner {
 	return r
 }
 
-// Store key rendering: the canonical strings the persistent cache is
-// addressed by. Seed and the full scale fingerprint are explicit —
-// the in-memory memo is scoped to one runner (one scale, one seed),
-// the disk store is shared by every process pointed at the directory.
-// Threshold uses the shortest exact float form, so the explicit-zero
-// sentinel and the default threshold stay distinct (DESIGN.md §3).
-func (r *Runner) storeRunKey(k runKey) string {
-	return fmt.Sprintf("run|scale=%s|seed=%d|group=%s|scheme=%s|threshold=%s|variant=%s",
-		r.scaleFP, r.cfg.Seed, k.group, k.scheme,
-		strconv.FormatFloat(k.threshold, 'g', -1, 64), k.variant)
-}
-
-func (r *Runner) storeAloneKey(kind string, k aloneKey) string {
-	return fmt.Sprintf("%s|scale=%s|seed=%d|benchmark=%s|cores=%d",
-		kind, r.scaleFP, r.cfg.Seed, k.benchmark, k.cores)
-}
-
 // RunKey renders the canonical store identity of a fully keyed group
-// run. The service protocol sends it with every request and the server
-// recomputes and verifies it, so client and server can never silently
-// disagree about what a result is for.
+// run: the string the persistent cache and the service protocol
+// address it by. The service sends the key with every request and the
+// server recomputes and verifies it, so client and server can never
+// silently disagree about what a result is for. Seed and the full
+// scale fingerprint are explicit — the memo is scoped to one runner,
+// the disk store is shared by every process pointed at the directory.
 func (r *Runner) RunKey(g workload.Group, scheme sim.SchemeKind, threshold float64, v Variant) string {
-	return r.storeRunKey(runKey{g.Name, scheme, threshold, v})
+	return fmt.Sprintf("run|scale=%s|seed=%d|group=%s|scheme=%s|threshold=%s|variant=%s",
+		r.scaleFP, r.cfg.Seed, g.Name, scheme, strconv.FormatFloat(threshold, 'g', -1, 64), v)
 }
 
 // AloneKey renders the canonical store identity of a solo run.
 func (r *Runner) AloneKey(benchmark string, cores int) string {
-	return r.storeAloneKey("alone", aloneKey{benchmark, cores})
+	return r.benchmarkKey("alone", benchmark, cores)
 }
 
 // ProfileKey renders the canonical store identity of a DynCPE profile.
 func (r *Runner) ProfileKey(benchmark string, cores int) string {
-	return r.storeAloneKey("profile", aloneKey{benchmark, cores})
+	return r.benchmarkKey("profile", benchmark, cores)
+}
+
+func (r *Runner) benchmarkKey(kind, benchmark string, cores int) string {
+	return fmt.Sprintf("%s|scale=%s|seed=%d|benchmark=%s|cores=%d",
+		kind, r.scaleFP, r.cfg.Seed, benchmark, cores)
 }
 
 // Scale returns the runner's simulation scale.
 func (r *Runner) Scale() sim.Scale { return r.cfg.Scale }
+
+// Seed returns the runner's workload seed.
+func (r *Runner) Seed() uint64 { return r.cfg.Seed }
 
 // Simulations returns how many simulator executions the runner has
 // actually performed (as opposed to answered from the memo) — the
@@ -230,37 +226,64 @@ func (r *Runner) Simulations() uint64 { return r.sims.Load() }
 // reporting and the warm-up exactly-once assertions.
 func (r *Runner) Checkpoints() *ckpt.Manager { return r.cfg.Checkpoints }
 
+// lookup is the one result-lookup chain every kind of result goes
+// through (DESIGN.md §6): the in-memory memo, then the disk store, then
+// the remote layer, then local computation. Whatever the store did not
+// answer is published to it, so remote results make later runs
+// serverless-warm. The store key is rendered only on a memo miss.
+func lookup[K comparable, V any](r *Runner, memo *flight.Group[K, V], key K, storeKey func() string,
+	remote func(rem Remote, skey string) (V, bool), compute func() (V, error)) (V, error) {
+	return memo.Do(key, func() (V, error) {
+		skey := storeKey()
+		st := r.cfg.Store
+		if st != nil {
+			var cached V
+			if st.Get(skey, &cached) {
+				return cached, nil
+			}
+		}
+		var (
+			v  V
+			ok bool
+		)
+		if r.cfg.Remote != nil {
+			v, ok = remote(r.cfg.Remote, skey)
+		}
+		if !ok {
+			var err error
+			if v, err = compute(); err != nil {
+				return v, err
+			}
+		}
+		if st != nil {
+			st.Put(skey, v)
+		}
+		return v, nil
+	})
+}
+
+// simulate executes one run locally through the checkpoint manager,
+// counting it for Simulations.
+func (r *Runner) simulate(cfg sim.RunConfig) (*sim.Results, error) {
+	r.sims.Add(1)
+	return r.cfg.Checkpoints.Run(cfg)
+}
+
 // AloneResults returns (memoised) the solo run of a benchmark on the
 // LLC geometry used by groups of the given core count.
 func (r *Runner) AloneResults(benchmark string, cores int) (*sim.Results, error) {
-	key := aloneKey{benchmark, cores}
-	return r.alone.Do(key, func() (*sim.Results, error) {
-		skey := r.storeAloneKey("alone", key)
-		if st := r.cfg.Store; st != nil {
-			var cached sim.Results
-			if st.Get(skey, &cached) {
-				return &cached, nil
+	return lookup(r, &r.alone, aloneKey{benchmark, cores},
+		func() string { return r.AloneKey(benchmark, cores) },
+		func(rem Remote, skey string) (*sim.Results, bool) {
+			return rem.RemoteAlone(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, sim.FidelityExact)
+		},
+		func() (*sim.Results, error) {
+			cfg, err := sim.AloneConfig(benchmark, r.cfg.Scale, cores, r.cfg.Seed)
+			if err != nil {
+				return nil, err
 			}
-		}
-		if rem := r.cfg.Remote; rem != nil {
-			if res, ok := rem.RemoteAlone(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, sim.FidelityExact); ok {
-				if r.cfg.Store != nil {
-					r.cfg.Store.Put(skey, res)
-				}
-				return res, nil
-			}
-		}
-		cfg, err := sim.AloneConfig(benchmark, r.cfg.Scale, cores, r.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		r.sims.Add(1)
-		res, err := r.cfg.Checkpoints.Run(cfg)
-		if err == nil && r.cfg.Store != nil {
-			r.cfg.Store.Put(skey, res)
-		}
-		return res, err
-	})
+			return r.simulate(cfg)
+		})
 }
 
 // AloneIPC returns a benchmark's alone IPC for Equation 1.
@@ -275,37 +298,22 @@ func (r *Runner) AloneIPC(benchmark string, cores int) (float64, error) {
 // Profile returns (memoised) the per-phase utility profile of a
 // benchmark for Dynamic CPE.
 func (r *Runner) Profile(benchmark string, cores int) (partition.CoreProfile, error) {
-	key := aloneKey{benchmark, cores}
-	return r.profiles.Do(key, func() (partition.CoreProfile, error) {
-		skey := r.storeAloneKey("profile", key)
-		if st := r.cfg.Store; st != nil {
-			var cached partition.CoreProfile
-			if st.Get(skey, &cached) {
-				return cached, nil
+	return lookup(r, &r.profiles, aloneKey{benchmark, cores},
+		func() string { return r.ProfileKey(benchmark, cores) },
+		func(rem Remote, skey string) (partition.CoreProfile, bool) {
+			return rem.RemoteProfile(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, sim.FidelityExact)
+		},
+		func() (partition.CoreProfile, error) {
+			cfg, err := sim.ProfileConfig(benchmark, r.cfg.Scale, cores, r.cfg.Seed)
+			if err != nil {
+				return partition.CoreProfile{}, err
 			}
-		}
-		if rem := r.cfg.Remote; rem != nil {
-			if p, ok := rem.RemoteProfile(skey, r.cfg.Scale, r.cfg.Seed, benchmark, cores, sim.FidelityExact); ok {
-				if r.cfg.Store != nil {
-					r.cfg.Store.Put(skey, p)
-				}
-				return p, nil
+			res, err := r.simulate(cfg)
+			if err != nil {
+				return partition.CoreProfile{}, err
 			}
-		}
-		cfg, err := sim.ProfileConfig(benchmark, r.cfg.Scale, cores, r.cfg.Seed)
-		if err != nil {
-			return partition.CoreProfile{}, err
-		}
-		r.sims.Add(1)
-		res, err := r.cfg.Checkpoints.Run(cfg)
-		if err != nil {
-			return partition.CoreProfile{}, err
-		}
-		if r.cfg.Store != nil {
-			r.cfg.Store.Put(skey, res.Profile)
-		}
-		return res.Profile, nil
-	})
+			return res.Profile, nil
+		})
 }
 
 // RunGroup executes (memoised) one group under one scheme at the
@@ -314,64 +322,39 @@ func (r *Runner) RunGroup(g workload.Group, scheme sim.SchemeKind) (*sim.Results
 	return r.RunGroupVariant(g, scheme, r.cfg.Threshold, VariantNone)
 }
 
-// RunGroupThreshold is RunGroup with an explicit CoopPart threshold
-// (Figures 11-13 sweep it). A threshold of 0 means exactly zero — it is
-// memoised distinctly from DefaultThreshold and encoded for the
-// simulator by sim.EncodeThreshold.
-func (r *Runner) RunGroupThreshold(g workload.Group, scheme sim.SchemeKind, threshold float64) (*sim.Results, error) {
-	return r.RunGroupVariant(g, scheme, threshold, VariantNone)
-}
-
 // RunGroupVariant is the fully keyed run: group x scheme x threshold x
-// ablation variant.
+// ablation variant. A threshold of 0 means exactly zero (Figures 11-13
+// sweep it): it is memoised distinctly from DefaultThreshold and
+// encoded for the simulator by sim.EncodeThreshold. A store or remote
+// hit also skips the DynCPE profile runs the simulation would need.
 func (r *Runner) RunGroupVariant(g workload.Group, scheme sim.SchemeKind, threshold float64, v Variant) (*sim.Results, error) {
-	key := runKey{g.Name, scheme, threshold, v}
-	return r.runs.Do(key, func() (*sim.Results, error) {
-		skey := r.storeRunKey(key)
-		if st := r.cfg.Store; st != nil {
-			var cached sim.Results
-			if st.Get(skey, &cached) {
-				// A disk hit also skips the DynCPE profile runs the
-				// simulation would have needed.
-				return &cached, nil
+	return lookup(r, &r.runs, runKey{g.Name, scheme, threshold, v},
+		func() string { return r.RunKey(g, scheme, threshold, v) },
+		func(rem Remote, skey string) (*sim.Results, bool) {
+			return rem.RemoteRun(skey, r.cfg.Scale, r.cfg.Seed, g, scheme, threshold, v, sim.FidelityExact)
+		},
+		func() (*sim.Results, error) {
+			cfg := sim.RunConfig{
+				Scale:     r.cfg.Scale,
+				Scheme:    scheme,
+				Group:     g,
+				Threshold: sim.EncodeThreshold(threshold),
+				Seed:      r.cfg.Seed,
 			}
-		}
-		if rem := r.cfg.Remote; rem != nil {
-			// A remote hit likewise skips the DynCPE profiles: the
-			// server gathers its own.
-			if res, ok := rem.RemoteRun(skey, r.cfg.Scale, r.cfg.Seed, g, scheme, threshold, v, sim.FidelityExact); ok {
-				if r.cfg.Store != nil {
-					r.cfg.Store.Put(skey, res)
+			if err := applyVariant(&cfg, v); err != nil {
+				return nil, err
+			}
+			if scheme == sim.DynCPE {
+				for _, b := range g.Benchmarks {
+					p, err := r.Profile(b, len(g.Benchmarks))
+					if err != nil {
+						return nil, err
+					}
+					cfg.Profiles = append(cfg.Profiles, p)
 				}
-				return res, nil
 			}
-		}
-		cfg := sim.RunConfig{
-			Scale:     r.cfg.Scale,
-			Scheme:    scheme,
-			Group:     g,
-			Threshold: sim.EncodeThreshold(threshold),
-			Seed:      r.cfg.Seed,
-		}
-		if err := applyVariant(&cfg, v); err != nil {
-			return nil, err
-		}
-		if scheme == sim.DynCPE {
-			for _, b := range g.Benchmarks {
-				p, err := r.Profile(b, len(g.Benchmarks))
-				if err != nil {
-					return nil, err
-				}
-				cfg.Profiles = append(cfg.Profiles, p)
-			}
-		}
-		r.sims.Add(1)
-		res, err := r.cfg.Checkpoints.Run(cfg)
-		if err == nil && r.cfg.Store != nil {
-			r.cfg.Store.Put(skey, res)
-		}
-		return res, err
-	})
+			return r.simulate(cfg)
+		})
 }
 
 // WeightedSpeedup computes Equation 1 for one run.
@@ -387,70 +370,24 @@ func (r *Runner) WeightedSpeedup(res *sim.Results) (float64, error) {
 	return res.WeightedSpeedup(alone)
 }
 
-// Request names one memoisable run for RunAll. Threshold follows
-// RunGroupThreshold semantics: 0 is an explicit zero threshold, not the
+// request names one memoisable run for runAll. Threshold follows
+// RunGroupVariant semantics: 0 is an explicit zero threshold, not the
 // runner's default.
-type Request struct {
+type request struct {
 	Group     workload.Group
 	Scheme    sim.SchemeKind
 	Threshold float64
 	Variant   Variant
 }
 
-// RunAll executes every request — plus the Dynamic CPE profiles any
-// DynCPE request needs — across the runner's worker pool, blocking
-// until all finish. Requests already memoised cost nothing; duplicate
-// requests collapse onto one execution. The first error encountered is
-// returned after all workers drain. Callers that will compute weighted
-// speedups from the results should use RunAllSpeedup so Equation 1's
-// solo runs join the same fan-out.
-func (r *Runner) RunAll(reqs []Request) error { return r.runAll(context.Background(), reqs, false) }
-
-// RunAllSpeedup is RunAll plus the solo run of each involved benchmark
-// — Equation 1's denominators, which WeightedSpeedup would otherwise
-// execute serially afterwards.
-func (r *Runner) RunAllSpeedup(reqs []Request) error {
-	return r.runAll(context.Background(), reqs, true)
-}
-
-// RunAllContext is RunAll with cancellation: once ctx is done, no new
-// simulation starts, but simulations already in flight run to
-// completion (drain semantics — a cancelled sweep never leaves the
-// memo or the store with a half-published run). Returns ctx.Err() if
-// the fan-out was cut short.
-func (r *Runner) RunAllContext(ctx context.Context, reqs []Request) error {
-	return r.runAll(ctx, reqs, false)
-}
-
-// RunRequest executes one fully keyed request with cancellation at
-// simulation granularity: a done ctx prevents the run from starting
-// (the error is ctx.Err(), and nothing is memoised for the key), while
-// an in-flight run completes and is published normally. This is the
-// experiment server's per-HTTP-request entry point.
-func (r *Runner) RunRequest(ctx context.Context, req Request) (*sim.Results, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.RunGroupVariant(req.Group, req.Scheme, req.Threshold, req.Variant)
-}
-
-// AloneRequest is the cancellable fully keyed solo run.
-func (r *Runner) AloneRequest(ctx context.Context, benchmark string, cores int) (*sim.Results, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.AloneResults(benchmark, cores)
-}
-
-// ProfileRequest is the cancellable fully keyed DynCPE profile run.
-func (r *Runner) ProfileRequest(ctx context.Context, benchmark string, cores int) (partition.CoreProfile, error) {
-	if err := ctx.Err(); err != nil {
-		return partition.CoreProfile{}, err
-	}
-	return r.Profile(benchmark, cores)
-}
-
-func (r *Runner) runAll(ctx context.Context, reqs []Request, speedup bool) error {
+// runAll executes every request — plus the Dynamic CPE profiles any
+// DynCPE request needs and, with speedup, the solo run of each
+// involved benchmark (Equation 1's denominators, which WeightedSpeedup
+// would otherwise execute serially afterwards) — across the runner's
+// worker pool, blocking until all finish. Requests already memoised
+// cost nothing; duplicate requests collapse onto one execution. The
+// first error encountered is returned after all workers drain.
+func (r *Runner) runAll(reqs []request, speedup bool) error {
 	var tasks []func() error
 	seenAlone := make(map[aloneKey]bool)
 	seenProfile := make(map[aloneKey]bool)
@@ -480,7 +417,7 @@ func (r *Runner) runAll(ctx context.Context, reqs []Request, speedup bool) error
 			return err
 		})
 	}
-	return r.fanOut(ctx, tasks)
+	return r.fanOut(tasks)
 }
 
 // Prefetch warms the memo for the cross product of groups and schemes
@@ -489,22 +426,22 @@ func (r *Runner) runAll(ctx context.Context, reqs []Request, speedup bool) error
 // also need Equation 1's solo runs) first, then collect results from
 // the warm cache serially.
 func (r *Runner) Prefetch(groups []workload.Group, schemes []sim.SchemeKind) error {
-	return r.RunAll(r.crossRequests(groups, schemes))
+	return r.runAll(r.crossRequests(groups, schemes), false)
 }
 
 // PrefetchSpeedup is Prefetch plus the solo runs of every involved
 // benchmark.
 func (r *Runner) PrefetchSpeedup(groups []workload.Group, schemes []sim.SchemeKind) error {
-	return r.RunAllSpeedup(r.crossRequests(groups, schemes))
+	return r.runAll(r.crossRequests(groups, schemes), true)
 }
 
 // crossRequests builds the groups x schemes request list at the
 // runner's threshold.
-func (r *Runner) crossRequests(groups []workload.Group, schemes []sim.SchemeKind) []Request {
-	reqs := make([]Request, 0, len(groups)*len(schemes))
+func (r *Runner) crossRequests(groups []workload.Group, schemes []sim.SchemeKind) []request {
+	reqs := make([]request, 0, len(groups)*len(schemes))
 	for _, g := range groups {
 		for _, s := range schemes {
-			reqs = append(reqs, Request{Group: g, Scheme: s, Threshold: r.cfg.Threshold})
+			reqs = append(reqs, request{Group: g, Scheme: s, Threshold: r.cfg.Threshold})
 		}
 	}
 	return reqs
@@ -513,13 +450,13 @@ func (r *Runner) crossRequests(groups []workload.Group, schemes []sim.SchemeKind
 // runPairs warms a baseline and a comparison arm for every group: the
 // two template requests are stamped with each group in turn and fanned
 // out together — the shape every two-arm ablation shares.
-func (r *Runner) runPairs(groups []workload.Group, speedup bool, base, alt Request) error {
-	reqs := make([]Request, 0, 2*len(groups))
+func (r *Runner) runPairs(groups []workload.Group, speedup bool, base, alt request) error {
+	reqs := make([]request, 0, 2*len(groups))
 	for _, g := range groups {
 		base.Group, alt.Group = g, g
 		reqs = append(reqs, base, alt)
 	}
-	return r.runAll(context.Background(), reqs, speedup)
+	return r.runAll(reqs, speedup)
 }
 
 // PrefetchAlone warms the solo runs of the given benchmarks on the
@@ -532,17 +469,14 @@ func (r *Runner) PrefetchAlone(benchmarks []string, cores int) error {
 			return err
 		})
 	}
-	return r.fanOut(context.Background(), tasks)
+	return r.fanOut(tasks)
 }
 
 // fanOut runs tasks on the runner's bounded worker pool and returns the
 // first error. Tasks execute nested dependencies (profiles, solo runs)
 // inline through the singleflight memo, so a worker never submits work
-// back to the pool and the pool cannot deadlock. A done ctx stops the
-// submission loop — tasks not yet handed to a worker never run, tasks
-// in flight complete — and surfaces as ctx.Err() when no task failed
-// first.
-func (r *Runner) fanOut(ctx context.Context, tasks []func() error) error {
+// back to the pool and the pool cannot deadlock.
+func (r *Runner) fanOut(tasks []func() error) error {
 	if len(tasks) == 0 {
 		return nil
 	}
@@ -571,30 +505,12 @@ func (r *Runner) fanOut(ctx context.Context, tasks []func() error) error {
 			}
 		}()
 	}
-	cancelled := false
 	for _, task := range tasks {
-		if ctx.Err() != nil {
-			cancelled = true
-			break
-		}
-		select {
-		case work <- task:
-		case <-ctx.Done():
-			cancelled = true
-		}
-		if cancelled {
-			break
-		}
+		work <- task
 	}
 	close(work)
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
+	return firstErr
 }
 
 // groupsFor returns the group list for a core count: the paper's

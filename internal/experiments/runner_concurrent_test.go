@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/flight"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -75,7 +76,7 @@ func TestThresholdZeroMemoisedDistinctly(t *testing.T) {
 	r := NewRunner(Config{Scale: sim.UnitScale()})
 	g := workload.Groups2[0]
 
-	zero, err := r.RunGroupThreshold(g, sim.CoopPart, 0)
+	zero, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestThresholdZeroMemoisedDistinctly(t *testing.T) {
 	if got := r.Simulations(); got != 2 {
 		t.Fatalf("executed %d simulations, want 2 (T=0 and T=default)", got)
 	}
-	defExplicit, err := r.RunGroupThreshold(g, sim.CoopPart, DefaultThreshold)
+	defExplicit, err := r.RunGroupVariant(g, sim.CoopPart, DefaultThreshold, VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +99,30 @@ func TestThresholdZeroMemoisedDistinctly(t *testing.T) {
 	}
 	if got := r.Simulations(); got != 2 {
 		t.Fatalf("explicit DefaultThreshold re-executed: %d simulations", got)
+	}
+}
+
+// TestEncodedZeroThresholdConfig pins the flag -> Config handoff of an
+// explicit T=0: a runner built with sim.EncodeThreshold(0) runs its
+// groups at T=0 under the memo and store key of Figure 11's T=0 point,
+// not at the default threshold a plain 0 selects.
+func TestEncodedZeroThresholdConfig(t *testing.T) {
+	r := NewRunner(Config{Scale: sim.UnitScale(), Threshold: sim.EncodeThreshold(0)})
+	g := workload.Groups2[0]
+	got, err := r.RunGroup(g, sim.CoopPart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != zero || r.Simulations() != 1 {
+		t.Fatalf("encoded-zero runner did not share the T=0 memo entry (%d simulations)", r.Simulations())
+	}
+	def := NewRunner(Config{Scale: sim.UnitScale()})
+	if r.RunKey(g, sim.CoopPart, r.cfg.Threshold, VariantNone) == def.RunKey(g, sim.CoopPart, def.cfg.Threshold, VariantNone) {
+		t.Fatal("encoded-zero runner shares the default threshold's store key")
 	}
 }
 
@@ -148,20 +173,20 @@ func TestFig14RunsNoSoloSimulations(t *testing.T) {
 func TestRunAllPropagatesError(t *testing.T) {
 	r := NewRunner(Config{Scale: sim.UnitScale(), Workers: 4})
 	bad := workload.Group{Name: "bad", Benchmarks: []string{"no-such-benchmark", "namd"}}
-	err := r.RunAll([]Request{
+	err := r.runAll([]request{
 		{Group: workload.Groups2[0], Scheme: sim.FairShare, Threshold: DefaultThreshold},
 		{Group: bad, Scheme: sim.FairShare, Threshold: DefaultThreshold},
-	})
+	}, false)
 	if err == nil {
-		t.Fatal("RunAll with an unknown benchmark should fail")
+		t.Fatal("runAll with an unknown benchmark should fail")
 	}
 }
 
-// TestFlightMemoisesErrors pins the flight contract: an errored key is
-// memoised like a value (deterministic runs cannot succeed on retry)
-// and executes once.
+// TestFlightMemoisesErrors pins the flight contract the runner's memo
+// relies on: an errored key is memoised like a value (deterministic
+// runs cannot succeed on retry) and executes once.
 func TestFlightMemoisesErrors(t *testing.T) {
-	var f flight[int, int]
+	var f flight.Group[int, int]
 	calls := 0
 	boom := errors.New("boom")
 	fn := func() (int, error) { calls++; return 0, boom }

@@ -47,7 +47,7 @@ func (r *Runner) ScalingSweep(counts []int, groupsPer int) ([]metrics.Figure, er
 		counts = ScalingCoreCounts
 	}
 	perCount := make([][]workload.Group, len(counts))
-	var reqs []Request
+	var reqs []request
 	for ci, cores := range counts {
 		groups, err := scalingGroupsFor(cores, groupsPer)
 		if err != nil {
@@ -58,7 +58,7 @@ func (r *Runner) ScalingSweep(counts []int, groupsPer int) ([]metrics.Figure, er
 	}
 	// One fan-out for the whole sweep: every (group, scheme) run plus
 	// Equation 1's solo runs and the DynCPE profiles.
-	if err := r.RunAllSpeedup(reqs); err != nil {
+	if err := r.runAll(reqs, true); err != nil {
 		return nil, err
 	}
 

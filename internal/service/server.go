@@ -236,18 +236,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		<-s.sem
 	}()
 
+	// A client that gave up while queued costs no simulation; a run
+	// that has started completes and is published normally.
 	var value any
-	ctx := r.Context()
-	switch req.Kind {
-	case KindRun:
-		value, err = runner.RunRequest(ctx, experiments.Request{
-			Group: req.Group, Scheme: req.Scheme, Threshold: req.Threshold,
-			Variant: req.Variant,
-		})
-	case KindAlone:
-		value, err = runner.AloneRequest(ctx, req.Benchmark, req.Cores)
-	case KindProfile:
-		value, err = runner.ProfileRequest(ctx, req.Benchmark, req.Cores)
+	if err = r.Context().Err(); err == nil {
+		switch req.Kind {
+		case KindRun:
+			value, err = runner.RunGroupVariant(req.Group, req.Scheme, req.Threshold, req.Variant)
+		case KindAlone:
+			value, err = runner.AloneResults(req.Benchmark, req.Cores)
+		case KindProfile:
+			value, err = runner.Profile(req.Benchmark, req.Cores)
+		}
 	}
 	if err != nil {
 		s.failed.Add(1)

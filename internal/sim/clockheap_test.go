@@ -54,6 +54,9 @@ func TestEncodeThresholdRoundTrip(t *testing.T) {
 		if got := effectiveThreshold(EncodeThreshold(c.in), c.scheme); got != c.want {
 			t.Errorf("effective(encode(%v), %s) = %v, want %v", c.in, c.scheme, got, c.want)
 		}
+		if got := DecodeThreshold(EncodeThreshold(c.in)); got != c.in {
+			t.Errorf("decode(encode(%v)) = %v", c.in, got)
+		}
 	}
 	// An unset RunConfig.Threshold selects the paper's default for the
 	// thresholded schemes only.

@@ -86,7 +86,7 @@ func TestEventSteppingBitIdenticalGroups(t *testing.T) {
 }
 
 // TestEventSteppingWarmupAndProfile covers the remaining stepping
-// window (runUntil's warm-up target cap) interacting with profile
+// window (the warm-up's retirement cap) interacting with profile
 // capture, which hangs extra state off the access path.
 func TestEventSteppingWarmupAndProfile(t *testing.T) {
 	cfg := RunConfig{

@@ -336,47 +336,20 @@ func stepCap(c *cpu.Core, target uint64) uint64 {
 	return ^uint64(0)
 }
 
-// runUntil steps cores in clock order until every core has retired
-// target instructions (since the last stats reset), firing phase
-// decisions on the way.
-func (s *System) runUntil(target uint64) {
-	remaining := 0
-	for _, c := range s.cores {
-		if c.Retired() < target {
-			remaining++
-		}
-	}
-	h := s.newPicker()
-	for remaining > 0 {
-		ci := h.Min()
-		c := s.cores[ci]
-		now := c.Now()
-		for now >= s.nextDecision {
-			s.decide(s.nextDecision)
-			s.nextDecision += s.cfg.Scale.PhaseCycles
-		}
-		before := c.Retired()
-		if s.stepRecords {
-			c.Step()
-		} else {
-			c.StepEvent(s.stepBound(h, ci), stepCap(c, target))
-		}
-		h.FixMin(c.Now())
-		if before < target && c.Retired() >= target {
-			remaining--
-		}
-	}
-}
-
-// Progress is the measured-loop bookkeeping: which cores have crossed
-// the retirement target, how many, and the IPC/MPKI recorded at each
-// crossing. It travels inside mid-run snapshots so a restored run
-// records exactly the results the uninterrupted run would have.
+// Progress is the stepping loop's bookkeeping: which cores have
+// crossed the retirement target, how many, and the IPC/MPKI recorded
+// at each crossing. The measured region's Progress travels inside
+// mid-run snapshots so a restored run records exactly the results the
+// uninterrupted run would have.
 type Progress struct {
 	Recorded []bool
 	Done     int
 	IPC      []float64
 	MPKI     []float64
+}
+
+func newProgress(n int) *Progress {
+	return &Progress{Recorded: make([]bool, n), IPC: make([]float64, n), MPKI: make([]float64, n)}
 }
 
 func (p *Progress) clone() *Progress {
@@ -391,10 +364,11 @@ func (p *Progress) clone() *Progress {
 // Warmup executes the warm-up region (if any) and resets statistics at
 // its boundary. Run == Warmup followed by RunMeasured; the split lets
 // the checkpoint layer snapshot the warm-up boundary and resume many
-// runs from it.
+// runs from it. The warm-up's Progress is local, so s.prog stays nil
+// and a warm-up snapshot carries no measured-loop state.
 func (s *System) Warmup() {
 	if s.cfg.Scale.WarmupInstr > 0 {
-		s.runUntil(s.cfg.Scale.WarmupInstr)
+		s.run(s.cfg.Scale.WarmupInstr, newProgress(len(s.cores)), 0, nil)
 		s.resetStats()
 	}
 }
@@ -432,30 +406,15 @@ func (s *System) nextCkptBoundary(every, target uint64) (uint64, int) {
 	return b, short
 }
 
-// RunMeasured executes the measured region and gathers results. When
-// every > 0 and onCkpt is non-nil, onCkpt fires each time all cores
-// have retired another `every` measured instructions (the moment the
-// last core crosses the boundary) — the hook the checkpoint layer uses
-// to snapshot mid-run state. The callback must not mutate the system;
-// with a nil hook the loop is bit-identical to an unhooked run.
-func (s *System) RunMeasured(every uint64, onCkpt func(boundary uint64)) *Results {
-	n := len(s.cores)
-	res := &Results{
-		Scheme:     string(s.cfg.Scheme),
-		Group:      s.cfg.Group.Name,
-		Benchmarks: append([]string(nil), s.cfg.Group.Benchmarks...),
-	}
-
-	target := s.cfg.Scale.InstrPerApp
-	if s.prog == nil {
-		s.prog = &Progress{
-			Recorded: make([]bool, n),
-			IPC:      make([]float64, n),
-			MPKI:     make([]float64, n),
-		}
-	}
-	p := s.prog
-
+// run is the one stepping loop: it steps cores in clock order until
+// every core has retired target instructions (since the last stats
+// reset), firing phase decisions on the way and recording each core's
+// IPC/MPKI in p the instant it crosses target. When every > 0 and
+// onCkpt is non-nil, onCkpt fires each time all cores have retired
+// another `every` instructions (the moment the last core crosses the
+// boundary). stepRecords swaps in the per-record reference path
+// (DESIGN.md §10).
+func (s *System) run(target uint64, p *Progress, every uint64, onCkpt func(boundary uint64)) {
 	var nextCkpt uint64
 	ckptShort := 0
 	if every > 0 && onCkpt != nil {
@@ -463,7 +422,7 @@ func (s *System) RunMeasured(every uint64, onCkpt func(boundary uint64)) *Result
 	}
 
 	h := s.newPicker()
-	for p.Done < n {
+	for p.Done < len(s.cores) {
 		ci := h.Min()
 		c := s.cores[ci]
 		now := c.Now()
@@ -478,11 +437,7 @@ func (s *System) RunMeasured(every uint64, onCkpt func(boundary uint64)) *Result
 		if s.stepRecords {
 			c.Step()
 		} else {
-			limit := ^uint64(0)
-			if !p.Recorded[ci] {
-				limit = stepCap(c, target)
-			}
-			c.StepEvent(s.stepBound(h, ci), limit)
+			c.StepEvent(s.stepBound(h, ci), stepCap(c, target))
 		}
 		h.FixMin(c.Now())
 		if !p.Recorded[ci] && c.Retired() >= target {
@@ -501,6 +456,25 @@ func (s *System) RunMeasured(every uint64, onCkpt func(boundary uint64)) *Result
 				nextCkpt, ckptShort = s.nextCkptBoundary(every, target)
 			}
 		}
+	}
+}
+
+// RunMeasured executes the measured region and gathers results. When
+// every > 0 and onCkpt is non-nil, onCkpt fires at each mid-run
+// checkpoint boundary (see run) — the hook the checkpoint layer uses
+// to snapshot mid-run state. The callback must not mutate the system;
+// with a nil hook the loop is bit-identical to an unhooked run.
+func (s *System) RunMeasured(every uint64, onCkpt func(boundary uint64)) *Results {
+	if s.prog == nil {
+		s.prog = newProgress(len(s.cores))
+	}
+	p := s.prog
+	s.run(s.cfg.Scale.InstrPerApp, p, every, onCkpt)
+
+	res := &Results{
+		Scheme:     string(s.cfg.Scheme),
+		Group:      s.cfg.Group.Name,
+		Benchmarks: append([]string(nil), s.cfg.Group.Benchmarks...),
 	}
 	res.IPC = append([]float64(nil), p.IPC...)
 	res.MPKI = append([]float64(nil), p.MPKI...)
