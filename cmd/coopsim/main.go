@@ -30,7 +30,8 @@ import (
 )
 
 func main() {
-	group := flag.String("group", "G2-8", "workload group from Table 4 (G2-1..G2-14, G4-1..G4-14)")
+	group := flag.String("group", "G2-8",
+		"workload group: Table 4's G2-1..G2-14, G4-1..G4-14, or the scaling sweep's G8-1..G8-6, G16-1..G16-4")
 	scheme := flag.String("scheme", "CoopPart",
 		"LLC scheme: Unmanaged, FairShare, DynCPE, UCP or CoopPart")
 	compare := flag.Bool("compare", false, "run every scheme and print a comparison")

@@ -31,15 +31,11 @@ func main() {
 	}
 	var points []point
 	for _, T := range []float64{0, 0.01, 0.05, 0.10, 0.20} {
-		threshold := T
-		if threshold == 0 {
-			threshold = -1 // explicit zero: sim treats 0 as "use default"
-		}
 		res, err := sim.Run(sim.RunConfig{
 			Scale:     sim.TestScale(),
 			Scheme:    sim.CoopPart,
 			Group:     group,
-			Threshold: threshold,
+			Threshold: sim.EncodeThreshold(T),
 			Seed:      1,
 		})
 		if err != nil {

@@ -20,10 +20,6 @@
 // instruction — instead of striding across ~40-byte Block structs.
 // The Block type survives as the assembled per-way view returned to
 // callers; see DESIGN.md §2 for the layout invariants.
-//
-// The state is grouped into Config.Banks address-interleaved banks
-// (banked.go); Banks <= 1 keeps the single monolithic array layout and
-// is bit-identical to the pre-banking substrate (DESIGN.md §9).
 package cache
 
 import (
@@ -61,16 +57,6 @@ type Config struct {
 	LineBytes int
 	Ways      int
 	Latency   int // access latency in cycles
-
-	// Banks splits the sets into this many address-interleaved banks
-	// (banked.go). 0 or 1 keeps the monolithic layout; must be a power
-	// of two no larger than the set count.
-	Banks int
-	// BankBusyCycles enables the bank-port contention model: each bank
-	// serves one access per window of this many cycles, and AcquireBank
-	// charges the queueing delay. 0 (the default) disables contention
-	// modelling, preserving the pre-banking timing exactly.
-	BankBusyCycles int
 }
 
 // Sets returns the number of sets implied by the geometry.
@@ -94,49 +80,35 @@ func (c Config) Validate() error {
 	if c.Ways > 64 {
 		return fmt.Errorf("cache %q: %d ways exceed the 64-way mask limit", c.Name, c.Ways)
 	}
-	if b := c.Banks; b > 1 {
-		if b&(b-1) != 0 {
-			return fmt.Errorf("cache %q: %d banks is not a power of two", c.Name, b)
-		}
-		if b > s {
-			return fmt.Errorf("cache %q: %d banks exceed %d sets", c.Name, b, s)
-		}
-	}
-	if c.BankBusyCycles < 0 {
-		return fmt.Errorf("cache %q: negative bank busy cycles %d", c.Name, c.BankBusyCycles)
-	}
 	return nil
 }
 
 // Cache is a set-associative cache. It is not safe for concurrent use;
 // the simulator drives it from a single goroutine.
 //
-// Layout invariants (struct-of-arrays, banked):
-//   - the sets are interleaved across the banks: global set s lives in
-//     bank s & (Banks-1) at local row s >> log2(Banks);
-//   - within a bank, tags, owners and lru are localSets*ways long,
-//     row-major by local set; valid and dirty hold one bitmask word per
-//     local set (bit w = way w; Ways <= 64 is enforced by
-//     Config.Validate);
+// Layout invariants (struct-of-arrays):
+//   - tags, owners and lru are numSets*ways long, row-major by set;
+//   - valid and dirty hold one bitmask word per set (bit w = way w;
+//     Ways <= 64 is enforced by Config.Validate);
 //   - dirty is always a subset of valid;
 //   - an invalid way has tag 0, owner NoOwner and lru 0, exactly the
 //     state a zero-value or invalidated Block had in the old
 //     array-of-structs layout.
 type Cache struct {
-	cfg         Config
-	banks       []bank
-	numSets     int
-	ways        int
-	idxMask     uint64
-	offBits     uint
-	setBits     uint    // log2(numSets), hoisted out of TagOf/LineFrom
-	bankMask    uint64  // Banks-1: global set -> bank
-	bankShift   uint    // log2(Banks): global set -> local row
-	allMask     uint64  // mask with every way enabled, precomputed
-	clock       uint64  // global recency counter
-	bankFree    []int64 // per bank: cycle its port frees (contention model)
-	bankBusyCyc int64   // port occupancy per access; 0 = unmodelled
-	stats       Stats
+	cfg     Config
+	tags    []uint64 // numSets * ways, row-major
+	owners  []int32  // numSets * ways
+	lru     []uint64 // numSets * ways
+	valid   []uint64 // one bitmask word per set
+	dirty   []uint64 // one bitmask word per set
+	numSets int
+	ways    int
+	idxMask uint64
+	offBits uint
+	setBits uint   // log2(numSets), hoisted out of TagOf/LineFrom
+	allMask uint64 // mask with every way enabled, precomputed
+	clock   uint64 // global recency counter
+	stats   Stats
 }
 
 // New constructs a cache from cfg. It panics on an invalid
@@ -147,25 +119,21 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numSets := cfg.Sets()
-	nb := cfg.bankCount()
-	mask, shift := cfg.bankGeometry()
 	c := &Cache{
-		cfg:         cfg,
-		banks:       make([]bank, nb),
-		numSets:     numSets,
-		ways:        cfg.Ways,
-		idxMask:     uint64(numSets - 1),
-		offBits:     uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setBits:     uint(bits.TrailingZeros(uint(numSets))),
-		bankMask:    mask,
-		bankShift:   shift,
-		bankBusyCyc: int64(cfg.BankBusyCycles),
+		cfg:     cfg,
+		tags:    make([]uint64, numSets*cfg.Ways),
+		owners:  make([]int32, numSets*cfg.Ways),
+		lru:     make([]uint64, numSets*cfg.Ways),
+		valid:   make([]uint64, numSets),
+		dirty:   make([]uint64, numSets),
+		numSets: numSets,
+		ways:    cfg.Ways,
+		idxMask: uint64(numSets - 1),
+		offBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setBits: uint(bits.TrailingZeros(uint(numSets))),
 	}
-	for i := range c.banks {
-		c.banks[i] = newBank(numSets/nb, cfg.Ways)
-	}
-	if c.bankBusyCyc > 0 {
-		c.bankFree = make([]int64, nb)
+	for i := range c.owners {
+		c.owners[i] = NoOwner
 	}
 	if cfg.Ways == 64 {
 		c.allMask = ^uint64(0)
@@ -206,15 +174,14 @@ func (c *Cache) LineFrom(set int, tag uint64) LineAddr {
 
 // Block assembles a copy of the block at (set, way) for inspection.
 func (c *Cache) Block(set, way int) Block {
-	bk, ls := c.at(set)
-	i := ls*c.ways + way
+	i := set*c.ways + way
 	bit := uint64(1) << uint(way)
 	return Block{
-		Tag:   bk.tags[i],
-		Valid: bk.valid[ls]&bit != 0,
-		Dirty: bk.dirty[ls]&bit != 0,
-		Owner: int(bk.owners[i]),
-		LRU:   bk.lru[i],
+		Tag:   c.tags[i],
+		Valid: c.valid[set]&bit != 0,
+		Dirty: c.dirty[set]&bit != 0,
+		Owner: int(c.owners[i]),
+		LRU:   c.lru[i],
 	}
 }
 
@@ -222,20 +189,17 @@ func (c *Cache) Block(set, way int) Block {
 // single bit test; callers that need only one field should prefer the
 // *At accessors over assembling a whole Block.
 func (c *Cache) ValidAt(set, way int) bool {
-	bk, ls := c.at(set)
-	return bk.valid[ls]&(1<<uint(way)) != 0
+	return c.valid[set]&(1<<uint(way)) != 0
 }
 
 // OwnerAt returns the owner of the block at (set, way).
 func (c *Cache) OwnerAt(set, way int) int {
-	bk, ls := c.at(set)
-	return int(bk.owners[ls*c.ways+way])
+	return int(c.owners[set*c.ways+way])
 }
 
 // LRUAt returns the recency stamp of the block at (set, way).
 func (c *Cache) LRUAt(set, way int) uint64 {
-	bk, ls := c.at(set)
-	return bk.lru[ls*c.ways+way]
+	return c.lru[set*c.ways+way]
 }
 
 // AllMask returns the way mask with every way enabled.
@@ -253,11 +217,9 @@ func (c *Cache) AllMask() uint64 { return c.allMask }
 // actually reads — which the schemes compute from mask, not from this
 // walk.
 func (c *Cache) Probe(set int, tag uint64, mask uint64) (int, bool) {
-	bk := &c.banks[uint64(set)&c.bankMask]
-	ls := set >> c.bankShift
-	base := ls * c.ways
-	tags := bk.tags[base : base+c.ways]
-	for m := bk.valid[ls] & mask; m != 0; m &= m - 1 {
+	base := set * c.ways
+	tags := c.tags[base : base+c.ways]
+	for m := c.valid[set] & mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if tags[w] == tag {
 			return w, true
@@ -269,8 +231,7 @@ func (c *Cache) Probe(set int, tag uint64, mask uint64) (int, bool) {
 // Touch marks (set, way) as most recently used.
 func (c *Cache) Touch(set, way int) {
 	c.clock++
-	bk, ls := c.at(set)
-	bk.lru[ls*c.ways+way] = c.clock
+	c.lru[set*c.ways+way] = c.clock
 }
 
 // Victim returns the way to replace among the ways in mask: an invalid
@@ -280,16 +241,14 @@ func (c *Cache) Touch(set, way int) {
 // The invalid-way scan is a single bit operation on the set's valid
 // word; the LRU scan then only visits valid masked ways.
 func (c *Cache) Victim(set int, mask uint64) int {
-	bk := &c.banks[uint64(set)&c.bankMask]
-	ls := set >> c.bankShift
-	valid := bk.valid[ls]
+	valid := c.valid[set]
 	if inv := ^valid & mask; inv != 0 {
 		// First invalid masked way, as in the old ascending walk.
 		return bits.TrailingZeros64(inv)
 	}
 	best, bestLRU := -1, ^uint64(0)
-	base := ls * c.ways
-	lru := bk.lru[base : base+c.ways]
+	base := set * c.ways
+	lru := c.lru[base : base+c.ways]
 	for m := valid & mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if lru[w] < bestLRU {
@@ -303,16 +262,15 @@ func (c *Cache) Victim(set int, mask uint64) int {
 // owner, or -1 if owner has no block in the masked ways of the set.
 // Invalid blocks are treated as owned by nobody.
 func (c *Cache) VictimOwnedBy(set, owner int, mask uint64) int {
-	bk, ls := c.at(set)
 	best, bestLRU := -1, ^uint64(0)
-	base := ls * c.ways
-	for m := bk.valid[ls] & mask; m != 0; m &= m - 1 {
+	base := set * c.ways
+	for m := c.valid[set] & mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
-		if int(bk.owners[base+w]) != owner {
+		if int(c.owners[base+w]) != owner {
 			continue
 		}
-		if bk.lru[base+w] < bestLRU {
-			best, bestLRU = w, bk.lru[base+w]
+		if c.lru[base+w] < bestLRU {
+			best, bestLRU = w, c.lru[base+w]
 		}
 	}
 	return best
@@ -321,12 +279,11 @@ func (c *Cache) VictimOwnedBy(set, owner int, mask uint64) int {
 // CountOwned returns how many valid blocks in the masked ways of set are
 // owned by owner.
 func (c *Cache) CountOwned(set, owner int, mask uint64) int {
-	bk, ls := c.at(set)
 	n := 0
-	base := ls * c.ways
-	for m := bk.valid[ls] & mask; m != 0; m &= m - 1 {
+	base := set * c.ways
+	for m := c.valid[set] & mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
-		if int(bk.owners[base+w]) == owner {
+		if int(c.owners[base+w]) == owner {
 			n++
 		}
 	}
@@ -344,26 +301,25 @@ type Evicted struct {
 // InstallAt writes a new block into (set, way), returning the displaced
 // block. The new block is marked most recently used.
 func (c *Cache) InstallAt(set, way int, tag uint64, owner int, dirty bool) Evicted {
-	bk, ls := c.at(set)
-	i := ls*c.ways + way
+	i := set*c.ways + way
 	bit := uint64(1) << uint(way)
 	ev := Evicted{
-		Valid: bk.valid[ls]&bit != 0,
-		Dirty: bk.dirty[ls]&bit != 0,
-		Owner: int(bk.owners[i]),
+		Valid: c.valid[set]&bit != 0,
+		Dirty: c.dirty[set]&bit != 0,
+		Owner: int(c.owners[i]),
 	}
 	if ev.Valid {
-		ev.Line = c.LineFrom(set, bk.tags[i])
+		ev.Line = c.LineFrom(set, c.tags[i])
 	}
 	c.clock++
-	bk.tags[i] = tag
-	bk.owners[i] = int32(owner)
-	bk.lru[i] = c.clock
-	bk.valid[ls] |= bit
+	c.tags[i] = tag
+	c.owners[i] = int32(owner)
+	c.lru[i] = c.clock
+	c.valid[set] |= bit
 	if dirty {
-		bk.dirty[ls] |= bit
+		c.dirty[set] |= bit
 	} else {
-		bk.dirty[ls] &^= bit
+		c.dirty[set] &^= bit
 	}
 	if ev.Valid {
 		c.stats.Evictions++
@@ -376,59 +332,54 @@ func (c *Cache) InstallAt(set, way int, tag uint64, owner int, dirty bool) Evict
 
 // MarkDirty sets the dirty bit of the block at (set, way).
 func (c *Cache) MarkDirty(set, way int) {
-	bk, ls := c.at(set)
-	bk.dirty[ls] |= 1 << uint(way)
+	c.dirty[set] |= 1 << uint(way)
 }
 
 // SetOwner rewrites the owner of the block at (set, way) without
 // touching recency or dirtiness. Used when ownership of a way's contents
 // transfers between cores.
 func (c *Cache) SetOwner(set, way, owner int) {
-	bk, ls := c.at(set)
-	bk.owners[ls*c.ways+way] = int32(owner)
+	c.owners[set*c.ways+way] = int32(owner)
 }
 
 // FlushBlock cleans the block at (set, way). It returns the line address
 // and true if the block was valid and dirty (i.e. a writeback to memory
 // is required). The block remains valid but clean.
 func (c *Cache) FlushBlock(set, way int) (LineAddr, bool) {
-	bk, ls := c.at(set)
 	bit := uint64(1) << uint(way)
-	if bk.valid[ls]&bk.dirty[ls]&bit == 0 {
+	if c.valid[set]&c.dirty[set]&bit == 0 {
 		return 0, false
 	}
-	bk.dirty[ls] &^= bit
+	c.dirty[set] &^= bit
 	c.stats.Flushes++
-	return c.LineFrom(set, bk.tags[ls*c.ways+way]), true
+	return c.LineFrom(set, c.tags[set*c.ways+way]), true
 }
 
 // clearBlock resets (set, way) to the invalid state the zero-value
 // array-of-structs layout had: tag 0, owner NoOwner, lru 0, valid and
 // dirty bits cleared.
 func (c *Cache) clearBlock(set, way int) {
-	bk, ls := c.at(set)
-	i := ls*c.ways + way
+	i := set*c.ways + way
 	bit := uint64(1) << uint(way)
-	bk.tags[i] = 0
-	bk.owners[i] = NoOwner
-	bk.lru[i] = 0
-	bk.valid[ls] &^= bit
-	bk.dirty[ls] &^= bit
+	c.tags[i] = 0
+	c.owners[i] = NoOwner
+	c.lru[i] = 0
+	c.valid[set] &^= bit
+	c.dirty[set] &^= bit
 }
 
 // InvalidateBlock invalidates the block at (set, way), returning the
 // evicted metadata (callers write back dirty data themselves).
 func (c *Cache) InvalidateBlock(set, way int) Evicted {
-	bk, ls := c.at(set)
-	i := ls*c.ways + way
+	i := set*c.ways + way
 	bit := uint64(1) << uint(way)
 	ev := Evicted{
-		Valid: bk.valid[ls]&bit != 0,
-		Dirty: bk.dirty[ls]&bit != 0,
-		Owner: int(bk.owners[i]),
+		Valid: c.valid[set]&bit != 0,
+		Dirty: c.dirty[set]&bit != 0,
+		Owner: int(c.owners[i]),
 	}
 	if ev.Valid {
-		ev.Line = c.LineFrom(set, bk.tags[i])
+		ev.Line = c.LineFrom(set, c.tags[i])
 	}
 	c.clearBlock(set, way)
 	return ev
@@ -440,9 +391,8 @@ func (c *Cache) InvalidateBlock(set, way int) Evicted {
 func (c *Cache) InvalidateWay(way int, wb func(LineAddr)) {
 	bit := uint64(1) << uint(way)
 	for s := 0; s < c.numSets; s++ {
-		bk, ls := c.at(s)
-		if bk.valid[ls]&bk.dirty[ls]&bit != 0 && wb != nil {
-			wb(c.LineFrom(s, bk.tags[ls*c.ways+way]))
+		if c.valid[s]&c.dirty[s]&bit != 0 && wb != nil {
+			wb(c.LineFrom(s, c.tags[s*c.ways+way]))
 		}
 		c.clearBlock(s, way)
 	}
@@ -451,8 +401,7 @@ func (c *Cache) InvalidateWay(way int, wb func(LineAddr)) {
 // ForEachValid calls fn for every valid block, with its set and way.
 func (c *Cache) ForEachValid(fn func(set, way int, b Block)) {
 	for s := 0; s < c.numSets; s++ {
-		bk, ls := c.at(s)
-		for m := bk.valid[ls]; m != 0; m &= m - 1 {
+		for m := c.valid[s]; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
 			fn(s, w, c.Block(s, w))
 		}
@@ -462,12 +411,11 @@ func (c *Cache) ForEachValid(fn func(set, way int, b Block)) {
 // OwnedWays returns, for the given set, the mask of ways whose valid
 // block is owned by owner.
 func (c *Cache) OwnedWays(set, owner int) uint64 {
-	bk, ls := c.at(set)
 	var mask uint64
-	base := ls * c.ways
-	for m := bk.valid[ls]; m != 0; m &= m - 1 {
+	base := set * c.ways
+	for m := c.valid[set]; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
-		if int(bk.owners[base+w]) == owner {
+		if int(c.owners[base+w]) == owner {
 			mask |= 1 << uint(w)
 		}
 	}
@@ -505,7 +453,6 @@ type Stats struct {
 	Evictions      uint64
 	DirtyEvictions uint64
 	Flushes        uint64
-	BankConflicts  uint64 // accesses delayed behind a busy bank port
 }
 
 // HitRate returns hits/accesses, or 0 when no accesses occurred.
@@ -532,6 +479,5 @@ func (s *Stats) Reset() { *s = Stats{} }
 // position and single-step promotion) use it; plain-LRU schemes never
 // need to.
 func (c *Cache) SetLRU(set, way int, lru uint64) {
-	bk, ls := c.at(set)
-	bk.lru[ls*c.ways+way] = lru
+	c.lru[set*c.ways+way] = lru
 }

@@ -3,54 +3,36 @@ package cache
 import "fmt"
 
 // Snapshot/restore layer (DESIGN.md §14). State captures exactly the
-// dynamic portion of a Cache — the per-bank SoA arrays, the global
-// recency clock, the bank-port reservations and the counters — and
-// none of the derived geometry, which Restore expects the receiver to
-// already have (a restored cache is always built by New from the same
-// Config, so masks, shifts and latencies are reconstructed rather than
-// trusted from disk).
+// dynamic portion of a Cache — the SoA arrays, the global recency clock
+// and the counters — and none of the derived geometry, which Restore
+// expects the receiver to already have (a restored cache is always
+// built by New from the same Config, so masks, shifts and latencies are
+// reconstructed rather than trusted from disk).
 
-// BankState is one bank's SoA arrays, copied verbatim: dense
-// tags/owners/lru rows plus one valid/dirty word per local set.
-type BankState struct {
+// State is the complete dynamic state of a Cache: its SoA arrays copied
+// verbatim (dense tags/owners/lru rows plus one valid/dirty word per
+// set), the recency clock and the counters.
+type State struct {
 	Tags   []uint64
 	Owners []int32
 	LRU    []uint64
 	Valid  []uint64
 	Dirty  []uint64
-}
-
-// State is the complete dynamic state of a Cache. It serializes the
-// banked layout as-is; a monolithic cache is the one-bank special case,
-// so both layouts round-trip through the same struct.
-type State struct {
-	Banks    []BankState
-	Clock    uint64
-	BankFree []int64 // nil when bank contention is unmodelled
-	Stats    Stats
+	Clock  uint64
+	Stats  Stats
 }
 
 // State returns a deep copy of the cache's dynamic state.
 func (c *Cache) State() *State {
-	st := &State{
-		Banks: make([]BankState, len(c.banks)),
-		Clock: c.clock,
-		Stats: c.stats,
+	return &State{
+		Tags:   append([]uint64(nil), c.tags...),
+		Owners: append([]int32(nil), c.owners...),
+		LRU:    append([]uint64(nil), c.lru...),
+		Valid:  append([]uint64(nil), c.valid...),
+		Dirty:  append([]uint64(nil), c.dirty...),
+		Clock:  c.clock,
+		Stats:  c.stats,
 	}
-	for i := range c.banks {
-		bk := &c.banks[i]
-		st.Banks[i] = BankState{
-			Tags:   append([]uint64(nil), bk.tags...),
-			Owners: append([]int32(nil), bk.owners...),
-			LRU:    append([]uint64(nil), bk.lru...),
-			Valid:  append([]uint64(nil), bk.valid...),
-			Dirty:  append([]uint64(nil), bk.dirty...),
-		}
-	}
-	if c.bankFree != nil {
-		st.BankFree = append([]int64(nil), c.bankFree...)
-	}
-	return st
 }
 
 // Restore overwrites the cache's dynamic state with st. The receiver
@@ -58,42 +40,17 @@ func (c *Cache) State() *State {
 // under; geometry mismatches are rejected rather than truncated, since
 // a partially applied snapshot would silently corrupt the run.
 func (c *Cache) Restore(st *State) error {
-	if len(st.Banks) != len(c.banks) {
-		return fmt.Errorf("cache %q: snapshot has %d banks, cache has %d",
-			c.cfg.Name, len(st.Banks), len(c.banks))
+	if len(st.Tags) != len(c.tags) || len(st.Owners) != len(c.owners) ||
+		len(st.LRU) != len(c.lru) || len(st.Valid) != len(c.valid) ||
+		len(st.Dirty) != len(c.dirty) {
+		return fmt.Errorf("cache %q: snapshot geometry mismatch", c.cfg.Name)
 	}
-	for i := range c.banks {
-		bk := &c.banks[i]
-		sb := &st.Banks[i]
-		if len(sb.Tags) != len(bk.tags) || len(sb.Owners) != len(bk.owners) ||
-			len(sb.LRU) != len(bk.lru) || len(sb.Valid) != len(bk.valid) ||
-			len(sb.Dirty) != len(bk.dirty) {
-			return fmt.Errorf("cache %q: snapshot bank %d geometry mismatch", c.cfg.Name, i)
-		}
-	}
-	if st.BankFree != nil && len(st.BankFree) != len(c.banks) {
-		return fmt.Errorf("cache %q: snapshot has %d bank-port reservations, cache has %d banks",
-			c.cfg.Name, len(st.BankFree), len(c.banks))
-	}
-	for i := range c.banks {
-		bk := &c.banks[i]
-		sb := &st.Banks[i]
-		copy(bk.tags, sb.Tags)
-		copy(bk.owners, sb.Owners)
-		copy(bk.lru, sb.LRU)
-		copy(bk.valid, sb.Valid)
-		copy(bk.dirty, sb.Dirty)
-	}
+	copy(c.tags, st.Tags)
+	copy(c.owners, st.Owners)
+	copy(c.lru, st.LRU)
+	copy(c.valid, st.Valid)
+	copy(c.dirty, st.Dirty)
 	c.clock = st.Clock
-	if c.bankFree != nil {
-		if st.BankFree != nil {
-			copy(c.bankFree, st.BankFree)
-		} else {
-			for i := range c.bankFree {
-				c.bankFree[i] = 0
-			}
-		}
-	}
 	c.stats = st.Stats
 	return nil
 }

@@ -44,7 +44,9 @@ import (
 // v2: the controller snapshot grew the set-sampling estimator state
 // (partition.controllerState.Est).
 // v3: the controller snapshot loses the set-sampling estimator state.
-const FormatVersion = 3
+// v4: cache.State is one flat array set (no per-bank arrays, no
+// bank-port reservations).
+const FormatVersion = 4
 
 // Options parameterise New. The zero value is a memory-only manager:
 // warm-up sharing within the process, no mid-run checkpoints.

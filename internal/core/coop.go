@@ -37,12 +37,7 @@ type CoopPart struct {
 }
 
 // New builds the scheme. The threshold T and the per-core way guarantee
-// come from cfg (Threshold, MinAllocWays). With more cores than ways
-// (permitted only under cfg.SharedWays) the scheme starts in the
-// shared-way fallback: the cores are laid around the takeover ring and
-// each ring-contiguous cluster fully co-owns one way; the partition is
-// then pinned (way migration needs a settled sole owner) but every core
-// keeps LLC access and the permission machinery stays live.
+// come from cfg (Threshold, MinAllocWays).
 func New(cfg partition.Config) *CoopPart {
 	c := &CoopPart{Controller: partition.NewController(cfg)}
 	l2 := c.Cache()
@@ -56,23 +51,6 @@ func New(cfg partition.Config) *CoopPart {
 		c.donors[i].bits = NewBitVec(l2.NumSets())
 	}
 	c.rng = 0x9e3779b97f4a7c15
-
-	if c.SharedMode() {
-		c.perms.AllowSharedWays()
-		for way := range c.owner {
-			c.owner[way] = -1
-		}
-		for i := 0; i < n; i++ {
-			way := c.SharedClusterWay(i)
-			c.alloc[i] = 1
-			if c.owner[way] < 0 {
-				c.owner[way] = i // cluster representative
-			}
-			c.perms.SetRead(way, i, true)
-			c.perms.SetWrite(way, i, true)
-		}
-		return c
-	}
 
 	// Initial partition: contiguous fair shares, fully owned.
 	way := 0
@@ -199,7 +177,7 @@ func (c *CoopPart) Access(core int, addr uint64, isWrite bool, now int64) partit
 	}
 
 	c.lastNow = now
-	lat := int64(l2.Latency()) + l2.AcquireBank(set, now)
+	lat := int64(l2.Latency())
 	if hit {
 		l2.Touch(set, way)
 		res.Latency = lat + c.wakeWay(way, now)
@@ -301,18 +279,10 @@ func (c *CoopPart) startDonation(d int, t transfer, now int64) {
 
 // Decide implements partition.Scheme: Algorithm 1 picks the new
 // allocation from the utility monitors, then Algorithm 2 programs the
-// RAP/WAP registers to start the cooperative takeovers. In the
-// shared-way fallback the ring is saturated — every way is co-owned by
-// its cluster, so there is no settled sole owner to migrate from and
-// nothing to gate — and the partition stays pinned; only the monitors
-// age.
+// RAP/WAP registers to start the cooperative takeovers.
 func (c *CoopPart) Decide(now int64) {
 	st := c.Stats()
 	st.Decisions++
-	if c.SharedMode() {
-		c.DecayMonitors(c.mons)
-		return
-	}
 	l2 := c.Cache()
 	n := c.NumCores()
 

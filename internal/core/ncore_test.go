@@ -1,7 +1,7 @@
 package core
 
 // Many-core tests: the N-core takeover ring (cores well beyond the
-// paper's 2/4) and the shared-way fallback for cores > ways.
+// paper's 2/4), and the loud rejection of more cores than ways.
 
 import (
 	"math/bits"
@@ -13,7 +13,7 @@ import (
 )
 
 // nCoreScheme builds a CoopPart with the given core and way counts.
-func nCoreScheme(t *testing.T, cores, ways, sets int, sharedOK bool) *CoopPart {
+func nCoreScheme(t *testing.T, cores, ways, sets int) *CoopPart {
 	t.Helper()
 	return New(partition.Config{
 		Cache:           cache.Config{Name: "l2", SizeBytes: sets * ways * 64, LineBytes: 64, Ways: ways, Latency: 15},
@@ -22,135 +22,60 @@ func nCoreScheme(t *testing.T, cores, ways, sets int, sharedOK bool) *CoopPart {
 		Threshold:       0.05,
 		TimelineBucket:  100,
 		TimelineBuckets: 16,
-		SharedWays:      sharedOK,
 	})
 }
 
 func TestMoreCoresThanWaysRejectedLoudly(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("8 cores on 4 ways without SharedWays must panic")
+			t.Fatal("8 cores on 4 ways must panic")
 		}
 	}()
-	nCoreScheme(t, 8, 4, 16, false)
-}
-
-func TestSharedWayFallbackGeometry(t *testing.T) {
-	const cores, ways = 8, 4
-	c := nCoreScheme(t, cores, ways, 16, true)
-	if !c.SharedMode() {
-		t.Fatal("8 cores on 4 ways should be in shared mode")
-	}
-	if !c.Perms().Shared() {
-		t.Fatal("permission registers not in shared-way mode")
-	}
-	if err := c.Perms().Invariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Every core holds full access to exactly one way; every way is
-	// co-owned by a contiguous ring cluster of cores; nothing is gated.
-	for i := 0; i < cores; i++ {
-		rm := c.Perms().ReadMask(i)
-		if bits.OnesCount64(rm) != 1 || rm != c.Perms().WriteMask(i) {
-			t.Fatalf("core %d: read mask %b write mask %b, want one shared way",
-				i, rm, c.Perms().WriteMask(i))
-		}
-	}
-	for w := 0; w < ways; w++ {
-		if c.Perms().Readers(w) != cores/ways {
-			t.Fatalf("way %d shared by %d cores, want %d", w, c.Perms().Readers(w), cores/ways)
-		}
-	}
-	if c.PoweredWayEquiv() != float64(ways) {
-		t.Fatalf("powered = %v, want %d (saturated ring gates nothing)", c.PoweredWayEquiv(), ways)
-	}
-	if alloc := c.Allocations(); len(alloc) != cores {
-		t.Fatalf("allocations = %v", alloc)
-	} else {
-		for i, a := range alloc {
-			if a != 1 {
-				t.Fatalf("core %d allocation = %d, want 1 (shared target)", i, a)
-			}
-		}
-	}
-}
-
-func TestSharedWayFallbackStablePartition(t *testing.T) {
-	const cores, ways, sets = 8, 4, 16
-	c := nCoreScheme(t, cores, ways, sets, true)
-	// Drive every core through misses and hits, with decisions between:
-	// the partition must stay pinned (no repartitions, no transitions)
-	// while every core keeps making progress through its shared way.
-	now := int64(0)
-	for round := 0; round < 6; round++ {
-		for core := 0; core < cores; core++ {
-			for s := 0; s < sets; s++ {
-				// Twice back to back: cluster-mates share the single
-				// way, so only immediate re-use can hit.
-				for rep := 0; rep < 2; rep++ {
-					res := c.Access(core, addrFor(c, core, s, round%2), round%3 == 0, now)
-					if res.TagsConsulted != 1 {
-						t.Fatalf("core %d consulted %d tags, want 1", core, res.TagsConsulted)
-					}
-					now += 10
-				}
-			}
-		}
-		c.Decide(now)
-		if err := c.Perms().Invariants(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	if reps := c.Stats().Repartitions; reps != 0 {
-		t.Fatalf("shared mode repartitioned %d times, want 0", reps)
-	}
-	if c.InTransition() {
-		t.Fatal("shared mode started a takeover transition")
-	}
-	for core := 0; core < cores; core++ {
-		if c.Stats().PerCore[core].Hits == 0 {
-			t.Fatalf("core %d never hit its shared way", core)
-		}
-	}
+	nCoreScheme(t, 8, 4, 16)
 }
 
 func TestNCoreRingDecideInvariants(t *testing.T) {
-	// 8 cores on 32 ways: the full takeover machinery at a core count
-	// beyond the paper's. Skewed access intensity forces the lookahead
-	// to move ways around the ring; every decision must preserve the
-	// permission invariants and never strand a core without a way.
-	const cores, ways, sets = 8, 32, 32
-	c := nCoreScheme(t, cores, ways, sets, false)
-	now := int64(0)
-	for round := 0; round < 12; round++ {
-		for core := 0; core < cores; core++ {
-			// Cores 0..3 hammer many distinct tags (high utility);
-			// 4..7 idle on one line each.
-			n := 2
-			if core < 4 {
-				n = 3 + 4*core
+	// 8 cores on 32 ways and 16 cores on 64 ways (the geometry of the
+	// 16-core scaling point, where the way masks use all 64 bits): the
+	// full takeover machinery at core counts beyond the paper's. Skewed
+	// access intensity forces the lookahead to move ways around the
+	// ring; every decision must preserve the Section 2.2 permission
+	// invariants and never strand a core without a way.
+	for _, geom := range []struct{ cores, ways int }{{8, 32}, {16, 64}} {
+		const sets = 32
+		cores, ways := geom.cores, geom.ways
+		c := nCoreScheme(t, cores, ways, sets)
+		now := int64(0)
+		for round := 0; round < 12; round++ {
+			for core := 0; core < cores; core++ {
+				// The lower half of the cores hammer many distinct tags
+				// (high utility); the upper half idle on one line each.
+				n := 2
+				if core < cores/2 {
+					n = 3 + 4*core
+				}
+				for k := 0; k < n; k++ {
+					c.Access(core, addrFor(c, core, (k*7+round)%sets, k), k%4 == 0, now)
+					now += 7
+				}
 			}
-			for k := 0; k < n; k++ {
-				c.Access(core, addrFor(c, core, (k*7+round)%sets, k), k%4 == 0, now)
-				now += 7
+			c.Decide(now)
+			if err := c.Perms().Invariants(); err != nil {
+				t.Fatalf("%d cores, round %d: %v", cores, round, err)
+			}
+			total := 0
+			for core := 0; core < cores; core++ {
+				if c.Perms().WriteMask(core) == 0 {
+					t.Fatalf("%d cores, round %d: core %d stranded with no writable way", cores, round, core)
+				}
+				total += bits.OnesCount64(c.Perms().WriteMask(core))
+			}
+			if total > ways {
+				t.Fatalf("%d cores, round %d: %d writable ways exceed %d", cores, round, total, ways)
 			}
 		}
-		c.Decide(now)
-		if err := c.Perms().Invariants(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
+		if c.Stats().Repartitions == 0 {
+			t.Fatalf("skewed %d-core load never repartitioned", cores)
 		}
-		total := 0
-		for core := 0; core < cores; core++ {
-			if c.Perms().WriteMask(core) == 0 {
-				t.Fatalf("round %d: core %d stranded with no writable way", round, core)
-			}
-			total += bits.OnesCount64(c.Perms().WriteMask(core))
-		}
-		if total > ways {
-			t.Fatalf("round %d: %d writable ways exceed %d", round, total, ways)
-		}
-	}
-	if c.Stats().Repartitions == 0 {
-		t.Fatal("skewed 8-core load never repartitioned")
 	}
 }

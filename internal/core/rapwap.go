@@ -25,7 +25,6 @@ import (
 // access path consults, so a lookup is one AND rather than a scan.
 type PermRegs struct {
 	ways, cores int
-	shared      bool     // shared-way fallback: clusters co-own ways
 	rap         []uint64 // per way: core bitmask with read permission
 	wap         []uint64 // per way: core bitmask with write permission
 	readMask    []uint64 // per core: ways readable
@@ -46,17 +45,6 @@ func NewPermRegs(ways, cores int) *PermRegs {
 		writeMask: make([]uint64, cores),
 	}
 }
-
-// AllowSharedWays switches the file into shared-way mode (DESIGN.md
-// §9): with more cores than ways, a way is co-owned by a ring-adjacent
-// cluster of cores, so several cores may hold write permission on the
-// same way and Invariants no longer bounds the reader/writer counts.
-// The structural guarantees that remain — write implies read, cached
-// masks consistent with the registers — still hold.
-func (p *PermRegs) AllowSharedWays() { p.shared = true }
-
-// Shared reports whether shared-way mode is enabled.
-func (p *PermRegs) Shared() bool { return p.shared }
 
 // Ways returns the number of ways covered.
 func (p *PermRegs) Ways() int { return p.ways }
@@ -109,10 +97,8 @@ func (p *PermRegs) RAP(way int) uint64 { return p.rap[way] }
 // WAP returns the raw WAP register of a way (reporting/tests).
 func (p *PermRegs) WAP(way int) uint64 { return p.wap[way] }
 
-// Writer returns the core with write permission on way, or -1. Outside
-// shared-way mode at most one core ever holds write permission (checked
-// by Invariants); in shared-way mode the lowest-numbered sharer is
-// returned as the cluster representative.
+// Writer returns the core with write permission on way, or -1. At most
+// one core ever holds write permission (checked by Invariants).
 func (p *PermRegs) Writer(way int) int {
 	if p.wap[way] == 0 {
 		return -1
@@ -145,23 +131,11 @@ func (p *PermRegs) PoweredWays() int {
 //  3. at most two cores hold read permission on a way, and when two do
 //     (a transition), exactly one of them is the writer (the recipient).
 //
-// In shared-way mode (AllowSharedWays) properties 2 and 3 are replaced
-// by the cluster invariant: every way with any reader has at least one
-// writer, and readers and writers coincide (clusters hold full access;
-// there are no transitions to leave a way read-only).
-//
 // It returns the first violation found, or nil.
 func (p *PermRegs) Invariants() error {
 	for w := 0; w < p.ways; w++ {
 		if p.wap[w]&^p.rap[w] != 0 {
 			return fmt.Errorf("way %d: WAP %b grants write without read (RAP %b)", w, p.wap[w], p.rap[w])
-		}
-		if p.shared {
-			if p.rap[w] != p.wap[w] {
-				return fmt.Errorf("way %d: shared cluster with partial access (RAP %b, WAP %b)",
-					w, p.rap[w], p.wap[w])
-			}
-			continue
 		}
 		if bits.OnesCount64(p.wap[w]) > 1 {
 			return fmt.Errorf("way %d: multiple writers (WAP %b)", w, p.wap[w])

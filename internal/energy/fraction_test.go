@@ -1,9 +1,8 @@
 package energy
 
 // Static-energy accounting under fractional powered-way equivalents —
-// the regime the banked controller and the set-partitioned (CPE) and
-// drowsy extensions operate in, where the powered state is rarely a
-// whole way count.
+// the regime the set-partitioned (CPE) scheme and the drowsy extension
+// operate in, where the powered state is rarely a whole way count.
 
 import (
 	"math"

@@ -9,10 +9,10 @@ import (
 )
 
 // Controller is the policy-free LLC controller every scheme composes
-// over: it owns the (banked) physical cache, the memory behind it,
-// per-core statistics and transition tracking, and implements the
-// shared mechanics the schemes previously each duplicated — the
-// probe/fill access path (policy injected through accessHooks), the
+// over: it owns the physical cache, the memory behind it, per-core
+// statistics and transition tracking, and implements the shared
+// mechanics the schemes previously each duplicated — the probe/fill
+// access path (policy injected through accessHooks), the
 // equal-share initial allocation, quota-enforced victim selection
 // (quota.go), the synchronous flush-on-repartition, and the default
 // powered-way accounting. Schemes in this package embed it; external
@@ -24,13 +24,12 @@ import (
 // and a PoweredWayEquiv that keeps every way on); adaptive or gating
 // schemes shadow Decide/PoweredWayEquiv with their own logic.
 type Controller struct {
-	cfg    Config
-	l2     *cache.Cache
-	dram   *mem.DRAM
-	n      int
-	shared bool // cores exceed ways: shared-way fallback in effect
-	stats  Stats
-	trans  *TransitionStats
+	cfg   Config
+	l2    *cache.Cache
+	dram  *mem.DRAM
+	n     int
+	stats Stats
+	trans *TransitionStats
 }
 
 // NewController validates cfg, applies defaults and builds the shared
@@ -41,13 +40,12 @@ func NewController(cfg Config) Controller {
 	}
 	cfg = cfg.withDefaults()
 	return Controller{
-		cfg:    cfg,
-		l2:     cache.New(cfg.Cache),
-		dram:   cfg.DRAM,
-		n:      cfg.NumCores,
-		shared: cfg.NumCores > cfg.Cache.Ways,
-		stats:  Stats{PerCore: make([]CoreStats, cfg.NumCores)},
-		trans:  NewTransitionStats(cfg.TimelineBucket, cfg.TimelineBuckets),
+		cfg:   cfg,
+		l2:    cache.New(cfg.Cache),
+		dram:  cfg.DRAM,
+		n:     cfg.NumCores,
+		stats: Stats{PerCore: make([]CoreStats, cfg.NumCores)},
+		trans: NewTransitionStats(cfg.TimelineBucket, cfg.TimelineBuckets),
 	}
 }
 
@@ -138,8 +136,8 @@ type accessHooks struct {
 }
 
 // access is the shared LLC access path: probe the masked ways, touch or
-// fill, account energy inputs, bank contention and statistics. Policy
-// comes entirely from the hooks.
+// fill, account energy inputs and statistics. Policy comes entirely
+// from the hooks.
 func (b *Controller) access(core int, addr uint64, isWrite bool, now int64, h *accessHooks) Result {
 	l2 := b.l2
 	line := l2.Line(addr)
@@ -166,7 +164,7 @@ func (b *Controller) access(core int, addr uint64, isWrite bool, now int64, h *a
 		return res
 	}
 
-	lat := int64(l2.Latency()) + l2.AcquireBank(set, now)
+	lat := int64(l2.Latency())
 	if way, hit := l2.Probe(set, tag, mask); hit {
 		if h.touch != nil {
 			h.touch(set, way)
@@ -218,18 +216,9 @@ func (b *Controller) access(core int, addr uint64, isWrite bool, now int64, h *a
 }
 
 // EqualShares returns the fair initial allocation: the ways split
-// evenly with the remainder going to the lowest-numbered cores. Under
-// the shared-way fallback (more cores than ways) every core's target
-// is one way; the targets then necessarily alias, and the schemes
-// enforce them through competition for the shared ways.
+// evenly with the remainder going to the lowest-numbered cores.
 func (b *Controller) EqualShares() []int {
 	q := make([]int, b.n)
-	if b.shared {
-		for i := range q {
-			q[i] = 1
-		}
-		return q
-	}
 	share := b.l2.Ways() / b.n
 	extra := b.l2.Ways() % b.n
 	for i := range q {
@@ -285,20 +274,6 @@ func (b *Controller) Cfg() Config { return b.cfg }
 
 // NumCores returns the number of cores sharing the LLC.
 func (b *Controller) NumCores() int { return b.n }
-
-// SharedMode reports whether the shared-way fallback is in effect
-// (more cores than LLC ways).
-func (b *Controller) SharedMode() bool { return b.shared }
-
-// SharedClusterWay returns the way a core is pinned to under the
-// shared-way fallback: cores are laid ring-contiguously over the ways,
-// so core i shares way i*W/n with its ring-adjacent cluster. Every
-// scheme that operates in shared mode (Dynamic CPE, Cooperative
-// Partitioning) uses this one mapping, so the cluster layout cannot
-// silently diverge between them (DESIGN.md §9).
-func (b *Controller) SharedClusterWay(core int) int {
-	return core * b.l2.Ways() / b.n
-}
 
 // Record tallies one access outcome for a core.
 func (b *Controller) Record(core int, hit bool, tags int) { b.record(core, hit, tags) }

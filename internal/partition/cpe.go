@@ -21,10 +21,6 @@ import (
 // sets). Accesses probe only the core's own ways, so CPE saves dynamic
 // energy like Cooperative Partitioning does, and unassigned
 // ways/set-fractions are power-gated for static savings.
-//
-// Under the shared-way fallback (more cores than ways) private regions
-// are impossible; each core is pinned to the single way its ring
-// cluster shares and the layout stays static.
 type CPE struct {
 	Controller
 	profiles []CoreProfile
@@ -65,19 +61,11 @@ func NewCPE(cfg Config, profiles []CoreProfile) *CPE {
 	copy(c.profiles, profiles)
 	c.wayMask = make([]uint64, c.n)
 	c.setShift = make([]int, c.n)
-	if c.shared {
-		// Shared-way fallback: core i is pinned to its ring cluster's
-		// way.
-		for i := 0; i < c.n; i++ {
-			c.wayMask[i] = 1 << uint(c.SharedClusterWay(i))
-		}
-	} else {
-		// Initial layout: equal contiguous shares, full sets.
-		start := 0
-		for i, share := range c.EqualShares() {
-			c.wayMask[i] = maskRange(start, share)
-			start += share
-		}
+	// Initial layout: equal contiguous shares, full sets.
+	start := 0
+	for i, share := range c.EqualShares() {
+		c.wayMask[i] = maskRange(start, share)
+		start += share
 	}
 	c.hooks = accessHooks{
 		mask:   func(core int) uint64 { return c.wayMask[core] },
@@ -107,16 +95,10 @@ func (c *CPE) Access(core int, addr uint64, isWrite bool, now int64) Result {
 }
 
 // Decide implements Scheme: look the next phase up in the profiles,
-// recompute the region layout and flush whatever moved. In shared mode
-// the regions are pinned (ways are shared; reshuffling them would
-// flush other cores' shared data on every phase), so only the phase
-// counter advances.
+// recompute the region layout and flush whatever moved.
 func (c *CPE) Decide(now int64) {
 	c.stats.Decisions++
 	defer func() { c.phase++ }()
-	if c.shared {
-		return
-	}
 
 	curves := make([]umon.Curve, c.n)
 	accs := make([]uint64, c.n)
@@ -170,16 +152,8 @@ func (c *CPE) Decide(now int64) {
 }
 
 // PoweredWayEquiv implements Scheme: allocated ways scaled by each
-// core's set fraction; everything else is gated. Shared ways are
-// counted once — the union of the per-core regions is what is powered.
+// core's set fraction; everything else is gated.
 func (c *CPE) PoweredWayEquiv() float64 {
-	if c.shared {
-		var union uint64
-		for i := 0; i < c.n; i++ {
-			union |= c.wayMask[i]
-		}
-		return float64(bits.OnesCount64(union))
-	}
 	var eq float64
 	for i := 0; i < c.n; i++ {
 		eq += float64(bits.OnesCount64(c.wayMask[i])) / float64(int(1)<<uint(c.setShift[i]))

@@ -191,13 +191,6 @@ type Config struct {
 	// by LRU — the degenerate placement Section 2.5 compares the
 	// way-aligned restriction against.
 	RandomVictim bool
-
-	// SharedWays permits configurations with more cores than LLC ways:
-	// the schemes fall back to sharing ways between ring-adjacent cores
-	// instead of giving each core a private allocation (DESIGN.md §9).
-	// Without it, Cores > Ways is rejected loudly at validation so a
-	// many-core misconfiguration cannot silently degrade.
-	SharedWays bool
 }
 
 // Validate reports configuration errors.
@@ -211,9 +204,8 @@ func (c Config) Validate() error {
 	if c.NumCores > 64 {
 		return fmt.Errorf("partition: %d cores exceed the 64-core mask limit", c.NumCores)
 	}
-	if c.NumCores > c.Cache.Ways && !c.SharedWays {
-		return fmt.Errorf("partition: %d cores exceed %d ways (set SharedWays to enable the shared-way fallback)",
-			c.NumCores, c.Cache.Ways)
+	if c.NumCores > c.Cache.Ways {
+		return fmt.Errorf("partition: %d cores exceed %d ways", c.NumCores, c.Cache.Ways)
 	}
 	if c.DRAM == nil {
 		return fmt.Errorf("partition: DRAM is nil")

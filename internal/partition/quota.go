@@ -20,9 +20,6 @@ type victimEvent struct {
 }
 
 // quotaVictim picks the replacement way in set for core under quotas.
-// Under the shared-way fallback quotas sum to more than the ways; a
-// core then effectively always sits at or above quota and competes in
-// LRU order like everyone else.
 func (b *Controller) quotaVictim(set, core int, quotas []int) int {
 	l2 := b.l2
 	mask := l2.AllMask()

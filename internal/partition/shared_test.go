@@ -1,12 +1,10 @@
 package partition
 
-// Shared-way fallback tests for the comparison schemes: with more
-// cores than LLC ways (allowed only via Config.SharedWays) every
-// scheme must keep all cores serviceable — quota schemes through
-// replacement competition, CPE through pinned one-way shared regions.
+// Core-count limits: the schemes give every core at least one way of
+// its own, so a configuration with more cores than LLC ways is
+// rejected at validation, as is one beyond the 64-core mask limit.
 
 import (
-	"math/bits"
 	"testing"
 
 	"repro/internal/cache"
@@ -24,93 +22,10 @@ func sharedCfg(cores, ways, sets int) Config {
 func TestValidateSharedWays(t *testing.T) {
 	cfg := sharedCfg(8, 4, 16)
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("8 cores on 4 ways without SharedWays must fail validation")
-	}
-	cfg.SharedWays = true
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("SharedWays config rejected: %v", err)
+		t.Fatal("8 cores on 4 ways must fail validation")
 	}
 	cfg.NumCores = 65
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("65 cores must exceed the 64-core mask limit")
-	}
-}
-
-func TestSharedFallbackQuotaSchemes(t *testing.T) {
-	const cores, ways, sets = 8, 4, 16
-	cfg := sharedCfg(cores, ways, sets)
-	cfg.SharedWays = true
-	for _, mk := range []func() Scheme{
-		func() Scheme { return NewUnmanaged(cfg) },
-		func() Scheme { return NewFairShare(cfg) },
-		func() Scheme { return NewUCP(cfg) },
-		func() Scheme { return NewPIPP(cfg) },
-	} {
-		s := mk()
-		now := int64(0)
-		for round := 0; round < 4; round++ {
-			for core := 0; core < cores; core++ {
-				for k := 0; k < 8; k++ {
-					line := uint64(core+1)<<24 | uint64(k*sets+core)
-					// Twice: re-use must be able to hit even under
-					// full competition.
-					s.Access(core, line*64, false, now)
-					s.Access(core, line*64, false, now+5)
-					now += 13
-				}
-			}
-			s.Decide(now)
-		}
-		st := s.Stats()
-		for core := 0; core < cores; core++ {
-			if st.PerCore[core].Accesses == 0 {
-				t.Fatalf("%s: core %d recorded no accesses", s.Name(), core)
-			}
-			if st.PerCore[core].Hits == 0 {
-				t.Fatalf("%s: core %d never hit", s.Name(), core)
-			}
-		}
-		if alloc := s.Allocations(); len(alloc) != cores {
-			t.Fatalf("%s: allocations %v, want %d entries", s.Name(), alloc, cores)
-		}
-		if pw := s.PoweredWayEquiv(); pw != float64(ways) {
-			t.Fatalf("%s: powered %v, want %d", s.Name(), pw, ways)
-		}
-	}
-}
-
-func TestSharedFallbackCPE(t *testing.T) {
-	const cores, ways, sets = 8, 4, 16
-	cfg := sharedCfg(cores, ways, sets)
-	cfg.SharedWays = true
-	c := NewCPE(cfg, nil)
-	// Each core is pinned to its ring cluster's single way.
-	for core := 0; core < cores; core++ {
-		m := c.wayMask[core]
-		if bits.OnesCount64(m) != 1 {
-			t.Fatalf("core %d region mask %b, want a single shared way", core, m)
-		}
-		if w := bits.TrailingZeros64(m); w != core*ways/cores {
-			t.Fatalf("core %d pinned to way %d, want %d", core, w, core*ways/cores)
-		}
-	}
-	now := int64(0)
-	for round := 0; round < 4; round++ {
-		for core := 0; core < cores; core++ {
-			line := uint64(core+1)<<24 | uint64(core)
-			c.Access(core, line*64, false, now)
-			res := c.Access(core, line*64, false, now+5)
-			if !res.Hit {
-				t.Fatalf("round %d: core %d immediate re-use missed", round, core)
-			}
-			now += 11
-		}
-		c.Decide(now)
-	}
-	if c.Stats().Repartitions != 0 {
-		t.Fatalf("shared CPE repartitioned %d times, want 0 (pinned regions)", c.Stats().Repartitions)
-	}
-	if pw := c.PoweredWayEquiv(); pw != float64(ways) {
-		t.Fatalf("powered %v, want %d (union of shared regions)", pw, ways)
 	}
 }

@@ -273,11 +273,12 @@ func TestKeyMismatchIsPermanent(t *testing.T) {
 }
 
 // TestServerRejectsGarbage: malformed bodies, unknown kinds, wrong
-// methods.
+// methods, and a correctly keyed run the simulator must refuse.
 func TestServerRejectsGarbage(t *testing.T) {
 	base, _, _ := newTestServer(t)
+	hc := &http.Client{Timeout: 10 * time.Second}
 	post := func(body string) int {
-		resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(body))
+		resp, err := hc.Post(base+"/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,6 +290,19 @@ func TestServerRejectsGarbage(t *testing.T) {
 	}
 	if code := post(`{"kind":"teleport"}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown kind: %d", code)
+	}
+	// T = 2 is outside [0, 1]. The key matches, so the request reaches
+	// the simulator; both posts must get an error answer, not a dropped
+	// connection or a wait on a run that never finishes.
+	sc, g := sim.UnitScale(), mustGroup(t, "G2-8")
+	key := experiments.NewRunner(experiments.Config{Scale: sc, Seed: 1}).
+		RunKey(g, sim.CoopPart, 2, experiments.VariantNone)
+	bad := mustJSON(t, RunRequest{Kind: KindRun, Key: key, Scale: sc, Seed: 1,
+		Group: g, Scheme: sim.CoopPart, Threshold: 2})
+	for i := 0; i < 2; i++ {
+		if code := post(bad); code != http.StatusInternalServerError {
+			t.Fatalf("threshold 2, post %d: %d", i+1, code)
+		}
 	}
 	resp, err := http.Get(base + "/v1/run")
 	if err != nil {

@@ -51,11 +51,10 @@ func TestEventSteppingBitIdenticalSolo(t *testing.T) {
 }
 
 // TestEventSteppingBitIdenticalGroups covers the multiprogrammed
-// interleavings: 2-16 cores, banked and unbanked LLCs, the takeover
-// scheme (whose phase decisions move ways between cores) and a quota
-// scheme. The picker bound cap is what keeps inter-core access
-// ordering identical; these configurations exercise both the linear
-// and the heap picker.
+// interleavings: 2-16 cores, the takeover scheme (whose phase
+// decisions move ways between cores) and a quota scheme. The picker
+// bound cap is what keeps inter-core access ordering identical; these
+// configurations exercise both the linear and the heap picker.
 func TestEventSteppingBitIdenticalGroups(t *testing.T) {
 	g8 := workload.Groups8[0]
 	g16 := workload.Groups16[0]
@@ -65,11 +64,11 @@ func TestEventSteppingBitIdenticalGroups(t *testing.T) {
 		groups string
 	}{
 		{what: "2-core CoopPart", cfg: RunConfig{Scheme: CoopPart}, groups: "G2-8"},
-		{what: "2-core banked UCP", cfg: RunConfig{Scheme: UCP, Banks: 4}, groups: "G2-2"},
+		{what: "2-core UCP", cfg: RunConfig{Scheme: UCP}, groups: "G2-2"},
 		{what: "4-core FairShare", cfg: RunConfig{Scheme: FairShare}, groups: "G4-9"},
-		{what: "4-core banked CoopPart", cfg: RunConfig{Scheme: CoopPart, Banks: 2}, groups: "G4-1"},
+		{what: "4-core CoopPart", cfg: RunConfig{Scheme: CoopPart}, groups: "G4-1"},
 		{what: "8-core CoopPart", cfg: RunConfig{Scheme: CoopPart, Group: g8}},
-		{what: "16-core banked Unmanaged", cfg: RunConfig{Scheme: Unmanaged, Group: g16, Banks: 4}},
+		{what: "16-core Unmanaged", cfg: RunConfig{Scheme: Unmanaged, Group: g16}},
 	} {
 		cfg := tc.cfg
 		if tc.groups != "" {

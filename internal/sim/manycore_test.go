@@ -1,11 +1,9 @@
 package sim
 
-// Many-core and banked-LLC system tests: the 8/16-core assemblies the
-// scaling sweep runs, the Cores tiling knob, and the Banks=1
-// bit-identity guarantee (DESIGN.md §9).
+// Many-core system tests: the 8/16-core assemblies the scaling sweep
+// runs and the Cores tiling knob (DESIGN.md §9).
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -55,66 +53,5 @@ func TestCoresTilingRun(t *testing.T) {
 	// Shrinking a group is a loud error.
 	if _, err := Run(RunConfig{Scale: UnitScale(), Scheme: Unmanaged, Group: g, Cores: 1, Seed: 3}); err == nil {
 		t.Fatal("Cores below the group size must fail")
-	}
-}
-
-// TestBanksOneBitIdentical pins the acceptance guarantee: Banks = 1
-// (and the zero default) produce byte-identical Results to the
-// unbanked simulator for the paper's 2- and 4-core configurations.
-func TestBanksOneBitIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		group  string
-		scheme SchemeKind
-	}{
-		{"G2-2", CoopPart},
-		{"G4-9", UCP},
-	} {
-		g, _ := workload.FindGroup(tc.group)
-		base := RunConfig{Scale: UnitScale(), Scheme: tc.scheme, Group: g, Seed: 3}
-		def, err := Run(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		one := base
-		one.Banks = 1
-		got, err := Run(one)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(def, got) {
-			t.Fatalf("%s/%s: Banks=1 diverged from the unbanked run", tc.group, tc.scheme)
-		}
-	}
-}
-
-func TestBankedRunDiffersAndCounts(t *testing.T) {
-	// With Banks > 1 the contention model is live: the run completes,
-	// stays deterministic, and bank conflicts surface in the timing
-	// (longer or equal critical path than the contention-free LLC).
-	g, _ := workload.FindGroup("G2-8") // lbm + soplex: heavy LLC traffic
-	base := RunConfig{Scale: UnitScale(), Scheme: FairShare, Group: g, Seed: 3}
-	plain, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	banked := base
-	banked.Banks = 4
-	b1, err := Run(banked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := Run(banked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b1, b2) {
-		t.Fatal("banked run is not deterministic")
-	}
-	if b1.Cycles < plain.Cycles {
-		t.Fatalf("banked critical path %d cycles below contention-free %d",
-			b1.Cycles, plain.Cycles)
-	}
-	if reflect.DeepEqual(plain, b1) {
-		t.Fatal("Banks=4 run identical to contention-free run; the port model never fired")
 	}
 }

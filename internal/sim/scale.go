@@ -171,5 +171,8 @@ func (s Scale) Validate() error {
 	if s.PhaseCycles <= 0 || s.InstrPerApp == 0 {
 		return fmt.Errorf("sim: non-positive run parameters in scale %q", s.Name)
 	}
+	if u := s.UMONSampling; u > 1 && u&(u-1) != 0 {
+		return fmt.Errorf("sim: UMON sampling %d in scale %q is not a power of two", u, s.Name)
+	}
 	return nil
 }

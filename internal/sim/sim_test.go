@@ -232,6 +232,38 @@ func TestBadGroupRejected(t *testing.T) {
 	}
 }
 
+// TestNewSystemRejectsBadInputs: a threshold outside [0, 1], more
+// cores than L2 ways and a non-power-of-two UMON sampling stride can all
+// arrive from outside the program (expd requests carry the threshold
+// and the whole Scale), so NewSystem must return an error for each
+// rather than let a scheme constructor panic.
+func TestNewSystemRejectsBadInputs(t *testing.T) {
+	g, _ := workload.FindGroup("G2-8")
+	oneWay := UnitScale()
+	oneWay.L2TwoCore.Ways = 1
+	badSampling := UnitScale()
+	badSampling.UMONSampling = 3
+	for _, tc := range []struct {
+		what string
+		cfg  RunConfig
+	}{
+		{"threshold 2", RunConfig{Scale: UnitScale(), Scheme: CoopPart, Group: g, Threshold: 2}},
+		{"2 cores on a 1-way L2", RunConfig{Scale: oneWay, Scheme: CoopPart, Group: g}},
+		{"UMON sampling 3", RunConfig{Scale: badSampling, Scheme: UCP, Group: g}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: NewSystem panicked: %v", tc.what, r)
+				}
+			}()
+			if _, err := NewSystem(tc.cfg); err == nil {
+				t.Errorf("%s: NewSystem accepted the config", tc.what)
+			}
+		}()
+	}
+}
+
 func TestPIPPExtensionRuns(t *testing.T) {
 	res := unitRun(t, PIPP, "G2-1")
 	if res.Scheme != "PIPP" {

@@ -34,12 +34,6 @@ const (
 // (PIPP, being an extension, is not part of the reproduced figures).
 var AllSchemes = []SchemeKind{Unmanaged, FairShare, DynCPE, UCP, CoopPart}
 
-// bankBusyCycles is the bank-port occupancy charged per LLC access
-// when RunConfig.Banks enables the contention model: a pipelined SRAM
-// bank accepts a new access every few cycles, well under its full
-// access latency.
-const bankBusyCycles = 4
-
 // RunConfig describes one simulation run.
 type RunConfig struct {
 	Scale  Scale
@@ -51,15 +45,6 @@ type RunConfig struct {
 	// distinct seed and address space; a non-zero Cores below the group
 	// size is an error.
 	Cores int
-	// Banks splits the shared LLC into address-interleaved banks with a
-	// bank-port contention model (cache.AcquireBank). 0 or 1 keeps the
-	// monolithic, contention-free LLC — bit-identical to the unbanked
-	// simulator.
-	Banks int
-	// SharedWays opts into the shared-way fallback when the core count
-	// exceeds the LLC ways (partition.Config.SharedWays); without it
-	// such configurations fail loudly.
-	SharedWays bool
 	// Threshold is Cooperative Partitioning's T (Algorithm 1), also
 	// used by Dynamic CPE's profile-driven allocation. The paper's
 	// default is 0.05.
@@ -70,8 +55,6 @@ type RunConfig struct {
 	// CaptureProfile records core 0's per-phase utility curves into
 	// Results.Profile (used to generate CPE profiles from solo runs).
 	CaptureProfile bool
-	// EnergyParams overrides the default energy constants when non-nil.
-	EnergyParams *energy.Params
 	// RecipientMissOnly and DisableGating are the ablation switches of
 	// DESIGN.md §7, forwarded to the scheme.
 	RecipientMissOnly bool
@@ -136,10 +119,6 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Banks > 1 {
-		l2cfg.Banks = cfg.Banks
-		l2cfg.BankBusyCycles = bankBusyCycles
-	}
 	cfg.Threshold = effectiveThreshold(cfg.Threshold, cfg.Scheme)
 
 	dram := mem.New(cfg.Scale.Mem)
@@ -155,7 +134,12 @@ func NewSystem(cfg RunConfig) (*System, error) {
 		RecipientMissOnly: cfg.RecipientMissOnly,
 		DisableGating:     cfg.DisableGating,
 		RandomVictim:      cfg.RandomVictim,
-		SharedWays:        cfg.SharedWays,
+	}
+	// The scheme constructors panic on a bad config; the threshold and
+	// the L2 geometry can arrive from outside the program (expd), so
+	// reject them here as errors.
+	if err := pcfg.Validate(); err != nil {
+		return nil, err
 	}
 
 	var scheme partition.Scheme
@@ -180,16 +164,11 @@ func NewSystem(cfg RunConfig) (*System, error) {
 		return nil, fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)
 	}
 
-	params := energy.DefaultParams()
-	if cfg.EnergyParams != nil {
-		params = *cfg.EnergyParams
-	}
-
 	s := &System{
 		cfg:          cfg,
 		scheme:       scheme,
 		dram:         dram,
-		meter:        energy.NewMeter(params, l2cfg.Ways),
+		meter:        energy.NewMeter(energy.DefaultParams(), l2cfg.Ways),
 		nextDecision: cfg.Scale.PhaseCycles,
 		lineBytes:    l2cfg.LineBytes,
 		lineShift:    uint(bits.TrailingZeros(uint(l2cfg.LineBytes))),

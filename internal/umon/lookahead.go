@@ -90,21 +90,8 @@ func ThresholdLookahead(curves []Curve, total, minAlloc int, threshold float64) 
 		}
 	}
 	if balance < 0 {
-		if n > total {
-			// More cores than ways: the shared-way fallback. Every core
-			// is awarded a one-way target — the targets then necessarily
-			// alias ways shared between ring-adjacent cores, so they
-			// intentionally sum to n rather than to total. The old
-			// behaviour (first `total` cores get a way, the rest
-			// nothing) silently starved the tail cores of the LLC.
-			for i := range alloc {
-				alloc[i] = 1
-			}
-			return alloc
-		}
-		// The cores fit but minAlloc over-subscribes the cache: fall
-		// back to the plain equal split, keeping the sum-to-total
-		// guarantee for non-shared configurations.
+		// minAlloc over-subscribes the cache: fall back to the plain
+		// equal split, keeping the sum-to-total guarantee.
 		for i := range alloc {
 			alloc[i] = 0
 		}

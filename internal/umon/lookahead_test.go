@@ -149,30 +149,10 @@ func TestThresholdMonotoneInT(t *testing.T) {
 	}
 }
 
-func TestLookaheadMoreCoresThanWays(t *testing.T) {
-	// Shared-way fallback: with more cores than ways every core must
-	// still receive a (shared) one-way target — no core is starved of
-	// the LLC. The targets alias shared ways, so they sum to n.
-	curves := make([]Curve, 6)
-	for i := range curves {
-		curves[i] = linearCurve(4, 100, 10, 0)
-	}
-	alloc := ThresholdLookahead(curves, 4, 1, 0)
-	for i, a := range alloc {
-		if a != 1 {
-			t.Fatalf("core %d got %d ways, want 1 (shared target): %v", i, a, alloc)
-		}
-	}
-	if Sum(alloc) != 6 {
-		t.Fatalf("shared targets sum to %d, want 6: %v", Sum(alloc), alloc)
-	}
-}
-
 func TestLookaheadOversubscribedMinAllocStillSumsToTotal(t *testing.T) {
 	// minAlloc over-subscribes the cache but the cores still fit in the
-	// ways (NOT the shared-way fallback): the equal split keeps the
-	// sum-to-total guarantee — 4 cores on 8 ways with minAlloc 3 get
-	// [2 2 2 2], never shared one-way targets.
+	// ways: the equal split keeps the sum-to-total guarantee — 4 cores
+	// on 8 ways with minAlloc 3 get [2 2 2 2].
 	curves := make([]Curve, 4)
 	for i := range curves {
 		curves[i] = linearCurve(8, 100, 10, 0)
