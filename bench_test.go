@@ -141,7 +141,9 @@ func BenchmarkAblationGating(b *testing.B) {
 
 // ---- Hot-path microbenchmarks ----
 
-// benchSchemeAccess measures the per-access cost of one LLC scheme.
+// benchSchemeAccess measures the per-access cost of one LLC scheme. One
+// op pulls one trace event and sends its load or store, if it ends in
+// one, to the scheme.
 func benchSchemeAccess(b *testing.B, mk func(partition.Config) partition.Scheme) {
 	b.Helper()
 	cfg := partition.Config{
@@ -153,11 +155,11 @@ func benchSchemeAccess(b *testing.B, mk func(partition.Config) partition.Scheme)
 	gen := workload.MustGet("soplex").NewGenerator(workload.Params{
 		LineBytes: 64, WayLines: 128, InstrScale: 0.001, Seed: 1,
 	})
-	var r trace.Record
+	var ev trace.Event
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gen.Next(&r)
-		if r.Kind == trace.KindLoad || r.Kind == trace.KindStore {
+		gen.NextEvent(&ev)
+		if r := &ev.Rec; ev.HasRec && (r.Kind == trace.KindLoad || r.Kind == trace.KindStore) {
 			s.Access(i&1, r.Addr, r.Kind == trace.KindStore, int64(i))
 		}
 	}
@@ -179,21 +181,9 @@ func BenchmarkAccessCoopPart(b *testing.B) {
 	benchSchemeAccess(b, func(c partition.Config) partition.Scheme { return core.New(c) })
 }
 
-func BenchmarkTraceGenerator(b *testing.B) {
-	gen := workload.MustGet("gcc").NewGenerator(workload.Params{
-		LineBytes: 64, WayLines: 128, InstrScale: 0.001, Seed: 1,
-	})
-	var r trace.Record
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gen.Next(&r)
-	}
-}
-
-// BenchmarkEventStream is BenchmarkTraceGenerator through the
-// run-length-encoded event API (DESIGN.md §10): same gcc stream, one
-// NextEvent per ALU-run-plus-record instead of one Next per record.
-// ns/op is per instruction, so the two benches compare directly.
+// BenchmarkEventStream times trace generation for gcc through the
+// run-length-encoded event API (DESIGN.md §10), one NextEvent per
+// ALU-run-plus-record. ns/op is per instruction.
 func BenchmarkEventStream(b *testing.B) {
 	gen := workload.MustGet("gcc").NewGenerator(workload.Params{
 		LineBytes: 64, WayLines: 128, InstrScale: 0.001, Seed: 1,

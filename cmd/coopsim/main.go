@@ -11,10 +11,12 @@
 //	        [-checkpoint-dir DIR] [-checkpoint-every N]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// With -compare, all five schemes run on the group and a comparison
-// table is printed. The -cpuprofile/-memprofile flags write pprof
-// profiles of the run, so perf work can profile a single simulation
-// (`go tool pprof cpu.out`) without editing code.
+// -scheme takes the paper's five schemes (Unmanaged, FairShare, DynCPE,
+// UCP, CoopPart) or the PIPP extension. With -compare, the five
+// schemes run on the group and a comparison table is printed. The
+// -cpuprofile/-memprofile flags write pprof profiles of the run, so
+// perf work can profile a single simulation (`go tool pprof cpu.out`)
+// without editing code.
 package main
 
 import (
@@ -33,7 +35,7 @@ func main() {
 	group := flag.String("group", "G2-8",
 		"workload group: Table 4's G2-1..G2-14, G4-1..G4-14, or the scaling sweep's G8-1..G8-6, G16-1..G16-4")
 	scheme := flag.String("scheme", "CoopPart",
-		"LLC scheme: Unmanaged, FairShare, DynCPE, UCP or CoopPart")
+		"LLC scheme: Unmanaged, FairShare, DynCPE, UCP, CoopPart or PIPP")
 	compare := flag.Bool("compare", false, "run every scheme and print a comparison")
 	runner, cleanup, err := cliutil.Setup("coopsim", cliutil.Options{Threshold: true, Profile: true})
 	if err != nil {

@@ -306,6 +306,7 @@ func TestFlagValidationFailsFast(t *testing.T) {
 		{"ckpt-every-negative", []string{"-checkpoint-every", "-1"}, "-checkpoint-every", nil},
 		{"ckpt-every-without-dir", []string{"-checkpoint-every", "1000"}, "-checkpoint-dir", nil},
 		{"cache-dir-unusable", []string{"-cache-dir", filepath.Join(plain, "sub")}, "-cache-dir", nil},
+		{"sweep-groups-negative", []string{"-sweep", "scaling", "-sweep-cores", "2", "-sweep-groups", "-3"}, "-sweep-groups", []string{"figures"}},
 	}
 	for name, b := range bins {
 		bin := buildBinary(t, binDir, b.pkg, name)

@@ -39,6 +39,9 @@ func main() {
 		fatal(err)
 	}
 	defer cleanup()
+	if *sweepGroups < 0 {
+		fatal(fmt.Errorf("invalid -sweep-groups=%d: must be >= 0 (0 = all groups)", *sweepGroups))
+	}
 
 	if *sweep != "" {
 		if *sweep != "scaling" {

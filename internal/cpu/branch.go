@@ -4,7 +4,9 @@
 // misprediction penalty. The model is cycle-batched: instructions are
 // consumed from a synthetic trace and charged retirement slots, branch
 // bubbles and memory stalls, with miss latencies overlapped up to the
-// window's memory-level parallelism.
+// window's memory-level parallelism. The pipeline depth has no
+// parameter of its own: its only timing effect is the cost of a
+// misprediction, which gshare's 10-cycle minimum penalty models.
 package cpu
 
 // GshareConfig configures the direction predictor and BTB.

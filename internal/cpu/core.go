@@ -8,28 +8,31 @@ import (
 
 // Config describes one core's pipeline (Table 2 of the paper).
 type Config struct {
-	Width         int // issue/retire width
-	ROB           int // reorder buffer entries
-	LSQ           int // load/store queue entries
-	PipelineDepth int
-	Gshare        GshareConfig
+	Width  int // issue/retire width: a power of two
+	ROB    int // reorder buffer entries
+	LSQ    int // load/store queue entries
+	Gshare GshareConfig
 }
 
-// DefaultConfig returns the paper's 4-wide, 7-stage configuration.
+// DefaultConfig returns the paper's 4-wide configuration.
 func DefaultConfig() Config {
 	return Config{
-		Width:         4,
-		ROB:           128,
-		LSQ:           48,
-		PipelineDepth: 7,
-		Gshare:        DefaultGshareConfig(),
+		Width:  4,
+		ROB:    128,
+		LSQ:    48,
+		Gshare: DefaultGshareConfig(),
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Width must be a power of two:
+// StepEvent's batched retirement is bit-identical to per-instruction
+// retirement only when retireCost = 1/Width is exact (see advanceClock).
 func (c Config) Validate() error {
-	if c.Width <= 0 || c.ROB <= 0 || c.LSQ <= 0 || c.PipelineDepth <= 0 {
+	if c.Width <= 0 || c.ROB <= 0 || c.LSQ <= 0 {
 		return fmt.Errorf("cpu: non-positive config %+v", c)
+	}
+	if c.Width&(c.Width-1) != 0 {
+		return fmt.Errorf("cpu: Width %d is not a power of two", c.Width)
 	}
 	return nil
 }
@@ -73,18 +76,16 @@ type Core struct {
 	retireCost float64 // 1/Width cycles per retired instruction, precomputed
 	effMLP     float64 // effectiveMLP(), constant per benchmark, precomputed
 
-	// Event-consumption state (StepEvent): the one pending event,
-	// consumed in place (ALURun counts down, ALUPC walks forward;
-	// ALURun == 0 && !HasRec marks it drained — also the zero value),
-	// plus the code-region bounds the PC walk wraps at (cached from
-	// the generator at construction). Exactly one event is pulled at a
-	// time, reusing this one struct: the same per-pull discipline —
-	// and the same single hot cache line — as the per-record path's
-	// reused Record (a multi-event prefetch buffer was measured
-	// slower; it cycles its buffer's lines through the L1 alongside
-	// the cache model's own traffic, the §2 story at event scale).
+	// The one pending event, consumed in place by Step and StepEvent
+	// (ALURun counts down, ALUPC walks forward; ALURun == 0 && !HasRec
+	// marks it drained — also the zero value), plus the code-region
+	// bounds the PC walk wraps at (cached from the generator at
+	// construction). Exactly one event is pulled at a time, reusing
+	// this one struct and its single hot cache line (a multi-event
+	// prefetch buffer was measured slower; it cycles its buffer's lines
+	// through the L1 alongside the cache model's own traffic, the §2
+	// story at event scale).
 	ev        trace.Event
-	evExact   bool // Width is a power of two: O(1) run retirement allowed
 	codeBase  uint64
 	codeLimit uint64
 
@@ -127,21 +128,11 @@ func NewCore(id int, cfg Config, gen *trace.Generator, mem MemPort) *Core {
 		gen:        gen,
 		mem:        mem,
 		retireCost: 1 / float64(cfg.Width),
-		// Batched O(1) run retirement is only bit-identical to repeated
-		// per-record retirement when retireCost is a negative power of
-		// two (see StepEvent); other widths fall back to per-record
-		// stepping inside StepEvent.
-		evExact: cfg.Width&(cfg.Width-1) == 0,
 	}
 	c.effMLP = c.effectiveMLP()
 	c.codeBase, c.codeLimit = gen.CodeBounds()
 	return c
 }
-
-// EventCapable reports whether StepEvent uses batched run retirement
-// for this core (true for power-of-two issue widths); other cores
-// consume events through the bit-identical per-record fallback.
-func (c *Core) EventCapable() bool { return c.evExact }
 
 // ID returns the core's identifier.
 func (c *Core) ID() int { return c.id }
@@ -188,37 +179,24 @@ func (c *Core) effectiveMLP() float64 {
 }
 
 // Step consumes and retires one instruction, advancing the local clock.
-//
-// Records are consumed one at a time, deliberately: a per-record pull
-// keeps the generator's ALU-bound work interleaved with the memory-
-// bound cache-model calls below, where the out-of-order hardware
-// overlaps the two. Prefetching a chunk of records ahead of time was
-// implemented and measured 4-10% slower end-to-end at every chunk size
-// (see DESIGN.md §2) because the burst serialises against the
-// simulator's stalls instead of hiding under them. The simulator's
-// default stepping mode is the bit-identical event-compressed
-// StepEvent (DESIGN.md §10), which keeps the same one-pull-per-step
-// discipline at event granularity; Step remains the differential
-// reference and the fallback for non-power-of-two widths.
+// It reads the same pending event as StepEvent, pulling the next one
+// when it is drained, so the two can be mixed freely on one core. Step
+// is the per-instruction reference that StepEvent's batched retirement
+// is checked against (DESIGN.md §10); the simulator steps through
+// StepEvent.
 func (c *Core) Step() {
-	// Drain any event-pulled instructions first so Step and StepEvent
-	// can be mixed freely on one core without reordering the stream.
+	if c.ev.ALURun == 0 && !c.ev.HasRec {
+		c.gen.NextEvent(&c.ev)
+	}
 	if c.ev.ALURun > 0 {
 		c.stepOneALU(&c.ev)
 		return
 	}
-	if c.ev.HasRec {
-		c.ev.HasRec = false
-		c.stepRecord(&c.ev.Rec)
-		return
-	}
-	var r trace.Record
-	c.gen.Next(&r)
-	c.stepRecord(&r)
+	c.ev.HasRec = false
+	c.stepRecord(&c.ev.Rec)
 }
 
-// stepRecord retires one materialized instruction: the body of Step,
-// shared with the event path's terminating records.
+// stepRecord retires one materialized (non-ALU) instruction.
 func (c *Core) stepRecord(r *trace.Record) {
 	c.retired++
 	c.stats.Retired++
@@ -276,32 +254,19 @@ func (c *Core) stepRecord(r *trace.Record) {
 // when entered with Now() <= bound and maxRetire > 0, so a stepping
 // loop that re-checks its bounds between calls always makes progress.
 //
-// The retired sequence is bit-identical to maxRetire (or fewer)
-// per-record Step calls under the same bound: ALU runs touch no
-// shared state except instruction fetches at I-line crossings, which
-// StepEvent performs at the same PCs and the same clock values as
-// per-record stepping, and the run's clock arithmetic is either exact
-// integer math in units of retireCost (power-of-two widths with the
-// clock an exact multiple of retireCost) or literally the same
-// sequence of float additions (see advanceClock). Non-power-of-two
-// widths take the per-record fallback below, guarded at construction
-// (evExact).
+// The retired sequence is bit-identical to maxRetire (or fewer) Step
+// calls under the same bound: ALU runs touch no shared state except
+// instruction fetches at I-line crossings, which StepEvent performs at
+// the same PCs and the same clock values as Step, and the run's clock
+// arithmetic is either exact integer math in units of retireCost (the
+// power-of-two Width Validate requires, with the clock an exact
+// multiple of retireCost) or literally the same sequence of float
+// additions (see advanceClock).
 func (c *Core) StepEvent(bound int64, maxRetire uint64) uint64 {
 	// Clamp far-future bounds so (bound+1)*Width stays in int64; any
 	// real clock is far below 2^52 cycles, so the clamp is invisible.
 	if bound > 1<<52 {
 		bound = 1 << 52
-	}
-	if !c.evExact {
-		// retireCost is not exactly representable: batching the clock
-		// advance would round differently than repeated addition, so
-		// consume the stream one record at a time.
-		var n uint64
-		for n < maxRetire && c.Now() <= bound {
-			c.Step()
-			n++
-		}
-		return n
 	}
 	var n uint64
 	for n < maxRetire && c.Now() <= bound {

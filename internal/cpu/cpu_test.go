@@ -203,10 +203,15 @@ func TestConfigValidate(t *testing.T) {
 	if DefaultConfig().Validate() != nil {
 		t.Fatal("default config should validate")
 	}
-	bad := DefaultConfig()
-	bad.Width = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero width should fail")
+	// Non-positive widths, and widths that are not a power of two
+	// (StepEvent's batched retirement would round differently from
+	// per-instruction retirement).
+	for _, width := range []int{0, 3, 6} {
+		bad := DefaultConfig()
+		bad.Width = width
+		if bad.Validate() == nil {
+			t.Fatalf("width %d should fail", width)
+		}
 	}
 }
 

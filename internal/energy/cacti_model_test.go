@@ -1,14 +1,16 @@
 package energy
 
-// cacti.go derives the per-event energy constants from cache geometry,
-// standing in for the authors' use of CACTI 5.1 at 45nm (Section 3.1).
-// The model follows CACTI's first-order structure — access energy is
-// dominated by bitline + wordline switching, which grows with the
-// square root of the array area, and leakage grows linearly with
-// stored bits — without reproducing its circuit-level detail. Only
-// energy *ratios* enter the paper's normalised figures, so the model's
-// job is to keep those ratios tied to geometry (tag vs data array
-// width, ways, line size) rather than hard-coded.
+// A geometry model of the per-event energy constants, standing in for
+// the authors' use of CACTI 5.1 at 45nm (Section 3.1). The model
+// follows CACTI's first-order structure — access energy is dominated
+// by bitline + wordline switching, which grows with the square root of
+// the array area, and leakage grows linearly with stored bits —
+// without reproducing its circuit-level detail. Only energy *ratios*
+// enter the paper's normalised figures. The simulator charges
+// DefaultParams; this model lives under test to tie those constants to
+// geometry (tag vs data array width, ways, line size):
+// TestFromGeometryAnchoredToDefaults pins that the paper's two-core LLC
+// reproduces them.
 
 import (
 	"fmt"

@@ -22,7 +22,10 @@ import (
 // freshly built System of the same RunConfig continues the run
 // bit-identically (pinned by the ckpt round-trip fuzz and the
 // checkpointed-vs-uncheckpointed oracle tests). Taking a snapshot is a
-// pure read: it never perturbs the run.
+// pure read: it never perturbs the run. internal/ckpt stores it as one
+// JSON document: JSON round-trips every float64 exactly, so off-grid
+// clocks survive verbatim, and the tree holds no maps, so its bytes are
+// deterministic.
 type Snapshot struct {
 	// Scheme is the scheme's Name(), cross-checked on restore so a
 	// mis-keyed checkpoint fails loudly instead of restoring one
@@ -162,20 +165,4 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 		s.profPhases = append([]partition.ProfilePhase(nil), snap.ProfPhases...)
 	}
 	return nil
-}
-
-// MarshalSnapshot serializes a snapshot to the checkpoint payload
-// format: one JSON document. JSON round-trips every float64 exactly
-// (shortest-decimal encoding), so off-grid clocks survive verbatim;
-// determinism of the bytes (no maps anywhere in the snapshot tree)
-// is what makes checkpoint entries content-addressable.
-func MarshalSnapshot(snap *Snapshot) ([]byte, error) { return json.Marshal(snap) }
-
-// UnmarshalSnapshot parses a checkpoint payload.
-func UnmarshalSnapshot(data []byte) (*Snapshot, error) {
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
 }

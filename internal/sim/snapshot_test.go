@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -50,7 +51,7 @@ func roundTripEveryBoundary(t testing.TB, cfg RunConfig, every uint64) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmData, err := MarshalSnapshot(warmSnap)
+	warmData, err := json.Marshal(warmSnap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func roundTripEveryBoundary(t testing.TB, cfg RunConfig, every uint64) int {
 		if err != nil {
 			t.Fatalf("snapshot at boundary %d: %v", boundary, err)
 		}
-		data, err := MarshalSnapshot(snap)
+		data, err := json.Marshal(snap)
 		if err != nil {
 			t.Fatalf("marshal at boundary %d: %v", boundary, err)
 		}
@@ -72,8 +73,8 @@ func roundTripEveryBoundary(t testing.TB, cfg RunConfig, every uint64) int {
 	}
 
 	for _, c := range snaps {
-		snap, err := UnmarshalSnapshot(c.data)
-		if err != nil {
+		snap := new(Snapshot)
+		if err := json.Unmarshal(c.data, snap); err != nil {
 			t.Fatalf("unmarshal at boundary %d: %v", c.boundary, err)
 		}
 		fresh, err := NewSystem(cfg)

@@ -158,9 +158,6 @@ func Open(dir string, opts Options) (*Store, error) {
 
 func (s *Store) sub(name string) string { return filepath.Join(s.dir, name) }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	return Stats{

@@ -1,7 +1,5 @@
 package trace
 
-import "unsafe"
-
 // Event-compressed generation (DESIGN.md §10). The large majority of
 // records in most mixes are ALU instructions whose only architectural
 // effects are one RNG draw and a sequential PC advance; materializing
@@ -11,11 +9,10 @@ import "unsafe"
 // (count + starting PC, the rest of the walk being `+4, wrap at the
 // code region's end`) followed by the non-ALU record that terminated
 // the run. The event stream performs the exact per-record RNG draw
-// sequence of Next/Fill — compression removes Record materialization,
-// not randomness — so it decompresses to the bit-identical record
-// stream (TestEventStreamMatchesNext, FuzzEventStreamMatchesNext), and
-// events can be interleaved freely with Next/Fill calls on the same
-// generator.
+// sequence — compression removes Record materialization, not
+// randomness — so it decompresses to the record stream of the
+// per-record reference generator (reference_test.go), pinned by
+// TestEventStreamMatchesNext and FuzzEventStreamMatchesNext.
 
 // MaxALURun caps the ALU run length of a single Event so that a
 // branch-free, memory-free configuration (BranchFrac+MemFrac == 0,
@@ -45,28 +42,19 @@ func (g *Generator) CodeBounds() (base, limit uint64) {
 }
 
 // NextEvent fills ev with the next event of the stream. It is the
-// one-event form of FillEvents, which holds the canonical event loop;
-// the two are bit-identical by construction. The simulator's cores
-// consume the stream through NextEvent one event at a time — the same
-// per-pull discipline as Next (DESIGN.md §2): generation stays
-// interleaved with the memory-bound cache-model work it overlaps with.
+// generator's only body: each ALU instruction of a run still costs its
+// one mixture draw (x >= MemFrac+BranchFrac), so the RNG and PC walks
+// are exactly the per-record stream's; only the Record stores are
+// elided.
+//
+// Trace generation is the hot loop of the whole simulator, so the
+// generator's scalar state — the RNG walk, PC, phase and stream
+// counters — is hoisted into locals for the duration of the event:
+// across an ALU run they live in registers instead of being loaded and
+// stored through g on every draw. The cores pull one event at a time
+// (DESIGN.md §2), which keeps generation interleaved with the
+// memory-bound cache-model work it overlaps with.
 func (g *Generator) NextEvent(ev *Event) {
-	// A one-element view of ev itself (plain pointer-to-slice
-	// conversion; ev is a valid *Event) — the consumer's event is
-	// filled in place, with no intermediate copy on the hot path.
-	g.FillEvents(unsafe.Slice(ev, 1))
-}
-
-// FillEvents overwrites evs with the next len(evs) events of the
-// stream. The records the events decompress to are exactly the records
-// Fill/Next would produce — each ALU instruction of a run still costs
-// its one mixture draw (x >= MemFrac+BranchFrac), so the RNG walk, the
-// PC walk and every downstream draw are unchanged; only the Record
-// stores are elided. The record-materialization arm below mirrors
-// Fill's body line for line and must stay in lockstep with it — the
-// pairing is pinned by TestEventStreamMatchesNext and
-// FuzzEventStreamMatchesNext.
-func (g *Generator) FillEvents(evs []Event) {
 	cfg := &g.cfg
 	rng := g.rng
 	curPC := g.curPC
@@ -82,118 +70,113 @@ func (g *Generator) FillEvents(evs []Event) {
 	hugeCut := cfg.StreamFrac + cfg.HugeFrac
 	period, halfPeriod := phaseBounds(cfg.PhasePeriod, g.halfPeriod)
 	phasePos := memCount % period
-	var emitted uint64
 
-	for i := range evs {
-		ev := &evs[i]
-		ev.ALUPC = curPC
-		ev.HasRec = false
-		run := 0
-		for {
-			x := rng.float()
-			if x >= branchCut {
-				// ALU: one draw, sequential PC advance, nothing else.
-				run++
-				curPC += 4
-				if curPC >= codeLimit {
-					curPC = codeBase
-				}
-				if run == MaxALURun {
-					break
-				}
-				continue
+	ev.ALUPC = curPC
+	ev.HasRec = false
+	run := 0
+	for {
+		x := rng.float()
+		if x >= branchCut {
+			// ALU: one draw, sequential PC advance, nothing else.
+			run++
+			curPC += 4
+			if curPC >= codeLimit {
+				curPC = codeBase
 			}
-			r := &ev.Rec
-			r.PC = curPC
-			if x < memFrac {
-				// Memory access: load or store with an address drawn from
-				// the stream/huge/working-set mixture.
-				memCount++
-				if phasePos++; phasePos == period {
-					phasePos = 0
+			if run == MaxALURun {
+				break
+			}
+			continue
+		}
+		r := &ev.Rec
+		r.PC = curPC
+		if x < memFrac {
+			// Memory access: load or store with an address drawn from
+			// the stream/huge/working-set mixture.
+			memCount++
+			if phasePos++; phasePos == period {
+				phasePos = 0
+			}
+			if rng.float() < cfg.StoreFrac {
+				r.Kind = KindStore
+			} else {
+				r.Kind = KindLoad
+			}
+			y := rng.float()
+			var line uint64
+			switch {
+			case y < streamFrac:
+				strmPos++
+				line = g.strmBase + strmPos
+			case y < hugeCut:
+				line = g.hugeBase + uint64(rng.intn(cfg.HugeLines))
+			default:
+				// Working sets: pick one by weight, index uniformly
+				// within the currently-active fraction of its footprint
+				// (precomputed per phase; sweep positions maintained
+				// division-free — see the Generator fast-path fields).
+				z := rng.float()
+				idx := len(g.wsCum) - 1
+				for k, c := range g.wsCum {
+					if z < c {
+						idx = k
+						break
+					}
 				}
-				if rng.float() < cfg.StoreFrac {
-					r.Kind = KindStore
+				active := g.wsActiveFull[idx]
+				if phasePos >= halfPeriod {
+					active = g.wsActiveSmall[idx]
+				}
+				if cfg.WorkingSets[idx].Sweep {
+					g.wsPos[idx]++
+					pos := g.wsSweepPos[idx] + 1
+					if g.wsActiveCur[idx] != active {
+						g.wsActiveCur[idx] = active
+						pos = g.wsPos[idx] % uint64(active)
+					} else if pos >= uint64(active) {
+						pos = 0
+					}
+					g.wsSweepPos[idx] = pos
+					line = g.wsBase[idx] + pos
 				} else {
-					r.Kind = KindLoad
-				}
-				y := rng.float()
-				var line uint64
-				switch {
-				case y < streamFrac:
-					strmPos++
-					line = g.strmBase + strmPos
-				case y < hugeCut:
-					line = g.hugeBase + uint64(rng.intn(cfg.HugeLines))
-				default:
-					// Working sets: pick one by weight, index uniformly
-					// within the currently-active fraction of its footprint
-					// (precomputed per phase; sweep positions maintained
-					// division-free — see the Generator fast-path fields).
-					z := rng.float()
-					idx := len(g.wsCum) - 1
-					for k, c := range g.wsCum {
-						if z < c {
-							idx = k
-							break
-						}
-					}
-					active := g.wsActiveFull[idx]
-					if phasePos >= halfPeriod {
-						active = g.wsActiveSmall[idx]
-					}
-					if cfg.WorkingSets[idx].Sweep {
-						g.wsPos[idx]++
-						pos := g.wsSweepPos[idx] + 1
-						if g.wsActiveCur[idx] != active {
-							g.wsActiveCur[idx] = active
-							pos = g.wsPos[idx] % uint64(active)
-						} else if pos >= uint64(active) {
-							pos = 0
-						}
-						g.wsSweepPos[idx] = pos
-						line = g.wsBase[idx] + pos
-					} else {
-						line = g.wsBase[idx] + uint64(rng.intn(active))
-					}
-				}
-				r.Addr = line * lineBytes
-			} else {
-				// Branch with a partially-predictable outcome: drawn from a
-				// 64-bit pattern register (learnable by gshare), flipped
-				// randomly with probability BranchNoise.
-				r.Kind = KindBranch
-				bit := pattern & 1
-				pattern = pattern>>1 | (pattern&1^pattern>>3&1)<<63 // LFSR-ish
-				taken := bit == 1
-				if rng.float() < cfg.BranchNoise {
-					taken = rng.next()&1 == 0
-				}
-				r.Taken = taken
-			}
-			if r.Kind == KindBranch && r.Taken {
-				// Jump to the start of a uniformly-chosen line of the region.
-				curPC = codeBase + uint64(rng.intn(cfg.CodeLines))*lineBytes
-			} else {
-				curPC += 4
-				if curPC >= codeLimit {
-					curPC = codeBase
+					line = g.wsBase[idx] + uint64(rng.intn(active))
 				}
 			}
-			ev.HasRec = true
-			break
+			r.Addr = line * lineBytes
+		} else {
+			// Branch with a partially-predictable outcome: drawn from a
+			// 64-bit pattern register (learnable by gshare), flipped
+			// randomly with probability BranchNoise.
+			r.Kind = KindBranch
+			bit := pattern & 1
+			pattern = pattern>>1 | (pattern&1^pattern>>3&1)<<63 // LFSR-ish
+			taken := bit == 1
+			if rng.float() < cfg.BranchNoise {
+				taken = rng.next()&1 == 0
+			}
+			r.Taken = taken
 		}
-		ev.ALURun = run
-		emitted += uint64(run)
-		if ev.HasRec {
-			emitted++
+		if r.Kind == KindBranch && r.Taken {
+			// Jump to the start of a uniformly-chosen line of the region.
+			curPC = codeBase + uint64(rng.intn(cfg.CodeLines))*lineBytes
+		} else {
+			curPC += 4
+			if curPC >= codeLimit {
+				curPC = codeBase
+			}
 		}
+		ev.HasRec = true
+		break
 	}
+	ev.ALURun = run
 
 	g.rng = rng
 	g.curPC = curPC
 	g.pattern = pattern
 	g.memCount = memCount
 	g.strmPos = strmPos
-	g.emitted += emitted
+	g.emitted += uint64(run)
+	if ev.HasRec {
+		g.emitted++
+	}
 }

@@ -4,9 +4,9 @@ import "testing"
 
 // decompressCheck consumes one event and checks it against the
 // reference generator record by record, returning how many records the
-// event covered. ALU records carry only Kind and PC (Addr/Taken are
-// don't-care, as in TestFillMatchesNext); the terminating record is
-// compared on the fields its kind defines.
+// event covered. ALU records carry only Kind and PC; the terminating
+// record is compared on the fields its kind defines (Record's Addr and
+// Taken are don't-care outside their kinds).
 func decompressCheck(t *testing.T, ref *Generator, ev *Event, where string) int {
 	t.Helper()
 	base, limit := ref.CodeBounds()
@@ -46,35 +46,31 @@ func decompressCheck(t *testing.T, ref *Generator, ev *Event, where string) int 
 }
 
 // TestEventStreamMatchesNext pins the compression contract: the event
-// stream decompresses to the exact record sequence Next produces,
-// through NextEvent, FillEvents at several chunk sizes, and with phase
-// oscillation straddling events.
+// stream decompresses to the exact record sequence of the per-record
+// reference Next, with phase oscillation straddling events and the PC
+// wrapping inside ALU runs.
 func TestEventStreamMatchesNext(t *testing.T) {
 	cfg := baseConfig()
 	cfg.PhasePeriod = 100
 	cfg.PhaseDepth = 0.5
 	cfg.BranchFrac = 0.1
 	cfg.CodeLines = 24 // PC wraps inside ALU runs
-	for _, chunk := range []int{1, 3, 16} {
-		ref := NewGenerator(cfg)
-		ev := NewGenerator(cfg)
-		evs := make([]Event, chunk)
-		consumed := 0
-		for consumed < 20000 {
-			ev.FillEvents(evs)
-			for i := range evs {
-				consumed += decompressCheck(t, ref, &evs[i], "FillEvents")
-			}
-			if ev.Emitted() != ref.Emitted() {
-				t.Fatalf("chunk %d: Emitted %d != %d", chunk, ev.Emitted(), ref.Emitted())
-			}
+	ref := NewGenerator(cfg)
+	ev := NewGenerator(cfg)
+	var evt Event
+	for consumed := 0; consumed < 20000; {
+		ev.NextEvent(&evt)
+		consumed += decompressCheck(t, ref, &evt, "NextEvent")
+		if ev.Emitted() != ref.Emitted() {
+			t.Fatalf("Emitted %d != %d", ev.Emitted(), ref.Emitted())
 		}
 	}
 }
 
-// TestEventStreamInterleavesWithNext checks that NextEvent, Next and
-// Fill can be mixed freely on one generator: the event API restores
-// full generator state, so any interleaving continues the one stream.
+// TestEventStreamInterleavesWithNext checks that NextEvent and the
+// reference Next can be mixed freely on one generator: both write back
+// the full generator state, so any interleaving continues the one
+// stream.
 func TestEventStreamInterleavesWithNext(t *testing.T) {
 	cfg := baseConfig()
 	cfg.PhasePeriod = 64
@@ -84,41 +80,18 @@ func TestEventStreamInterleavesWithNext(t *testing.T) {
 	pick := rng{state: 7}
 	var want, got Record
 	var evt Event
-	// Compare only the fields the kind defines (Addr and Taken are
-	// stale outside their kinds, as in TestFillMatchesNext).
-	same := func(got, want Record) bool {
-		ok := got.Kind == want.Kind && got.PC == want.PC
-		if want.Kind == KindLoad || want.Kind == KindStore {
-			ok = ok && got.Addr == want.Addr
-		}
-		if want.Kind == KindBranch {
-			ok = ok && got.Taken == want.Taken
-		}
-		return ok
-	}
-	buf := make([]Record, 5)
 	for consumed := 0; consumed < 20000; {
-		switch pick.intn(3) {
-		case 0:
+		if pick.intn(2) == 0 {
 			mixed.NextEvent(&evt)
 			consumed += decompressCheck(t, ref, &evt, "interleaved NextEvent")
-		case 1:
-			mixed.Next(&got)
-			ref.Next(&want)
-			if !same(got, want) {
-				t.Fatalf("interleaved Next %+v != %+v", got, want)
-			}
-			consumed++
-		default:
-			mixed.Fill(buf)
-			for i := range buf {
-				ref.Next(&want)
-				if !same(buf[i], want) {
-					t.Fatalf("interleaved Fill %+v != %+v", buf[i], want)
-				}
-			}
-			consumed += len(buf)
+			continue
 		}
+		mixed.Next(&got)
+		ref.Next(&want)
+		if got != want {
+			t.Fatalf("interleaved Next %+v != %+v", got, want)
+		}
+		consumed++
 	}
 }
 
@@ -157,32 +130,10 @@ func TestEventRunCap(t *testing.T) {
 func TestEventAllocationFree(t *testing.T) {
 	g := NewGenerator(baseConfig())
 	var ev Event
-	evs := make([]Event, 8)
 	if n := testing.AllocsPerRun(1000, func() {
 		g.NextEvent(&ev)
 	}); n != 0 {
 		t.Fatalf("NextEvent allocates %v per event, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		g.FillEvents(evs)
-	}); n != 0 {
-		t.Fatalf("FillEvents allocates %v per batch, want 0", n)
-	}
-}
-
-func BenchmarkFillEvents(b *testing.B) {
-	g := NewGenerator(baseConfig())
-	evs := make([]Event, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		g.FillEvents(evs)
-		for i := range evs {
-			done += evs[i].ALURun
-			if evs[i].HasRec {
-				done++
-			}
-		}
 	}
 }
 

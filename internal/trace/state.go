@@ -2,14 +2,13 @@ package trace
 
 import "fmt"
 
-// State is the dynamic portion of a Generator: everything the record
-// and event streams (Fill and FillEvents write back exactly these
-// fields) mutate as they advance. The address-space layout, cumulative
-// weights and phase bounds are pure functions of the Config and are
-// rebuilt by NewGenerator, so
-// restoring a snapshot into a freshly built generator of the same
-// Config continues the walk bit-identically (pinned by the ckpt
-// round-trip fuzz tests).
+// State is the dynamic portion of a Generator: everything NextEvent
+// mutates as the stream advances (it writes back exactly these
+// fields). The address-space layout, cumulative weights and phase
+// bounds are pure functions of the Config and are rebuilt by
+// NewGenerator, so restoring a snapshot into a freshly built generator
+// of the same Config continues the walk bit-identically (pinned by the
+// ckpt round-trip fuzz tests).
 type State struct {
 	RNG         uint64 // SplitMix64 state
 	CurPC       uint64

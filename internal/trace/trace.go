@@ -52,8 +52,9 @@ func (k Kind) String() string {
 }
 
 // Record is one synthetic instruction. Fields are ordered 8-byte-first
-// so the struct packs into 24 bytes — records stream through per-core
-// chunks (see Fill), so their size is hot-loop memory traffic.
+// so the struct packs into 24 bytes: every core keeps one in its
+// pending Event (see NextEvent), on the hot loop's cache lines. Addr
+// is defined only for loads and stores, Taken only for branches.
 type Record struct {
 	Addr  uint64 // byte address (loads/stores)
 	PC    uint64 // program counter (every instruction; drives I-fetch)
@@ -204,8 +205,8 @@ type Generator struct {
 	// and the working-set arm used to pay up to two per access
 	// (memCount%PhasePeriod and the sweep's wsPos%active). All are
 	// exact caches of the modulo expressions they replace, so the
-	// emitted stream is bit-identical (pinned by the §10 differential
-	// tests and TestFillMatchesNext).
+	// emitted stream is bit-identical (pinned against the per-record
+	// reference, which evaluates the modulos, by the event-stream tests).
 	wsActiveFull  []int    // int(float64(Lines)*1), the large-phase active size
 	wsActiveSmall []int    // int(float64(Lines)*PhaseDepth), clamped to >= 1
 	wsActiveCur   []int    // active size wsSweepPos is maintained for (0 = unset)
@@ -262,152 +263,14 @@ func NewGenerator(cfg Config) *Generator {
 	return g
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Emitted returns how many records have been produced.
 func (g *Generator) Emitted() uint64 { return g.emitted }
 
 // MLP returns the benchmark's intrinsic memory-level parallelism.
 func (g *Generator) MLP() float64 { return g.cfg.MLP }
 
-// Next fills r with the next instruction. It is the one-record form of
-// Fill, which holds the canonical generation logic; the two are
-// bit-identical by construction. The simulator's cores consume the
-// stream through Next — see cpu.Core.Step for why per-record
-// consumption beats chunked prefetch there — while batch consumers
-// call Fill directly.
-func (g *Generator) Next(r *Record) {
-	var one [1]Record
-	g.Fill(one[:])
-	*r = one[0]
-}
-
-// Fill overwrites buf with the next len(buf) records of the stream —
-// exactly the records len(buf) successive Next calls would produce
-// (the stream is a pure function of the generator's state, so chunked
-// and per-record consumption are bit-identical).
-//
-// Trace generation is the hot loop of the whole simulator (every core
-// consumes one record per instruction), so the generator's scalar
-// state — the RNG walk, PC, phase and stream counters — is hoisted
-// into locals for the duration of the batch: they live in registers
-// instead of being loaded and stored through g on every record, which
-// makes batched generation ~20% faster per record than the old
-// per-record implementation (BenchmarkFill vs BenchmarkTraceGenerator).
-// The record logic itself (mixture draws, RNG call order) is unchanged,
-// keeping the stream bit-identical.
-func (g *Generator) Fill(buf []Record) {
-	cfg := &g.cfg
-	rng := g.rng
-	curPC := g.curPC
-	pattern := g.pattern
-	memCount := g.memCount
-	strmPos := g.strmPos
-	lineBytes := uint64(cfg.LineBytes)
-	codeBase := g.codeBase
-	codeLimit := codeBase + uint64(cfg.CodeLines)*lineBytes
-	memFrac := cfg.MemFrac
-	branchCut := cfg.MemFrac + cfg.BranchFrac
-	streamFrac := cfg.StreamFrac
-	hugeCut := cfg.StreamFrac + cfg.HugeFrac
-	period, halfPeriod := phaseBounds(cfg.PhasePeriod, g.halfPeriod)
-	phasePos := memCount % period
-
-	for i := range buf {
-		r := &buf[i]
-		r.PC = curPC
-		x := rng.float()
-		switch {
-		case x < memFrac:
-			// Memory access: load or store with an address drawn from
-			// the stream/huge/working-set mixture.
-			memCount++
-			if phasePos++; phasePos == period {
-				phasePos = 0
-			}
-			if rng.float() < cfg.StoreFrac {
-				r.Kind = KindStore
-			} else {
-				r.Kind = KindLoad
-			}
-			y := rng.float()
-			var line uint64
-			switch {
-			case y < streamFrac:
-				strmPos++
-				line = g.strmBase + strmPos
-			case y < hugeCut:
-				line = g.hugeBase + uint64(rng.intn(cfg.HugeLines))
-			default:
-				// Working sets: pick one by weight, index uniformly
-				// within the currently-active fraction of its footprint
-				// (precomputed per phase; sweep positions maintained
-				// division-free — see the Generator fast-path fields).
-				z := rng.float()
-				idx := len(g.wsCum) - 1
-				for k, c := range g.wsCum {
-					if z < c {
-						idx = k
-						break
-					}
-				}
-				active := g.wsActiveFull[idx]
-				if phasePos >= halfPeriod {
-					active = g.wsActiveSmall[idx]
-				}
-				if cfg.WorkingSets[idx].Sweep {
-					g.wsPos[idx]++
-					pos := g.wsSweepPos[idx] + 1
-					if g.wsActiveCur[idx] != active {
-						g.wsActiveCur[idx] = active
-						pos = g.wsPos[idx] % uint64(active)
-					} else if pos >= uint64(active) {
-						pos = 0
-					}
-					g.wsSweepPos[idx] = pos
-					line = g.wsBase[idx] + pos
-				} else {
-					line = g.wsBase[idx] + uint64(rng.intn(active))
-				}
-			}
-			r.Addr = line * lineBytes
-		case x < branchCut:
-			// Branch with a partially-predictable outcome: drawn from a
-			// 64-bit pattern register (learnable by gshare), flipped
-			// randomly with probability BranchNoise.
-			r.Kind = KindBranch
-			bit := pattern & 1
-			pattern = pattern>>1 | (pattern&1^pattern>>3&1)<<63 // LFSR-ish
-			taken := bit == 1
-			if rng.float() < cfg.BranchNoise {
-				taken = rng.next()&1 == 0
-			}
-			r.Taken = taken
-		default:
-			r.Kind = KindALU
-		}
-		if r.Kind == KindBranch && r.Taken {
-			// Jump to the start of a uniformly-chosen line of the region.
-			curPC = codeBase + uint64(rng.intn(cfg.CodeLines))*lineBytes
-		} else {
-			curPC += 4
-			if curPC >= codeLimit {
-				curPC = codeBase
-			}
-		}
-	}
-
-	g.rng = rng
-	g.curPC = curPC
-	g.pattern = pattern
-	g.memCount = memCount
-	g.strmPos = strmPos
-	g.emitted += uint64(len(buf))
-}
-
-// phaseBounds returns the (period, half-period) pair the hot loops
-// maintain the phase position against. A phase-free config maps to an
+// phaseBounds returns the (period, half-period) pair the hot loop
+// maintains the phase position against. A phase-free config maps to an
 // unreachable period so the small-phase compare is always false and
 // the wrap never fires — no branch on PhasePeriod in the loop.
 func phaseBounds(period int, half uint64) (uint64, uint64) {

@@ -136,11 +136,11 @@ func TestTraceConfigPanicsOnBadParams(t *testing.T) {
 
 func TestNewGeneratorRuns(t *testing.T) {
 	g := MustGet("gcc").NewGenerator(testParams(0))
-	var r trace.Record
+	var ev trace.Event
 	mem := 0
 	for i := 0; i < 10000; i++ {
-		g.Next(&r)
-		if r.Kind == trace.KindLoad || r.Kind == trace.KindStore {
+		g.NextEvent(&ev)
+		if r := ev.Rec; ev.HasRec && (r.Kind == trace.KindLoad || r.Kind == trace.KindStore) {
 			mem++
 		}
 	}
