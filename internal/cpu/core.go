@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/trace"
 )
@@ -74,7 +75,9 @@ type Core struct {
 	retired    uint64
 	fetchLine  uint64  // line of the last instruction fetch
 	retireCost float64 // 1/Width cycles per retired instruction, precomputed
-	effMLP     float64 // effectiveMLP(), constant per benchmark, precomputed
+	// An L1 miss's exposed-latency divisor for a load and for a store:
+	// effectiveMLP() and four times it, constant per benchmark.
+	missDiv [2]float64
 
 	// The one pending event, consumed in place by Step and StepEvent
 	// (ALURun counts down, ALUPC walks forward; ALURun == 0 && !HasRec
@@ -129,7 +132,8 @@ func NewCore(id int, cfg Config, gen *trace.Generator, mem MemPort) *Core {
 		mem:        mem,
 		retireCost: 1 / float64(cfg.Width),
 	}
-	c.effMLP = c.effectiveMLP()
+	mlp := c.effectiveMLP()
+	c.missDiv = [2]float64{mlp, 4 * mlp}
 	c.codeBase, c.codeLimit = gen.CodeBounds()
 	return c
 }
@@ -216,32 +220,26 @@ func (c *Core) stepRecord(r *trace.Record) {
 		}
 	}
 
-	switch r.Kind {
-	case trace.KindBranch:
+	if r.Kind == trace.KindBranch {
 		c.stats.Branches++
 		if !c.gshare.Predict(r.PC, r.Taken) {
 			penalty := float64(c.gshare.Penalty())
 			c.clock += penalty
 			c.stats.StallCycles += penalty
 		}
-	case trace.KindLoad:
-		c.stats.Loads++
-		reply := c.mem.Access(c.id, r.Addr, false, int64(c.clock))
-		if !reply.L1Hit {
-			c.stats.L1Misses++
-			stall := float64(reply.Latency) / c.effMLP
-			c.clock += stall
-			c.stats.StallCycles += stall
-		}
-	case trace.KindStore:
-		c.stats.Stores++
-		reply := c.mem.Access(c.id, r.Addr, true, int64(c.clock))
-		if !reply.L1Hit {
-			c.stats.L1Misses++
-			stall := float64(reply.Latency) / (4 * c.effMLP)
-			c.clock += stall
-			c.stats.StallCycles += stall
-		}
+		return
+	}
+	// Loads and stores share one arm indexed by the kind, so the
+	// generator's load/store draw is not branched on again here.
+	st := uint64(r.Kind-trace.KindLoad) & 1 // 0 load, 1 store
+	c.stats.Loads += 1 - st
+	c.stats.Stores += st
+	reply := c.mem.Access(c.id, r.Addr, st == 1, int64(c.clock))
+	if !reply.L1Hit {
+		c.stats.L1Misses++
+		stall := float64(reply.Latency) / c.missDiv[st]
+		c.clock += stall
+		c.stats.StallCycles += stall
 	}
 }
 
@@ -257,11 +255,12 @@ func (c *Core) stepRecord(r *trace.Record) {
 // The retired sequence is bit-identical to maxRetire (or fewer) Step
 // calls under the same bound: ALU runs touch no shared state except
 // instruction fetches at I-line crossings, which StepEvent performs at
-// the same PCs and the same clock values as Step, and the run's clock
-// arithmetic is either exact integer math in units of retireCost (the
-// power-of-two Width Validate requires, with the clock an exact
-// multiple of retireCost) or literally the same sequence of float
-// additions (see advanceClock).
+// the same PCs and the same clock values as Step, and a batch of
+// retirement slots is one clock add only when every partial sum of the
+// per-slot adds is exact (see exactTo); otherwise it performs the
+// per-slot float additions literally. A freshly pulled event whose run
+// stays in the fetched I-line retires as one batch and then its record,
+// without a branch on whether the run is empty (retireALURun).
 func (c *Core) StepEvent(bound int64, maxRetire uint64) uint64 {
 	// Clamp far-future bounds so (bound+1)*Width stays in int64; any
 	// real clock is far below 2^52 cycles, so the clamp is invisible.
@@ -270,17 +269,16 @@ func (c *Core) StepEvent(bound int64, maxRetire uint64) uint64 {
 	}
 	var n uint64
 	for n < maxRetire && c.Now() <= bound {
-		if c.ev.ALURun > 0 {
-			n += c.retireALURun(&c.ev, bound, maxRetire-n)
-			continue
+		e := &c.ev
+		if e.ALURun == 0 && !e.HasRec {
+			c.gen.NextEvent(e)
 		}
-		if c.ev.HasRec {
-			c.ev.HasRec = false
-			c.stepRecord(&c.ev.Rec)
+		n += c.retireALURun(e, bound, maxRetire-n)
+		if e.ALURun == 0 && e.HasRec && n < maxRetire && c.Now() <= bound {
+			e.HasRec = false
+			c.stepRecord(&e.Rec)
 			n++
-			continue
 		}
-		c.gen.NextEvent(&c.ev)
 	}
 	return n
 }
@@ -311,85 +309,60 @@ func (c *Core) stepOneALU(e *trace.Event) {
 	e.ALURun--
 }
 
-// retireALURun drains e's ALU run: I-line crossings step one
-// instruction at a time (their fetch can stall and move the clock past
-// the bound), the sequential instructions between crossings retire as
-// one arithmetic batch. Stops at the bound, the limit or the run's end.
+// retireALURun retires e's pending ALU run, stopping at the bound, the
+// limit or the run's end. The instructions inside the fetched I-line,
+// up to the code region's wrap point, retire as one advanceClock batch;
+// an instruction that crosses into a new I-line steps alone, since its
+// fetch can stall and move the clock past the bound. An empty run
+// takes the in-line arm and retires nothing, so a freshly pulled event
+// is not branched on whether it has a run.
 func (c *Core) retireALURun(e *trace.Event, bound int64, limit uint64) uint64 {
 	var done uint64
-	for e.ALURun > 0 && done < limit && c.Now() <= bound {
-		pc := e.ALUPC
-		if pc>>6 != c.fetchLine {
-			c.stepOneALU(e)
-			done++
-			continue
+	for {
+		run, pc := uint64(e.ALURun), e.ALUPC
+		// pc's offset in the fetched I-line; an empty run's is masked to 0.
+		if off := (pc - c.fetchLine<<6) & -((run | -run) >> 63); off < 64 {
+			k := min(run, (64-off)>>2, (c.codeLimit-pc)>>2, limit-done)
+			j := c.advanceClock(k, bound)
+			c.retired += j
+			c.stats.Retired += j
+			done += j
+			e.ALURun -= int(j)
+			if pc += j << 2; pc >= c.codeLimit {
+				pc = c.codeBase
+			}
+			e.ALUPC = pc
+			if j < k || e.ALURun == 0 || done == limit {
+				return done
+			}
+			continue // the next instruction crosses a line or wrapped
 		}
-		// Sequential instructions within the already-fetched I-line (or
-		// up to the code region's wrap point): retirement slots only.
-		lineEnd := (pc | 63) + 1
-		if c.codeLimit < lineEnd {
-			lineEnd = c.codeLimit
+		if done == limit || c.Now() > bound {
+			return done
 		}
-		k := uint64(lineEnd-pc) >> 2
-		if r := uint64(e.ALURun); r < k {
-			k = r
-		}
-		if left := limit - done; left < k {
-			k = left
-		}
-		// Slot 0 was pre-approved by the loop condition (the per-record
-		// path checks the bound before each retire, not after); only the
-		// remaining slots need bound checks or the grid jump.
-		c.clock += c.retireCost
-		j := uint64(1)
-		if j < k {
-			j += c.advanceClock(k-1, bound)
-		}
-		c.retired += j
-		c.stats.Retired += j
-		done += j
-		e.ALURun -= int(j)
-		pc += j << 2
-		if pc >= c.codeLimit {
-			pc = c.codeBase
-		}
-		e.ALUPC = pc
-		if j < k {
-			break // bound cut the segment short
-		}
+		c.stepOneALU(e)
+		done++
 	}
-	return done
 }
 
 // advanceClock advances the clock by up to k retirement slots, each
 // allowed only while the pre-retirement clock satisfies Now() <= bound
 // (the per-record stepping condition), and returns how many retired.
 //
-// When the clock is an exact multiple of retireCost = 1/Width (Width a
-// power of two, so retireCost is a negative power of two), every
-// repeated addition of retireCost is exact — both operands and the sum
-// are multiples of 2^-log2(Width) well inside float64's 53-bit
-// mantissa — so the whole advance collapses to integer arithmetic in
-// units of retireCost, bit-identical to per-record stepping. A
-// fractional memory stall (latency divided by a non-power-of-two
-// effective MLP) leaves the clock off the retireCost grid; repeated
-// addition then rounds at each step, so the fallback performs the
-// per-record float additions literally.
+// When every partial sum clock + j·retireCost is exact (exactTo), slot
+// j's whole-cycle clock is floor((t+j)/Width) for t = clock·Width, so
+// the allowed slots are j < (bound+1)·Width − floor(t), and the
+// advance is one add. Otherwise repeated addition rounds at each step,
+// and the per-slot float additions are performed literally.
 func (c *Core) advanceClock(k uint64, bound int64) uint64 {
-	w := float64(c.cfg.Width)
-	t := c.clock * w // exact: w is a power of two
-	if ti := int64(t); float64(ti) == t {
-		// Pre-retirement clock of slot j is (ti+j)*retireCost, whose
-		// whole-cycle value is (ti+j)/Width rounded toward zero; it is
-		// allowed while (ti+j)/Width <= bound, i.e. j < (bound+1)*Width - ti.
-		if allowed := (bound+1)*int64(c.cfg.Width) - ti; allowed < int64(k) {
-			if allowed <= 0 {
-				return 0
-			}
-			k = uint64(allowed)
-		}
-		c.clock += float64(k) * c.retireCost // exact: k*retireCost and the sum are on the grid
-		return k
+	w := int64(c.cfg.Width)
+	n := k
+	if allowed := (bound+1)*w - int64(c.clock*float64(w)); allowed < int64(k) {
+		n = uint64(max(allowed, 0))
+	}
+	if end := c.clock + float64(n)*c.retireCost; c.exactTo(end) {
+		c.clock = end
+		return n
 	}
 	var done uint64
 	for done < k && int64(c.clock) <= bound {
@@ -397,6 +370,19 @@ func (c *Core) advanceClock(k uint64, bound int64) uint64 {
 		done++
 	}
 	return done
+}
+
+// exactTo reports whether adding retireCost to the clock one slot at a
+// time, up to end, is exact at every partial sum, so that one add
+// reaching end is bit-identical to the per-slot adds. It holds when the
+// clock and end share a binade and the clock is below 2⁵²·retireCost:
+// the clock's ulp is then at most retireCost/2, retireCost (a power of
+// two, since Width is) is a multiple of it, and every sum up to end is
+// a multiple of that ulp inside the binade. Any off-grid clock (an
+// L1-missing store's latency/(4·MLP), or a miss of a benchmark whose
+// MLP is not a power of two) qualifies except near a power of two.
+func (c *Core) exactTo(end float64) bool {
+	return c.clock < (1<<52)*c.retireCost && math.Float64bits(c.clock)>>52 == math.Float64bits(end)>>52
 }
 
 // ResetStats restarts IPC accounting and zeroes counters while keeping

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -140,6 +141,121 @@ func TestStepEventMixedWithStep(t *testing.T) {
 		if math.Float64bits(mixed.clock) != math.Float64bits(ref.clock) || mixed.retired != ref.retired {
 			t.Fatalf("mixed consumption diverged at %d: clock %v != %v",
 				ref.retired, mixed.clock, ref.clock)
+		}
+	}
+}
+
+// footprint is a code region of Lines lines of LineBytes bytes.
+type footprint struct{ Lines, LineBytes int }
+
+// footprints are the code regions TestStepEventWholeEventsMatchStep
+// runs on. One 64-byte line is one I-line: every run of its 16
+// instructions wraps inside the fetched line, which never changes after
+// the first fetch. Three 16-byte lines end in the middle of an I-line.
+var footprints = []footprint{{1, 64}, {2, 64}, {40, 64}, {3, 16}}
+
+// wholeEventConfig is eventTestConfig with longer ALU runs and the
+// code footprint fp.
+func wholeEventConfig(mlp float64, fp footprint, seed uint64) trace.Config {
+	cfg := eventTestConfig(mlp, seed)
+	cfg.MemFrac, cfg.BranchFrac = 0.15, 0.05
+	cfg.CodeLines, cfg.LineBytes = fp.Lines, fp.LineBytes
+	return cfg
+}
+
+// sameCore reports whether a and b agree on what a retirement path
+// writes (clock bits, counters, fetch line, the pending event) and,
+// when full is set, on the whole State(), predictor and generator
+// included. Divergence persists, so the costly full comparison can run
+// on a subset of the calls.
+func sameCore(a, b *Core, full bool) bool {
+	if math.Float64bits(a.clock) != math.Float64bits(b.clock) || a.retired != b.retired ||
+		a.fetchLine != b.fetchLine || a.ev != b.ev || a.stats != b.stats {
+		return false
+	}
+	return !full || reflect.DeepEqual(a.State(), b.State())
+}
+
+// TestStepEventWholeEventsMatchStep drives StepEvent, which retires a
+// freshly pulled event's in-line run with one clock add and then its
+// record, against per-instruction Step under the same (bound, cap)
+// windows. Stalls are non-dyadic (MLP 1.5 and 3 leave the clock off the
+// retireCost grid), on every footprint in footprints. The cores must
+// match after every window (sameCore), in full State() every 16th, so
+// the event StepEvent leaves pending (ALUPC advanced past the run) is
+// the one Step leaves.
+func TestStepEventWholeEventsMatchStep(t *testing.T) {
+	for _, fp := range footprints {
+		for _, width := range []int{1, 2, 4, 8} {
+			for _, mlp := range []float64{1.5, 3} {
+				cfg := DefaultConfig()
+				cfg.Width = width
+				mk := func() *Core {
+					return NewCore(0, cfg, trace.NewGenerator(wholeEventConfig(mlp, fp, 5)), &stallMem{})
+				}
+				ref, ev := mk(), mk()
+				sched := rngSched{state: uint64(100*width + fp.Lines)}
+				var bound int64
+				for w := 0; w < 800; w++ {
+					bound += int64(sched.intn(30))
+					maxRetire := uint64(1 + sched.intn(60))
+					var n uint64
+					for n < maxRetire && ref.Now() <= bound {
+						ref.Step()
+						n++
+					}
+					if got := ev.StepEvent(bound, maxRetire); got != n {
+						t.Fatalf("%+v width %d mlp %v window %d: StepEvent retired %d, Step %d",
+							fp, width, mlp, w, got, n)
+					}
+					if !sameCore(ev, ref, w%16 == 0) {
+						t.Fatalf("%+v width %d mlp %v window %d: state diverged:\n%+v\n%+v",
+							fp, width, mlp, w, ev.ev, ref.ev)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdvanceClockMatchesPerSlot pins advanceClock's one-add path
+// against the per-slot float additions it replaces, at every width up
+// to 8: on- and off-grid clocks, clocks just below a power of two
+// (where a batch crosses into the next binade and must fall back),
+// clocks past 2⁵²·retireCost, bounds that stop a batch before, at,
+// and in the middle of its slots, and the zero-slot batch of an empty
+// run.
+func TestAdvanceClockMatchesPerSlot(t *testing.T) {
+	sched := rngSched{state: 3}
+	for _, width := range []int{1, 2, 4, 8} {
+		cfg := DefaultConfig()
+		cfg.Width = width
+		c := NewCore(0, cfg, trace.NewGenerator(eventTestConfig(1.5, 1)), &stallMem{})
+		rc := c.retireCost
+		clocks := []float64{0, rc, 3 * rc, 1.0 / 3, 7.3, 1000.123456, 0x1p52 * rc, 0x1p53 * rc / 3}
+		for _, e := range []int{1, 4, 10, 20, 30} {
+			p := math.Ldexp(1, e)
+			clocks = append(clocks, math.Nextafter(p, 0), p-rc/3, p-2.5*rc, p-rc)
+		}
+		for i := 0; i < 200; i++ {
+			clocks = append(clocks, float64(sched.intn(1<<30))/7)
+		}
+		for _, clock := range clocks {
+			for _, k := range []uint64{0, 1, 2, 3, 7, 15, 63} {
+				now := int64(clock)
+				for _, bound := range []int64{now - 1, now, now + 1, int64(clock + float64(k)*rc/2), 1 << 52} {
+					want, wantN := clock, uint64(0)
+					for wantN < k && int64(want) <= bound {
+						want += rc
+						wantN++
+					}
+					c.clock = clock
+					if n := c.advanceClock(k, bound); n != wantN || math.Float64bits(c.clock) != math.Float64bits(want) {
+						t.Fatalf("width %d clock %v k %d bound %d: advanced %d slots to %v, per-slot adds give %d to %v",
+							width, clock, k, bound, n, c.clock, wantN, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // Snapshot/restore layer (DESIGN.md §14). A core's dynamic state is
 // its clock, retirement counters, the one in-flight event being
 // consumed in place, the warm-up snapshots, the predictor's tables and
-// the trace generator's walk. Everything else (retireCost, effMLP,
+// the trace generator's walk. Everything else (retireCost, missDiv,
 // code bounds, config) is derived at construction from the same
 // RunConfig a restored run rebuilds, so only dynamic state is
 // serialized. The clock is a float64 and JSON round-trips float64

@@ -210,7 +210,7 @@ func (c Config) Validate() error {
 	if c.DRAM == nil {
 		return fmt.Errorf("partition: DRAM is nil")
 	}
-	if c.Threshold < 0 || c.Threshold > 1 {
+	if !(c.Threshold >= 0 && c.Threshold <= 1) { // NaN fails too
 		return fmt.Errorf("partition: threshold %v outside [0,1]", c.Threshold)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/workload"
@@ -248,6 +249,7 @@ func TestNewSystemRejectsBadInputs(t *testing.T) {
 		cfg  RunConfig
 	}{
 		{"threshold 2", RunConfig{Scale: UnitScale(), Scheme: CoopPart, Group: g, Threshold: 2}},
+		{"threshold NaN", RunConfig{Scale: UnitScale(), Scheme: CoopPart, Group: g, Threshold: math.NaN()}},
 		{"2 cores on a 1-way L2", RunConfig{Scale: oneWay, Scheme: CoopPart, Group: g}},
 		{"UMON sampling 3", RunConfig{Scale: badSampling, Scheme: UCP, Group: g}},
 	} {

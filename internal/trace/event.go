@@ -1,5 +1,7 @@
 package trace
 
+import "math/bits"
+
 // Event-compressed generation (DESIGN.md §10). The large majority of
 // records in most mixes are ALU instructions whose only architectural
 // effects are one RNG draw and a sequential PC advance; materializing
@@ -42,105 +44,70 @@ func (g *Generator) CodeBounds() (base, limit uint64) {
 }
 
 // NextEvent fills ev with the next event of the stream. It is the
-// generator's only body: each ALU instruction of a run still costs its
-// one mixture draw (x >= MemFrac+BranchFrac), so the RNG and PC walks
-// are exactly the per-record stream's; only the Record stores are
+// generator's only body and performs the per-record stream's exact
+// draw sequence; only the Record stores of ALU instructions are
 // elided.
 //
-// Trace generation is the hot loop of the whole simulator, so the
-// generator's scalar state — the RNG walk, PC, phase and stream
-// counters — is hoisted into locals for the duration of the event:
-// across an ALU run they live in registers instead of being loaded and
-// stored through g on every draw. The cores pull one event at a time
-// (DESIGN.md §2), which keeps generation interleaved with the
-// memory-bound cache-model work it overlaps with.
+// Trace generation is the hot loop of the whole simulator, so every
+// random decision is taken once, as an integer compare of the raw
+// draw's top 53 bits with a precomputed cut (see cut), and every
+// modulo is a precomputed reciprocal (see modulus). An ALU run, one
+// draw per instruction, is found four draws at a time: SplitMix64's
+// j-th next state is state + j·γ, so the four draws are independent
+// mixes, and the run length is the number of trailing ALU draws in
+// their below-cut mask. The run's PC walk is one wrap of its total
+// advance, since PCs stay 4-byte aligned in a line-aligned region.
+// The cores pull one event at a time (DESIGN.md §2), which keeps
+// generation interleaved with the memory-bound cache-model work it
+// overlaps with.
 func (g *Generator) NextEvent(ev *Event) {
-	cfg := &g.cfg
 	rng := g.rng
-	curPC := g.curPC
-	pattern := g.pattern
-	memCount := g.memCount
-	strmPos := g.strmPos
-	lineBytes := uint64(cfg.LineBytes)
-	codeBase := g.codeBase
-	codeLimit := codeBase + uint64(cfg.CodeLines)*lineBytes
-	memFrac := cfg.MemFrac
-	branchCut := cfg.MemFrac + cfg.BranchFrac
-	streamFrac := cfg.StreamFrac
-	hugeCut := cfg.StreamFrac + cfg.HugeFrac
-	period, halfPeriod := phaseBounds(cfg.PhasePeriod, g.halfPeriod)
-	phasePos := memCount % period
-
-	ev.ALUPC = curPC
-	ev.HasRec = false
+	gamma := uint64(smGamma) // a variable, so its multiples wrap
 	run := 0
+	var x uint64 // the draw that ended the run
 	for {
-		x := rng.float()
-		if x >= branchCut {
-			// ALU: one draw, sequential PC advance, nothing else.
-			run++
-			curPC += 4
-			if curPC >= codeLimit {
-				curPC = codeBase
-			}
-			if run == MaxALURun {
-				break
-			}
-			continue
+		s, c := rng.state, g.recCut
+		s1, s2, s3, s4 := s+gamma, s+2*gamma, s+3*gamma, s+4*gamma
+		k := bits.TrailingZeros64(below(smMix(s1)>>11, c) | below(smMix(s2)>>11, c)<<1 |
+			below(smMix(s3)>>11, c)<<2 | below(smMix(s4)>>11, c)<<3 | 1<<4)
+		if left := MaxALURun - run; k >= left {
+			rng.state = s + uint64(left)*gamma
+			run = MaxALURun
+			break
 		}
+		run += k
+		if k < 4 {
+			rng.state = s + uint64(k+1)*gamma
+			x = smMix(rng.state) >> 11
+			break
+		}
+		rng.state = s4
+	}
+	codeBase, lineBytes := g.codeBase, uint64(g.cfg.LineBytes)
+	ev.ALUPC = g.curPC
+	ev.ALURun = run
+	ev.HasRec = run < MaxALURun
+	curPC := codeBase + g.codeSpan.mod(g.curPC-codeBase+uint64(run)*4)
+	g.emitted += uint64(run)
+	if ev.HasRec {
+		g.emitted++
 		r := &ev.Rec
 		r.PC = curPC
-		if x < memFrac {
+		taken := false
+		if x < g.memCut {
 			// Memory access: load or store with an address drawn from
 			// the stream/huge/working-set mixture.
-			memCount++
-			if phasePos++; phasePos == period {
-				phasePos = 0
-			}
-			if rng.float() < cfg.StoreFrac {
-				r.Kind = KindStore
-			} else {
-				r.Kind = KindLoad
-			}
-			y := rng.float()
+			g.memCount++
+			r.Kind = KindLoad + Kind(below(rng.next()>>11, g.storeCut))
 			var line uint64
-			switch {
-			case y < streamFrac:
-				strmPos++
-				line = g.strmBase + strmPos
-			case y < hugeCut:
-				line = g.hugeBase + uint64(rng.intn(cfg.HugeLines))
+			switch y := rng.next() >> 11; {
+			case y < g.streamCut:
+				g.strmPos++
+				line = g.strmBase + g.strmPos
+			case y < g.hugeCut:
+				line = g.hugeBase + g.hugeLines.mod(rng.next())
 			default:
-				// Working sets: pick one by weight, index uniformly
-				// within the currently-active fraction of its footprint
-				// (precomputed per phase; sweep positions maintained
-				// division-free — see the Generator fast-path fields).
-				z := rng.float()
-				idx := len(g.wsCum) - 1
-				for k, c := range g.wsCum {
-					if z < c {
-						idx = k
-						break
-					}
-				}
-				active := g.wsActiveFull[idx]
-				if phasePos >= halfPeriod {
-					active = g.wsActiveSmall[idx]
-				}
-				if cfg.WorkingSets[idx].Sweep {
-					g.wsPos[idx]++
-					pos := g.wsSweepPos[idx] + 1
-					if g.wsActiveCur[idx] != active {
-						g.wsActiveCur[idx] = active
-						pos = g.wsPos[idx] % uint64(active)
-					} else if pos >= uint64(active) {
-						pos = 0
-					}
-					g.wsSweepPos[idx] = pos
-					line = g.wsBase[idx] + pos
-				} else {
-					line = g.wsBase[idx] + uint64(rng.intn(active))
-				}
+				line = g.wsLine(&rng)
 			}
 			r.Addr = line * lineBytes
 		} else {
@@ -148,35 +115,53 @@ func (g *Generator) NextEvent(ev *Event) {
 			// 64-bit pattern register (learnable by gshare), flipped
 			// randomly with probability BranchNoise.
 			r.Kind = KindBranch
-			bit := pattern & 1
-			pattern = pattern>>1 | (pattern&1^pattern>>3&1)<<63 // LFSR-ish
-			taken := bit == 1
-			if rng.float() < cfg.BranchNoise {
+			p := g.pattern
+			g.pattern = p>>1 | (p&1^p>>3&1)<<63 // LFSR-ish
+			taken = p&1 == 1
+			if rng.next()>>11 < g.noiseCut {
 				taken = rng.next()&1 == 0
 			}
 			r.Taken = taken
 		}
-		if r.Kind == KindBranch && r.Taken {
+		if taken {
 			// Jump to the start of a uniformly-chosen line of the region.
-			curPC = codeBase + uint64(rng.intn(cfg.CodeLines))*lineBytes
-		} else {
-			curPC += 4
-			if curPC >= codeLimit {
-				curPC = codeBase
-			}
+			curPC = codeBase + g.codeLines.mod(rng.next())*lineBytes
+		} else if curPC += 4; curPC >= codeBase+g.codeSpan.n {
+			curPC = codeBase
 		}
-		ev.HasRec = true
-		break
 	}
-	ev.ALURun = run
-
 	g.rng = rng
 	g.curPC = curPC
-	g.pattern = pattern
-	g.memCount = memCount
-	g.strmPos = strmPos
-	g.emitted += uint64(run)
-	if ev.HasRec {
-		g.emitted++
+}
+
+// wsLine draws a working-set access: a set by weight, then a line
+// uniformly within the currently-active fraction of its footprint, or
+// the next line of its sweep (positions maintained division-free — see
+// the Generator's working-set fields).
+func (g *Generator) wsLine(rng *rng) uint64 {
+	z := rng.next() >> 11
+	idx := len(g.wsCut) - 1
+	for k, c := range g.wsCut {
+		if z < c {
+			idx = k
+			break
+		}
 	}
+	active := g.wsActiveFull[idx]
+	if g.period.mod(g.memCount) >= g.halfPeriod {
+		active = g.wsActiveSmall[idx]
+	}
+	if !g.cfg.WorkingSets[idx].Sweep {
+		return g.wsBase[idx] + active.mod(rng.next())
+	}
+	g.wsPos[idx]++
+	pos := g.wsSweepPos[idx] + 1
+	if g.wsActiveCur[idx] != int(active.n) {
+		g.wsActiveCur[idx] = int(active.n)
+		pos = active.mod(g.wsPos[idx])
+	} else if pos >= active.n {
+		pos = 0
+	}
+	g.wsSweepPos[idx] = pos
+	return g.wsBase[idx] + pos
 }

@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // decompressCheck consumes one event and checks it against the
 // reference generator record by record, returning how many records the
@@ -48,21 +51,27 @@ func decompressCheck(t *testing.T, ref *Generator, ev *Event, where string) int 
 // TestEventStreamMatchesNext pins the compression contract: the event
 // stream decompresses to the exact record sequence of the per-record
 // reference Next, with phase oscillation straddling events and the PC
-// wrapping inside ALU runs.
+// wrapping inside ALU runs, at the largest and smallest line sizes
+// Validate accepts as well as the simulator's 64 bytes (the run's PC
+// wrap and the branch targets scale with LineBytes).
 func TestEventStreamMatchesNext(t *testing.T) {
-	cfg := baseConfig()
-	cfg.PhasePeriod = 100
-	cfg.PhaseDepth = 0.5
-	cfg.BranchFrac = 0.1
-	cfg.CodeLines = 24 // PC wraps inside ALU runs
-	ref := NewGenerator(cfg)
-	ev := NewGenerator(cfg)
-	var evt Event
-	for consumed := 0; consumed < 20000; {
-		ev.NextEvent(&evt)
-		consumed += decompressCheck(t, ref, &evt, "NextEvent")
-		if ev.Emitted() != ref.Emitted() {
-			t.Fatalf("Emitted %d != %d", ev.Emitted(), ref.Emitted())
+	for _, lineBytes := range []int{64, 16, 4} {
+		cfg := baseConfig()
+		cfg.PhasePeriod = 100
+		cfg.PhaseDepth = 0.5
+		cfg.BranchFrac = 0.1
+		cfg.CodeLines = 24 // PC wraps inside ALU runs
+		cfg.LineBytes = lineBytes
+		ref := NewGenerator(cfg)
+		ev := NewGenerator(cfg)
+		var evt Event
+		where := fmt.Sprintf("NextEvent, %d-byte lines", lineBytes)
+		for consumed := 0; consumed < 20000; {
+			ev.NextEvent(&evt)
+			consumed += decompressCheck(t, ref, &evt, where)
+			if ev.Emitted() != ref.Emitted() {
+				t.Fatalf("%s: Emitted %d != %d", where, ev.Emitted(), ref.Emitted())
+			}
 		}
 	}
 }

@@ -5,9 +5,38 @@ package trace
 // same stream, one record per call, for the differential tests
 // (TestEventStreamMatchesNext, FuzzEventStreamMatchesNext) and for the
 // package's property tests, which read records. It shares NextEvent's
-// draw order but none of its shortcuts: no ALU-run loop, no hoisted
-// locals, and the phase and sweep positions are the plain modulo
-// expressions that NextEvent's division-free fields cache.
+// draw order but none of its shortcuts: one draw at a time, float
+// compares with the config's probabilities instead of integer cuts,
+// and plain modulos instead of precomputed reciprocals and cached
+// phase and sweep positions.
+
+// float returns a uniform float64 in [0, 1).
+func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+
+// intn returns a uniform int in [0, n).
+func (r *rng) intn(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return int(r.next() % uint64(n))
+}
+
+// wsCum returns the cumulative working-set weights NewGenerator derives
+// its integer cuts from, by the same float sum.
+func wsCum(sets []WS) []float64 {
+	var total, cum float64
+	for _, ws := range sets {
+		total += ws.Weight
+	}
+	out := make([]float64, len(sets))
+	for i, ws := range sets {
+		if total > 0 {
+			cum += ws.Weight / total
+		}
+		out[i] = cum
+	}
+	return out
+}
 
 // Next fills r with the next instruction of the stream. It keeps the
 // cached sweep fields (wsActiveCur, wsSweepPos) at the values their
@@ -35,8 +64,8 @@ func (g *Generator) Next(r *Record) {
 			line = g.hugeBase + uint64(g.rng.intn(cfg.HugeLines))
 		default:
 			z := g.rng.float()
-			idx := len(g.wsCum) - 1
-			for k, c := range g.wsCum {
+			idx := len(cfg.WorkingSets) - 1
+			for k, c := range wsCum(cfg.WorkingSets) {
 				if z < c {
 					idx = k
 					break

@@ -22,7 +22,11 @@
 // attributes to astar, bzip2, gcc and povray.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Kind is an instruction class.
 type Kind uint8
@@ -107,10 +111,13 @@ type Config struct {
 	Seed      uint64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. NaN fails every range check,
+// and LineBytes must be a power of two >= 4: NextEvent's batched PC
+// walk needs code regions that are line-aligned and whose PCs stay
+// 4-byte aligned.
 func (c Config) Validate() error {
 	frac := func(name string, v float64) error {
-		if v < 0 || v > 1 {
+		if !(v >= 0 && v <= 1) {
 			return fmt.Errorf("trace: %s = %v outside [0,1]", name, v)
 		}
 		return nil
@@ -142,15 +149,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("trace: %.2f of accesses go to working sets but none defined", wsShare)
 	}
 	for i, ws := range c.WorkingSets {
-		if ws.Lines <= 0 || ws.Weight < 0 {
+		if ws.Lines <= 0 || !(ws.Weight >= 0) {
 			return fmt.Errorf("trace: working set %d invalid: %+v", i, ws)
 		}
 	}
-	if c.MLP < 1 && c.MLP != 0 {
+	if c.MLP != 0 && !(c.MLP >= 1) {
 		return fmt.Errorf("trace: MLP = %v must be >= 1", c.MLP)
 	}
-	if c.LineBytes <= 0 {
-		return fmt.Errorf("trace: LineBytes = %d", c.LineBytes)
+	if c.LineBytes < 4 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("trace: LineBytes = %d is not a power of two >= 4", c.LineBytes)
 	}
 	return nil
 }
@@ -173,24 +180,64 @@ func (r *rng) next() uint64 {
 	return smMix(r.state)
 }
 
-// float returns a uniform float64 in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// intn returns a uniform int in [0, n).
-func (r *rng) intn(n int) int {
-	if n <= 0 {
+// cut returns the integer threshold that replaces a float compare with
+// probability c: a draw's top 53 bits m give the uniform m·2⁻⁵³, and
+// for an integer m, m·2⁻⁵³ < c holds exactly when m < ⌈c·2⁵³⌉. Values
+// of c at or above 1 (a rounded cumulative weight) always pass.
+func cut(c float64) uint64 {
+	switch {
+	case !(c > 0):
 		return 0
+	case c >= 1:
+		return 1 << 53
 	}
-	return int(r.next() % uint64(n))
+	return uint64(math.Ceil(c * (1 << 53)))
+}
+
+// below is 1 when m < cut and 0 otherwise, without a branch: both are
+// at most 2⁵³, so the difference's sign bit is the comparison.
+func below(m, cut uint64) uint64 { return (m - cut) >> 63 }
+
+// modulus computes x % n for a fixed n >= 1 with a precomputed
+// reciprocal instead of a divide: for m = ⌊(2⁶⁴−1)/n⌋ the high word of
+// x·m undershoots ⌊x/n⌋ by at most one, so one conditional subtract
+// leaves the exact remainder.
+type modulus struct{ n, m uint64 }
+
+func newModulus(n uint64) modulus { return modulus{n: n, m: ^uint64(0) / n} }
+
+func (d modulus) mod(x uint64) uint64 {
+	q, _ := bits.Mul64(x, d.m)
+	r := x - q*d.n
+	if r >= d.n {
+		r -= d.n
+	}
+	return r
 }
 
 // Generator produces the instruction stream for one benchmark.
 type Generator struct {
+	// Exact integer forms of the config's probabilities and divisors
+	// (cut, modulus), precomputed so NextEvent compares raw draws and
+	// never divides; its stream is bit-identical to the float compares
+	// and modulos of the per-record reference (reference_test.go).
+	recCut     uint64 // draws below end an ALU run: cut(MemFrac+BranchFrac)
+	memCut     uint64 // cut(MemFrac): the record is a memory access
+	storeCut   uint64
+	streamCut  uint64
+	hugeCut    uint64 // cut(StreamFrac+HugeFrac)
+	noiseCut   uint64
+	wsCut      []uint64 // cuts of the cumulative working-set weights
+	codeSpan   modulus  // code region bytes: the sequential PC walk
+	codeLines  modulus  // taken-branch targets
+	hugeLines  modulus
+	period     modulus // PhasePeriod (2⁶⁴−1 when phase-free)
+	halfPeriod uint64  // PhasePeriod/2 (2⁶⁴−1 when phase-free)
+
 	cfg      Config
 	rng      rng
-	wsCum    []float64 // cumulative weights over working sets
-	wsBase   []uint64  // line-address base of each working set
-	wsPos    []uint64  // sweep position of each working set
+	wsBase   []uint64 // line-address base of each working set
+	wsPos    []uint64 // sweep position of each working set
 	hugeBase uint64
 	strmBase uint64
 	strmPos  uint64
@@ -200,18 +247,13 @@ type Generator struct {
 	curPC    uint64 // current program counter (bytes)
 	emitted  uint64
 
-	// Division-free fast paths for the per-access hot loop. A 64-bit
-	// divide by a runtime divisor costs tens of cycles on most cores,
-	// and the working-set arm used to pay up to two per access
-	// (memCount%PhasePeriod and the sweep's wsPos%active). All are
-	// exact caches of the modulo expressions they replace, so the
-	// emitted stream is bit-identical (pinned against the per-record
-	// reference, which evaluates the modulos, by the event-stream tests).
-	wsActiveFull  []int    // int(float64(Lines)*1), the large-phase active size
-	wsActiveSmall []int    // int(float64(Lines)*PhaseDepth), clamped to >= 1
+	// The working sets' two active footprint sizes (the phase scale is
+	// 1 or PhaseDepth) as moduli, and the sweep position cache: an
+	// exact cache of wsPos[i] % active, maintained incrementally.
+	wsActiveFull  []modulus
+	wsActiveSmall []modulus
 	wsActiveCur   []int    // active size wsSweepPos is maintained for (0 = unset)
-	wsSweepPos    []uint64 // wsPos[i] % wsActiveCur[i], maintained incrementally
-	halfPeriod    uint64   // uint64(PhasePeriod)/2
+	wsSweepPos    []uint64 // wsPos[i] % wsActiveCur[i]
 }
 
 // NewGenerator builds a generator. It panics on an invalid config:
@@ -224,10 +266,31 @@ func NewGenerator(cfg Config) *Generator {
 	if cfg.MLP == 0 {
 		cfg.MLP = 1
 	}
-	g := &Generator{cfg: cfg, rng: rng{state: cfg.Seed ^ 0xabcdef12345678}}
+	if cfg.CodeLines < 1 {
+		cfg.CodeLines = 1
+	}
+	g := &Generator{
+		cfg:        cfg,
+		rng:        rng{state: cfg.Seed ^ 0xabcdef12345678},
+		recCut:     cut(cfg.MemFrac + cfg.BranchFrac),
+		memCut:     cut(cfg.MemFrac),
+		storeCut:   cut(cfg.StoreFrac),
+		streamCut:  cut(cfg.StreamFrac),
+		hugeCut:    cut(cfg.StreamFrac + cfg.HugeFrac),
+		noiseCut:   cut(cfg.BranchNoise),
+		codeSpan:   newModulus(uint64(cfg.CodeLines * cfg.LineBytes)),
+		codeLines:  newModulus(uint64(cfg.CodeLines)),
+		hugeLines:  newModulus(uint64(max(cfg.HugeLines, 1))), // Validate: HugeLines >= 1 if HugeFrac > 0
+		period:     newModulus(^uint64(0)),
+		halfPeriod: ^uint64(0),
+	}
+	if cfg.PhasePeriod != 0 {
+		g.period = newModulus(uint64(cfg.PhasePeriod))
+		g.halfPeriod = uint64(cfg.PhasePeriod) / 2
+	}
 	// Lay out the address space regions, line-granular, spaced far
 	// apart so regions never overlap: stream, huge, then working sets.
-	next := cfg.AddrBase >> uint(log2(cfg.LineBytes))
+	next := cfg.AddrBase >> uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	g.strmBase = next
 	next += 1 << 30
 	g.hugeBase = next
@@ -244,18 +307,11 @@ func NewGenerator(cfg Config) *Generator {
 		if total > 0 {
 			cum += ws.Weight / total
 		}
-		g.wsCum = append(g.wsCum, cum)
-		// The two possible active footprint sizes (the phase scale is
-		// either 1 or PhaseDepth), precomputed with exactly the
-		// expression the access path used to evaluate per access.
-		g.wsActiveFull = append(g.wsActiveFull, activeLines(ws.Lines, 1))
-		g.wsActiveSmall = append(g.wsActiveSmall, activeLines(ws.Lines, cfg.PhaseDepth))
+		g.wsCut = append(g.wsCut, cut(cum))
+		g.wsActiveFull = append(g.wsActiveFull, newModulus(uint64(activeLines(ws.Lines, 1))))
+		g.wsActiveSmall = append(g.wsActiveSmall, newModulus(uint64(activeLines(ws.Lines, cfg.PhaseDepth))))
 		g.wsActiveCur = append(g.wsActiveCur, 0)
 		g.wsSweepPos = append(g.wsSweepPos, 0)
-	}
-	g.halfPeriod = uint64(cfg.PhasePeriod) / 2
-	if g.cfg.CodeLines < 1 {
-		g.cfg.CodeLines = 1
 	}
 	g.codeBase = next * uint64(cfg.LineBytes)
 	g.curPC = g.codeBase
@@ -269,34 +325,12 @@ func (g *Generator) Emitted() uint64 { return g.emitted }
 // MLP returns the benchmark's intrinsic memory-level parallelism.
 func (g *Generator) MLP() float64 { return g.cfg.MLP }
 
-// phaseBounds returns the (period, half-period) pair the hot loop
-// maintains the phase position against. A phase-free config maps to an
-// unreachable period so the small-phase compare is always false and
-// the wrap never fires — no branch on PhasePeriod in the loop.
-func phaseBounds(period int, half uint64) (uint64, uint64) {
-	if period == 0 {
-		return ^uint64(0), ^uint64(0)
-	}
-	return uint64(period), half
-}
-
 // activeLines is the active fraction of a working-set footprint under
-// a phase scale — the exact expression the access path historically
-// computed inline, so the precomputed values are bit-identical.
+// a phase scale.
 func activeLines(lines int, scale float64) int {
 	active := int(float64(lines) * scale)
 	if active < 1 {
 		active = 1
 	}
 	return active
-}
-
-// log2 returns floor(log2(v)) for positive v.
-func log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }

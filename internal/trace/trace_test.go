@@ -39,6 +39,18 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.MLP = 0.5 },
 		func(c *Config) { c.LineBytes = 0 },
 		func(c *Config) { c.PhaseDepth = 2 },
+		// NaN fails every range check.
+		func(c *Config) { c.MemFrac = math.NaN() },
+		func(c *Config) { c.StoreFrac = math.NaN() },
+		func(c *Config) { c.BranchNoise = math.NaN() },
+		func(c *Config) { c.StreamFrac = math.NaN() },
+		func(c *Config) { c.PhaseDepth = math.NaN() },
+		func(c *Config) { c.MLP = math.NaN() },
+		func(c *Config) { c.WorkingSets = []WS{{Lines: 8, Weight: math.NaN()}} },
+		// Lines must be a power of two >= 4 for the batched PC walk.
+		func(c *Config) { c.LineBytes = 2 },
+		func(c *Config) { c.LineBytes = 48 },
+		func(c *Config) { c.LineBytes = 100 },
 	}
 	for i, mutate := range cases {
 		cfg := baseConfig()
