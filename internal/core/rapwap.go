@@ -22,13 +22,15 @@ import (
 //	RAP=0 WAP=0: no access
 //
 // The file also maintains the per-core read/write way masks that the
-// access path consults, so a lookup is one AND rather than a scan.
+// access path consults, so a lookup is one AND rather than a scan, and
+// the mask of powered ways, so PoweredWays is one popcount.
 type PermRegs struct {
 	ways, cores int
 	rap         []uint64 // per way: core bitmask with read permission
 	wap         []uint64 // per way: core bitmask with write permission
 	readMask    []uint64 // per core: ways readable
 	writeMask   []uint64 // per core: ways writable
+	powered     uint64   // ways with any permission bit set
 }
 
 // NewPermRegs builds an all-clear register file.
@@ -69,6 +71,7 @@ func (p *PermRegs) SetRead(way, core int, v bool) {
 		p.rap[way] &^= bit
 		p.readMask[core] &^= wbit
 	}
+	p.setPowered(way)
 }
 
 // SetWrite sets or clears core's WAP bit for way.
@@ -81,6 +84,17 @@ func (p *PermRegs) SetWrite(way, core int, v bool) {
 	} else {
 		p.wap[way] &^= bit
 		p.writeMask[core] &^= wbit
+	}
+	p.setPowered(way)
+}
+
+// setPowered updates way's bit in the powered mask from its registers.
+func (p *PermRegs) setPowered(way int) {
+	wbit := uint64(1) << uint(way)
+	if p.IsOff(way) {
+		p.powered &^= wbit
+	} else {
+		p.powered |= wbit
 	}
 }
 
@@ -114,15 +128,7 @@ func (p *PermRegs) Readers(way int) int { return bits.OnesCount64(p.rap[way]) }
 func (p *PermRegs) IsOff(way int) bool { return p.rap[way] == 0 && p.wap[way] == 0 }
 
 // PoweredWays counts ways that are not gated.
-func (p *PermRegs) PoweredWays() int {
-	n := 0
-	for w := 0; w < p.ways; w++ {
-		if !p.IsOff(w) {
-			n++
-		}
-	}
-	return n
-}
+func (p *PermRegs) PoweredWays() int { return bits.OnesCount64(p.powered) }
 
 // Invariants checks the structural properties Section 2.2 guarantees:
 //
@@ -148,7 +154,16 @@ func (p *PermRegs) Invariants() error {
 			return fmt.Errorf("way %d: transition without a writer (RAP %b, WAP %b)", w, p.rap[w], p.wap[w])
 		}
 	}
-	// Cross-check the cached per-core masks against the registers.
+	// Cross-check the cached masks against the registers.
+	var powered uint64
+	for w := 0; w < p.ways; w++ {
+		if !p.IsOff(w) {
+			powered |= 1 << uint(w)
+		}
+	}
+	if powered != p.powered {
+		return fmt.Errorf("cached powered mask out of sync (%b, registers say %b)", p.powered, powered)
+	}
 	for c := 0; c < p.cores; c++ {
 		var rm, wm uint64
 		for w := 0; w < p.ways; w++ {

@@ -155,6 +155,68 @@ func TestPropertyPermRegsMaskConsistency(t *testing.T) {
 	}
 }
 
+// poweredScan counts powered ways the way PoweredWays did before it
+// kept a mask: one IsOff test per way.
+func poweredScan(p *PermRegs) int {
+	n := 0
+	for w := 0; w < p.Ways(); w++ {
+		if !p.IsOff(w) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPermRegsPoweredMask pins the cached powered-way mask: SetRead and
+// SetWrite keep PoweredWays equal to a scan of the registers, Invariants
+// rejects a stale mask, and restore rebuilds it from the registers.
+func TestPermRegsPoweredMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := NewPermRegs(64, 4)
+	for i := 0; i < 2000; i++ {
+		w, c, v := rng.Intn(64), rng.Intn(4), rng.Intn(2) == 0
+		if rng.Intn(2) == 0 {
+			p.SetRead(w, c, v)
+		} else {
+			p.SetWrite(w, c, v)
+		}
+		if got, want := p.PoweredWays(), poweredScan(p); got != want {
+			t.Fatalf("op %d: PoweredWays = %d, registers power %d ways", i, got, want)
+		}
+	}
+
+	// A legal file: way 0 owned, way 1 in transition, way 2 draining,
+	// way 63 owned, the rest off.
+	legal := NewPermRegs(64, 4)
+	for _, g := range []struct {
+		way, core int
+		write     bool
+	}{{0, 0, true}, {1, 1, false}, {1, 2, true}, {2, 3, false}, {63, 2, true}} {
+		legal.SetRead(g.way, g.core, true)
+		legal.SetWrite(g.way, g.core, g.write)
+	}
+	if err := legal.Invariants(); err != nil || legal.PoweredWays() != 4 {
+		t.Fatalf("legal file: %v, %d powered ways, want 4", err, legal.PoweredWays())
+	}
+	legal.powered ^= 1 << 5
+	if legal.Invariants() == nil {
+		t.Fatal("Invariants accepted a powered mask that marks an off way on")
+	}
+	legal.powered ^= 1<<5 | 1<<63
+	if legal.Invariants() == nil {
+		t.Fatal("Invariants accepted a powered mask that misses a powered way")
+	}
+
+	fresh := NewPermRegs(64, 4)
+	fresh.powered = ^uint64(0) // stale: restore must not keep it
+	if err := fresh.restore(&permState{RAP: legal.rap, WAP: legal.wap}); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.powered != 1<<0|1<<1|1<<2|1<<63 || fresh.PoweredWays() != 4 {
+		t.Fatalf("restore rebuilt powered mask %b, want ways 0, 1, 2 and 63", fresh.powered)
+	}
+}
+
 func TestBitVec(t *testing.T) {
 	v := NewBitVec(100)
 	if v.Len() != 100 || v.Count() != 0 || v.Full() {

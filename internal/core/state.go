@@ -13,19 +13,19 @@ import (
 // the whole dynamic state — controller, monitors, RAP/WAP registers,
 // way ownership, in-flight donor transitions and the Algorithm 2 RNG —
 // round-trips through one JSON document. Derived state is recomputed:
-// the per-core read/write masks are rebuilt from the restored
-// registers (then cross-checked by Invariants) and the takeover bit
-// counts are repopcounted from the words.
+// the per-core read/write masks and the powered-way mask are rebuilt
+// from the restored registers (then cross-checked by Invariants) and
+// the takeover bit counts are repopcounted from the words.
 
 // permState serializes the RAP/WAP register file: only the registers
-// travel; the cached per-core masks are derived.
+// travel; the cached masks are derived.
 type permState struct {
 	RAP []uint64
 	WAP []uint64
 }
 
-// restorePerms overwrites p's registers from st and rebuilds the
-// cached masks.
+// restore overwrites p's registers from st and rebuilds the cached
+// masks.
 func (p *PermRegs) restore(st *permState) error {
 	if len(st.RAP) != p.ways || len(st.WAP) != p.ways {
 		return fmt.Errorf("core: snapshot has %d/%d permission registers, file has %d ways",
@@ -33,6 +33,9 @@ func (p *PermRegs) restore(st *permState) error {
 	}
 	copy(p.rap, st.RAP)
 	copy(p.wap, st.WAP)
+	for w := 0; w < p.ways; w++ {
+		p.setPowered(w)
+	}
 	for c := 0; c < p.cores; c++ {
 		var rm, wm uint64
 		cbit := uint64(1) << uint(c)

@@ -48,9 +48,16 @@ type AccessReply struct {
 // hierarchy: Access for data (private L1D backed by the shared LLC),
 // Fetch for instructions (private L1I backed by the same LLC). The
 // simulator package provides the implementation.
+//
+// AccessHits and FetchHits report, changing no state, whether the
+// matching Access or Fetch would hit the core's private L1: a hit
+// touches only the core's own state, so StepEvent may retire it ahead
+// of the other cores (see StepEvent's priv).
 type MemPort interface {
 	Access(core int, addr uint64, isWrite bool, now int64) AccessReply
 	Fetch(core int, pc uint64, now int64) AccessReply
+	AccessHits(core int, addr uint64) bool
+	FetchHits(core int, pc uint64) bool
 }
 
 // Core is the cycle-batched timing model of one out-of-order core
@@ -245,15 +252,24 @@ func (c *Core) stepRecord(r *trace.Record) {
 
 // StepEvent advances the core by consuming the generator's
 // run-length-encoded event stream, one event at a time through the
-// in-place Core.ev (see its field comment for why exactly one),
-// retiring instructions while the core's clock (in whole cycles, as
-// Now reports it) stays at or below bound and at most maxRetire
-// instructions in total. It returns the number retired — at least one
-// when entered with Now() <= bound and maxRetire > 0, so a stepping
-// loop that re-checks its bounds between calls always makes progress.
+// in-place Core.ev (see its field comment for why exactly one), and
+// retiring at most maxRetire instructions. It returns the number
+// retired — at least one when entered with Now() <= bound and
+// maxRetire > 0, so a stepping loop that re-checks its bounds between
+// calls always makes progress.
+//
+// An instruction that starts (Now(), in whole cycles) at or below
+// bound retires unconditionally. One that starts in (bound, priv]
+// retires only if it is private: an ALU instruction inside the fetched
+// I-line, or one whose fetch and data access (if any) hit the core's
+// own L1s (MemPort's probes). StepEvent stops at the first instruction
+// past bound that is not private, and at the first past priv; priv
+// below bound means bound. The stop may leave a freshly pulled event
+// pending with none of it retired: the event is the one Step would
+// pull next.
 //
 // The retired sequence is bit-identical to maxRetire (or fewer) Step
-// calls under the same bound: ALU runs touch no shared state except
+// calls under the same bounds: ALU runs touch no shared state except
 // instruction fetches at I-line crossings, which StepEvent performs at
 // the same PCs and the same clock values as Step, and a batch of
 // retirement slots is one clock add only when every partial sum of the
@@ -261,26 +277,41 @@ func (c *Core) stepRecord(r *trace.Record) {
 // per-slot float additions literally. A freshly pulled event whose run
 // stays in the fetched I-line retires as one batch and then its record,
 // without a branch on whether the run is empty (retireALURun).
-func (c *Core) StepEvent(bound int64, maxRetire uint64) uint64 {
+func (c *Core) StepEvent(bound, priv int64, maxRetire uint64) uint64 {
 	// Clamp far-future bounds so (bound+1)*Width stays in int64; any
 	// real clock is far below 2^52 cycles, so the clamp is invisible.
-	if bound > 1<<52 {
-		bound = 1 << 52
-	}
+	bound = min(bound, 1<<52)
+	priv = min(max(priv, bound), 1<<52)
 	var n uint64
-	for n < maxRetire && c.Now() <= bound {
+	for n < maxRetire && c.Now() <= priv {
 		e := &c.ev
 		if e.ALURun == 0 && !e.HasRec {
 			c.gen.NextEvent(e)
 		}
-		n += c.retireALURun(e, bound, maxRetire-n)
-		if e.ALURun == 0 && e.HasRec && n < maxRetire && c.Now() <= bound {
+		n += c.retireALURun(e, bound, priv, maxRetire-n)
+		if e.ALURun != 0 {
+			return n // cut by priv, the cap or a shared fetch
+		}
+		if e.HasRec && n < maxRetire && c.Now() <= priv {
+			if c.Now() > bound && !c.private(&e.Rec) {
+				return n
+			}
 			e.HasRec = false
 			c.stepRecord(&e.Rec)
 			n++
 		}
 	}
 	return n
+}
+
+// private reports whether retiring r touches only the core's own
+// state: its fetch, if it starts a new I-line, and its data access, if
+// it has one, hit the private L1s.
+func (c *Core) private(r *trace.Record) bool {
+	if r.PC>>6 != c.fetchLine && !c.mem.FetchHits(c.id, r.PC) {
+		return false
+	}
+	return r.Kind == trace.KindBranch || c.mem.AccessHits(c.id, r.Addr)
 }
 
 // stepOneALU retires a single pending ALU instruction with the exact
@@ -309,21 +340,22 @@ func (c *Core) stepOneALU(e *trace.Event) {
 	e.ALURun--
 }
 
-// retireALURun retires e's pending ALU run, stopping at the bound, the
+// retireALURun retires e's pending ALU run, stopping at priv, the
 // limit or the run's end. The instructions inside the fetched I-line,
-// up to the code region's wrap point, retire as one advanceClock batch;
-// an instruction that crosses into a new I-line steps alone, since its
-// fetch can stall and move the clock past the bound. An empty run
-// takes the in-line arm and retires nothing, so a freshly pulled event
-// is not branched on whether it has a run.
-func (c *Core) retireALURun(e *trace.Event, bound int64, limit uint64) uint64 {
+// up to the code region's wrap point, are private and retire as one
+// advanceClock batch under priv; an instruction that crosses into a
+// new I-line steps alone, since its fetch can stall and move the clock
+// past the bound, and past bound it steps only if its fetch hits. An
+// empty run takes the in-line arm and retires nothing, so a freshly
+// pulled event is not branched on whether it has a run.
+func (c *Core) retireALURun(e *trace.Event, bound, priv int64, limit uint64) uint64 {
 	var done uint64
 	for {
 		run, pc := uint64(e.ALURun), e.ALUPC
 		// pc's offset in the fetched I-line; an empty run's is masked to 0.
 		if off := (pc - c.fetchLine<<6) & -((run | -run) >> 63); off < 64 {
 			k := min(run, (64-off)>>2, (c.codeLimit-pc)>>2, limit-done)
-			j := c.advanceClock(k, bound)
+			j := c.advanceClock(k, priv)
 			c.retired += j
 			c.stats.Retired += j
 			done += j
@@ -337,7 +369,7 @@ func (c *Core) retireALURun(e *trace.Event, bound int64, limit uint64) uint64 {
 			}
 			continue // the next instruction crosses a line or wrapped
 		}
-		if done == limit || c.Now() > bound {
+		if now := c.Now(); done == limit || now > priv || now > bound && !c.mem.FetchHits(c.id, pc) {
 			return done
 		}
 		c.stepOneALU(e)

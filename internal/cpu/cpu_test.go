@@ -24,6 +24,9 @@ func (m *fixedMem) Fetch(core int, pc uint64, now int64) AccessReply {
 	return AccessReply{Latency: 2, L1Hit: true}
 }
 
+func (m *fixedMem) AccessHits(core int, addr uint64) bool { return m.l1Hit }
+func (m *fixedMem) FetchHits(core int, pc uint64) bool    { return true }
+
 func genConfig(memFrac, branchFrac float64) trace.Config {
 	return trace.Config{
 		MemFrac:     memFrac,
@@ -237,6 +240,9 @@ func (m *fetchMem) Fetch(core int, pc uint64, now int64) AccessReply {
 	m.fetches++
 	return AccessReply{Latency: 17, L1Hit: false}
 }
+
+func (m *fetchMem) AccessHits(core int, addr uint64) bool { return true }
+func (m *fetchMem) FetchHits(core int, pc uint64) bool    { return false }
 
 func TestCoreFetchMissesStallFrontEnd(t *testing.T) {
 	cfg := genConfig(0, 0.3)

@@ -33,6 +33,10 @@ func (m *stallMem) Fetch(core int, pc uint64, now int64) AccessReply {
 	return AccessReply{Latency: int64(11 + m.fetches%5), L1Hit: false}
 }
 
+// The probes predict the next call's outcome.
+func (m *stallMem) AccessHits(core int, addr uint64) bool { return (m.calls+1)%3 == 0 }
+func (m *stallMem) FetchHits(core int, pc uint64) bool    { return (m.fetches+1)%4 != 0 }
+
 // eventTestConfig is a mix with real ALU runs, branches (taken jumps
 // move the fetch line), loads/stores (fractional-MLP stalls knock the
 // clock off the retireCost grid) and a code footprint that wraps.
@@ -69,7 +73,7 @@ func driveEquivalent(t *testing.T, ref, ev *Core, width int) {
 			ref.Step()
 			n++
 		}
-		got := ev.StepEvent(bound, maxRetire)
+		got := ev.StepEvent(bound, bound, maxRetire)
 		if got != n {
 			t.Fatalf("width %d window %d (bound %d, cap %d): StepEvent retired %d, Step %d",
 				width, w, bound, maxRetire, got, n)
@@ -130,7 +134,7 @@ func TestStepEventMixedWithStep(t *testing.T) {
 	for ref.retired < 30000 {
 		if sched.intn(2) == 0 {
 			n := uint64(1 + sched.intn(20))
-			mixed.StepEvent(math.MaxInt64, n)
+			mixed.StepEvent(math.MaxInt64, math.MaxInt64, n)
 			for i := uint64(0); i < n; i++ {
 				ref.Step()
 			}
@@ -204,7 +208,7 @@ func TestStepEventWholeEventsMatchStep(t *testing.T) {
 						ref.Step()
 						n++
 					}
-					if got := ev.StepEvent(bound, maxRetire); got != n {
+					if got := ev.StepEvent(bound, bound, maxRetire); got != n {
 						t.Fatalf("%+v width %d mlp %v window %d: StepEvent retired %d, Step %d",
 							fp, width, mlp, w, got, n)
 					}
@@ -216,6 +220,128 @@ func TestStepEventWholeEventsMatchStep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hashMem is a stateless MemPort: whether an access or a fetch hits
+// the L1 is a hash of its line, and so is a miss's latency, so its
+// probes answer exactly. It counts the misses it serves.
+type hashMem struct{ misses int }
+
+func lineHash(addr, salt uint64) uint64 {
+	x := (addr>>6 ^ salt) * 0x9e3779b97f4a7c15
+	return x ^ x>>29
+}
+
+func (m *hashMem) Access(core int, addr uint64, isWrite bool, now int64) AccessReply {
+	if m.AccessHits(core, addr) {
+		return AccessReply{Latency: 2, L1Hit: true}
+	}
+	m.misses++
+	return AccessReply{Latency: int64(15 + lineHash(addr, 1)%23), L1Hit: false}
+}
+
+func (m *hashMem) Fetch(core int, pc uint64, now int64) AccessReply {
+	if m.FetchHits(core, pc) {
+		return AccessReply{Latency: 1, L1Hit: true}
+	}
+	m.misses++
+	return AccessReply{Latency: int64(9 + lineHash(pc, 2)%11), L1Hit: false}
+}
+
+func (m *hashMem) AccessHits(core int, addr uint64) bool { return lineHash(addr, 1)%4 != 0 }
+func (m *hashMem) FetchHits(core int, pc uint64) bool    { return lineHash(pc, 2)%8 != 0 }
+
+// stepPrivate is the per-record reference for StepEvent's run-ahead,
+// stated without StepEvent's logic: Step at most maxRetire
+// instructions, none that starts above priv, and none that starts
+// above bound and serves a miss. Such an instruction is stepped, seen
+// to miss, and undone (core state and miss count restored), and
+// stepping stops there. It returns how many retired and how many of
+// those started above bound.
+func stepPrivate(ref *Core, m *hashMem, bound, priv int64, maxRetire uint64) (n, ahead uint64) {
+	for n < maxRetire && ref.Now() <= priv {
+		start := ref.Now()
+		if start <= bound {
+			ref.Step()
+			n++
+			continue
+		}
+		st, misses := ref.State(), m.misses
+		ref.Step()
+		if m.misses != misses {
+			if err := ref.Restore(st); err != nil {
+				panic(err)
+			}
+			m.misses = misses
+			return n, ahead
+		}
+		n++
+		ahead++
+	}
+	return n, ahead
+}
+
+// TestStepEventRunAheadMatchesStep drives StepEvent(bound, priv, cap)
+// against stepPrivate under random windows, priv from bound (no
+// run-ahead) to unbounded, at every width up to 8, on every footprint
+// in footprints. After each window the two cores must have retired the
+// same instructions to the same clock bits, and the event core's
+// memory must have served no miss the reference did not, so StepEvent
+// never issued a missing access or fetch for an instruction past bound
+// and stopped at the first one; the pending events must match too, and
+// every 16th window the whole State(). StepEvent may have pulled the
+// event whose first instruction stopped it, so the reference pulls it
+// too when it holds none.
+func TestStepEventRunAheadMatchesStep(t *testing.T) {
+	var ahead, stops uint64
+	for _, fp := range footprints {
+		for _, width := range []int{1, 2, 4, 8} {
+			for _, mlp := range []float64{1.5, 3} {
+				cfg := DefaultConfig()
+				cfg.Width = width
+				refMem, evMem := &hashMem{}, &hashMem{}
+				ref := NewCore(0, cfg, trace.NewGenerator(wholeEventConfig(mlp, fp, 11)), refMem)
+				ev := NewCore(0, cfg, trace.NewGenerator(wholeEventConfig(mlp, fp, 11)), evMem)
+				sched := rngSched{state: uint64(7*width + fp.Lines)}
+				var bound int64
+				for w := 0; w < 800; w++ {
+					bound += int64(sched.intn(30))
+					priv := bound + int64(sched.intn(200))
+					switch sched.intn(4) {
+					case 0:
+						priv = bound
+					case 1:
+						priv = math.MaxInt64
+					}
+					maxRetire := uint64(1 + sched.intn(80))
+					n, a := stepPrivate(ref, refMem, bound, priv, maxRetire)
+					ahead += a
+					if n < maxRetire && ref.Now() > bound && ref.Now() <= priv {
+						stops++
+					}
+					if got := ev.StepEvent(bound, priv, maxRetire); got != n {
+						t.Fatalf("%+v width %d mlp %v window %d (bound %d, priv %d, cap %d): StepEvent retired %d, reference %d",
+							fp, width, mlp, w, bound, priv, maxRetire, got, n)
+					}
+					if evMem.misses != refMem.misses {
+						t.Fatalf("%+v width %d mlp %v window %d: StepEvent served %d misses, reference %d",
+							fp, width, mlp, w, evMem.misses, refMem.misses)
+					}
+					if ref.ev.ALURun == 0 && !ref.ev.HasRec && (ev.ev.ALURun != 0 || ev.ev.HasRec) {
+						ref.gen.NextEvent(&ref.ev)
+					}
+					if !sameCore(ev, ref, w%16 == 0) {
+						t.Fatalf("%+v width %d mlp %v window %d: state diverged:\n%+v\n%+v",
+							fp, width, mlp, w, ev.ev, ref.ev)
+					}
+				}
+			}
+		}
+	}
+	if ahead == 0 || stops == 0 {
+		t.Fatalf("windows never exercised run-ahead: %d instructions past bound, %d stops at a miss", ahead, stops)
+	}
+	t.Logf("%d instructions retired past bound, %d stops at a miss", ahead, stops)
 }
 
 // TestAdvanceClockMatchesPerSlot pins advanceClock's one-add path
@@ -267,7 +393,7 @@ func TestStepEventAllocationFree(t *testing.T) {
 	bound := int64(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		bound += 25
-		c.StepEvent(bound, 100)
+		c.StepEvent(bound, bound, 100)
 	}); n != 0 {
 		t.Fatalf("StepEvent allocates %v per call, want 0", n)
 	}
@@ -279,7 +405,7 @@ func BenchmarkStepEvent(b *testing.B) {
 	b.ResetTimer()
 	var done uint64
 	for done < uint64(b.N) {
-		done += c.StepEvent(math.MaxInt64, uint64(b.N)-done)
+		done += c.StepEvent(math.MaxInt64, math.MaxInt64, uint64(b.N)-done)
 	}
 }
 

@@ -8,8 +8,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -263,10 +265,22 @@ func lookup[K comparable, V any](r *Runner, memo *flight.Group[K, V], key K, sto
 }
 
 // simulate executes one run locally through the checkpoint manager,
-// counting it for Simulations.
-func (r *Runner) simulate(cfg sim.RunConfig) (*sim.Results, error) {
+// counting it for Simulations. The run carries pprof labels for its
+// scheme, group and simulated core count, so a -cpuprofile of a sweep
+// can be sliced by them: go tool pprof -tagfocus 'cores=^16$' (pprof
+// reads a bare cores=16 as a numeric-label filter, which matches
+// nothing).
+func (r *Runner) simulate(cfg sim.RunConfig) (res *sim.Results, err error) {
 	r.sims.Add(1)
-	return r.cfg.Checkpoints.Run(cfg)
+	cores := cfg.Cores
+	if cores == 0 {
+		cores = len(cfg.Group.Benchmarks)
+	}
+	labels := pprof.Labels("scheme", string(cfg.Scheme), "group", cfg.Group.Name, "cores", strconv.Itoa(cores))
+	pprof.Do(context.Background(), labels, func(context.Context) {
+		res, err = r.cfg.Checkpoints.Run(cfg)
+	})
+	return res, err
 }
 
 // AloneResults returns (memoised) the solo run of a benchmark on the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -105,6 +106,67 @@ func TestSnapshotRoundTripAtEveryRecordBoundary(t *testing.T) {
 			t.Fatalf("every=%d: only %d boundaries exercised", every, n)
 		}
 		t.Logf("every=%d: %d boundaries round-tripped", every, n)
+	}
+}
+
+// TestCheckpointsCrossResumeBetweenLoops: with private run-ahead, a
+// mid-run snapshot holds cores that ran ahead of the per-record
+// interleaving, so its bytes depend on the loop that wrote it. Each
+// must still be a valid state of the run: at G16-1 CoopPart, every
+// snapshot taken at a checkpoint boundary by one loop resumes under
+// the other loop to the uninterrupted run's Results, both ways.
+func TestCheckpointsCrossResumeBetweenLoops(t *testing.T) {
+	g, err := workload.FindGroup("G16-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{Scale: UnitScale(), Scheme: CoopPart, Group: g, Seed: 1}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := map[bool][][]byte{}
+	for _, writerRecords := range []bool{false, true} {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.stepRecords = writerRecords
+		sys.Warmup()
+		var snaps [][]byte
+		res := sys.RunMeasured(40_000, func(boundary uint64) {
+			snaps = append(snaps, stateJSON(t, sys))
+		})
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("writer per-record=%v: checkpointed run differs from the uninterrupted one", writerRecords)
+		}
+		if len(snaps) < 2 {
+			t.Fatalf("writer per-record=%v: only %d boundaries", writerRecords, len(snaps))
+		}
+		written[writerRecords] = snaps
+		for i, data := range snaps {
+			snap := new(Snapshot)
+			if err := json.Unmarshal(data, snap); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh.stepRecords = !writerRecords
+			if err := fresh.RestoreSnapshot(snap); err != nil {
+				t.Fatal(err)
+			}
+			if got := fresh.RunMeasured(0, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("snapshot %d written per-record=%v diverges when resumed by the other loop",
+					i, writerRecords)
+			}
+		}
+	}
+	// The loops must really have written different states, or the test
+	// resumed nothing run-ahead produced.
+	if bytes.Equal(written[false][0], written[true][0]) {
+		t.Fatal("the two loops wrote identical first snapshots")
 	}
 }
 

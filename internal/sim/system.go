@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/cache"
@@ -251,6 +252,19 @@ func (s *System) Fetch(coreID int, pc uint64, now int64) cpu.AccessReply {
 	return cpu.AccessReply{Latency: int64(l1i.Latency()) + res.Latency, L1Hit: false}
 }
 
+// AccessHits implements cpu.MemPort: whether addr hits the core's L1D.
+func (s *System) AccessHits(coreID int, addr uint64) bool { return l1Hits(s.l1[coreID], addr) }
+
+// FetchHits implements cpu.MemPort: whether pc hits the core's L1I.
+func (s *System) FetchHits(coreID int, pc uint64) bool { return l1Hits(s.l1i[coreID], pc) }
+
+// l1Hits probes a private L1 for addr's line without touching it.
+func l1Hits(l1 *cache.Cache, addr uint64) bool {
+	line := l1.Line(addr)
+	_, hit := l1.Probe(l1.Index(line), l1.TagOf(line), l1.AllMask())
+	return hit
+}
+
 // chargeAccess books one L2 access on the energy meter.
 func (s *System) chargeAccess(res partition.Result, isWrite bool, now int64) {
 	s.meter.OnAccess(energy.AccessEvent{
@@ -305,14 +319,47 @@ func (s *System) stepBound(h corePicker, ci int) int64 {
 }
 
 // stepCap returns the batched-retirement cap for a core that has not
-// yet crossed target: per-record stepping re-checks the retirement
-// target after every instruction, so a batch must stop exactly at the
-// crossing for IPC/MPKI to be recorded at the same instant.
+// yet crossed target: it stops one instruction short of the crossing,
+// so the crossing retires alone, from the global minimum, and is
+// recorded at the instant per-record stepping records it.
 func stepCap(c *cpu.Core, target uint64) uint64 {
 	if r := c.Retired(); r < target {
-		return target - r
+		return max(target-r-1, 1)
 	}
 	return ^uint64(0)
+}
+
+// horizon is the largest (clock, core) key seen of a core that had not
+// yet crossed the run's target. Every instruction up to a core's
+// crossing runs before the run ends, so every key the horizon takes is
+// at or below the last crossing's, the key the run ends at; a crossed
+// core's private instructions below the horizon run in the per-record
+// loop too (DESIGN.md §10, "Stepping window"). The zero value is at or
+// below every key.
+type horizon struct {
+	clock int64
+	core  int
+}
+
+// raise folds the key (now, ci) into the horizon.
+func (z *horizon) raise(now int64, ci int) {
+	if now > z.clock || now == z.clock && ci > z.core {
+		z.clock, z.core = now, ci
+	}
+}
+
+// priv returns core ci's private-retirement bound: unbounded before
+// its crossing (stepCap holds the crossing back), afterwards the
+// largest clock whose key is below the horizon.
+func (z horizon) priv(p *Progress, ci int) int64 {
+	switch {
+	case !p.Recorded[ci]:
+		return math.MaxInt64
+	case ci < z.core:
+		return z.clock
+	default:
+		return z.clock - 1
+	}
 }
 
 // Progress is the stepping loop's bookkeeping: which cores have
@@ -337,6 +384,25 @@ func (p *Progress) clone() *Progress {
 		Done:     p.Done,
 		IPC:      append([]float64(nil), p.IPC...),
 		MPKI:     append([]float64(nil), p.MPKI...),
+	}
+}
+
+// account books core ci's step: it records the core's IPC/MPKI in p
+// the instant it crosses target, and until then folds its key into the
+// horizon. The clock after the crossing instruction is never folded in:
+// a stall on that instruction can jump past the run's end.
+func (s *System) account(p *Progress, z *horizon, ci int, target uint64) {
+	c := s.cores[ci]
+	switch {
+	case p.Recorded[ci]:
+	case c.Retired() < target:
+		z.raise(c.Now(), ci)
+	default:
+		p.Recorded[ci] = true
+		p.Done++
+		p.IPC[ci] = c.IPC()
+		misses := s.scheme.Stats().PerCore[ci].Misses
+		p.MPKI[ci] = float64(misses) / (float64(c.Retired()) / 1000)
 	}
 }
 
@@ -391,8 +457,9 @@ func (s *System) nextCkptBoundary(every, target uint64) (uint64, int) {
 // IPC/MPKI in p the instant it crosses target. When every > 0 and
 // onCkpt is non-nil, onCkpt fires each time all cores have retired
 // another `every` instructions (the moment the last core crosses the
-// boundary). stepRecords swaps in the per-record reference path
-// (DESIGN.md §10).
+// boundary). Each StepEvent call runs under the stepping window of
+// DESIGN.md §10: stepBound, the horizon's priv and stepCap.
+// stepRecords swaps in the per-record reference path.
 func (s *System) run(target uint64, p *Progress, every uint64, onCkpt func(boundary uint64)) {
 	var nextCkpt uint64
 	ckptShort := 0
@@ -401,6 +468,10 @@ func (s *System) run(target uint64, p *Progress, every uint64, onCkpt func(bound
 	}
 
 	h := s.newPicker()
+	var z horizon // seeded from the cores that have not crossed
+	for i := range s.cores {
+		s.account(p, &z, i, target)
+	}
 	for p.Done < len(s.cores) {
 		ci := h.Min()
 		c := s.cores[ci]
@@ -416,16 +487,10 @@ func (s *System) run(target uint64, p *Progress, every uint64, onCkpt func(bound
 		if s.stepRecords {
 			c.Step()
 		} else {
-			c.StepEvent(s.stepBound(h, ci), stepCap(c, target))
+			c.StepEvent(s.stepBound(h, ci), z.priv(p, ci), stepCap(c, target))
 		}
 		h.FixMin(c.Now())
-		if !p.Recorded[ci] && c.Retired() >= target {
-			p.Recorded[ci] = true
-			p.Done++
-			p.IPC[ci] = c.IPC()
-			misses := s.scheme.Stats().PerCore[ci].Misses
-			p.MPKI[ci] = float64(misses) / (float64(c.Retired()) / 1000)
-		}
+		s.account(p, &z, ci, target)
 		// The hook fires after this iteration's bookkeeping so the
 		// snapshot captures a state the loop can re-enter verbatim.
 		if nextCkpt > 0 && before < nextCkpt && c.Retired() >= nextCkpt {
