@@ -153,7 +153,7 @@ func benchSchemeAccess(b *testing.B, mk func(partition.Config) partition.Scheme)
 	}
 	s := mk(cfg)
 	gen := workload.MustGet("soplex").NewGenerator(workload.Params{
-		LineBytes: 64, WayLines: 128, InstrScale: 0.001, Seed: 1,
+		LineBytes: 64, WayLines: 128, PhaseScale: 0.001, Seed: 1,
 	})
 	var ev trace.Event
 	b.ResetTimer()
@@ -178,7 +178,7 @@ func BenchmarkAccessUCP(b *testing.B) {
 }
 
 func BenchmarkAccessCoopPart(b *testing.B) {
-	benchSchemeAccess(b, func(c partition.Config) partition.Scheme { return core.New(c) })
+	benchSchemeAccess(b, func(c partition.Config) partition.Scheme { return core.New(c, core.VariantNone) })
 }
 
 // BenchmarkEventStream times trace generation for gcc through the
@@ -186,7 +186,7 @@ func BenchmarkAccessCoopPart(b *testing.B) {
 // ALU-run-plus-record. ns/op is per instruction.
 func BenchmarkEventStream(b *testing.B) {
 	gen := workload.MustGet("gcc").NewGenerator(workload.Params{
-		LineBytes: 64, WayLines: 128, InstrScale: 0.001, Seed: 1,
+		LineBytes: 64, WayLines: 128, PhaseScale: 0.001, Seed: 1,
 	})
 	var ev trace.Event
 	b.ResetTimer()
@@ -212,7 +212,7 @@ func BenchmarkLookahead(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		umon.ThresholdLookahead(curves, 16, 1, 0.05)
+		umon.ThresholdLookahead(curves, 16, 0.05)
 	}
 }
 

@@ -22,7 +22,7 @@ func main() {
 		Cache:    cache.Config{Name: "L2", SizeBytes: 4 * 4 * 64, LineBytes: 64, Ways: 4, Latency: 15},
 		NumCores: 2,
 		DRAM:     mem.New(mem.DefaultConfig()),
-	})
+	}, core.VariantNone)
 	l2 := cp.Cache()
 
 	fmt.Println("initial state: each core owns two ways")

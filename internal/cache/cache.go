@@ -463,14 +463,6 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// MissRate returns misses/accesses, or 0 when no accesses occurred.
-func (s *Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Reset zeroes all counters.
 func (s *Stats) Reset() { *s = Stats{} }
 

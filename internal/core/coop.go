@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/partition"
@@ -29,17 +30,59 @@ type CoopPart struct {
 	donors []donorState
 	alloc  []int // target allocation per core (Cur in Algorithm 2)
 	rng    uint64
+	v      Variant
 
-	// Drowsy extension state (drowsy.go); inactive when Window == 0.
-	drowsy    DrowsyConfig
+	// Drowsy extension state (drowsy.go); nil/zero unless v is
+	// VariantDrowsy.
 	lastTouch []int64 // per way: last data-array access
 	lastNow   int64   // most recent access time (for power reporting)
 }
 
-// New builds the scheme. The threshold T and the per-core way guarantee
-// come from cfg (Threshold, MinAllocWays).
-func New(cfg partition.Config) *CoopPart {
-	c := &CoopPart{Controller: partition.NewController(cfg)}
+// Variant names one arm of the ablation and extension studies
+// (DESIGN.md §7): the plain scheme or one of its four single-choice
+// mutations. It is part of every run's identity, so an ablated run
+// never aliases the plain run it is compared against.
+type Variant string
+
+const (
+	// VariantNone is the unmodified scheme.
+	VariantNone Variant = ""
+	// VariantRecipientMissOnly sets takeover bits only on recipient
+	// misses (UCP-style convergence) instead of on every donor or
+	// recipient access, isolating why cooperative takeover is faster
+	// (Section 2.3).
+	VariantRecipientMissOnly Variant = "recipient-miss-only"
+	// VariantNoGating partitions identically but never powers ways
+	// off, isolating the static-energy contribution of gated-Vdd
+	// (Section 2.2).
+	VariantNoGating Variant = "no-gating"
+	// VariantRandomVictim fills into a pseudo-random way of the
+	// owner's allocation instead of the LRU way — the degenerate
+	// placement Section 2.5 compares the way-aligned restriction
+	// against.
+	VariantRandomVictim Variant = "random-victim"
+	// VariantDrowsy adds the drowsy-cache extension (Section 6,
+	// drowsy.go).
+	VariantDrowsy Variant = "drowsy"
+)
+
+// Validate reports an unknown variant.
+func (v Variant) Validate() error {
+	switch v {
+	case VariantNone, VariantRecipientMissOnly, VariantNoGating, VariantRandomVictim, VariantDrowsy:
+		return nil
+	}
+	return fmt.Errorf("core: unknown variant %q", v)
+}
+
+// New builds the scheme in variant v. The threshold T comes from
+// cfg.Threshold. Like the partition constructors it panics on an
+// invalid configuration or variant.
+func New(cfg partition.Config, v Variant) *CoopPart {
+	if err := v.Validate(); err != nil {
+		panic(err)
+	}
+	c := &CoopPart{Controller: partition.NewController(cfg), v: v}
 	l2 := c.Cache()
 	n := c.NumCores()
 	c.mons = c.NewMonitors()
@@ -65,6 +108,9 @@ func New(cfg partition.Config) *CoopPart {
 	}
 	for ; way < l2.Ways(); way++ {
 		c.owner[way] = -1
+	}
+	if v == VariantDrowsy {
+		c.lastTouch = make([]int64, l2.Ways())
 	}
 	return c
 }
@@ -131,7 +177,7 @@ func (c *CoopPart) Access(core int, addr uint64, isWrite bool, now int64) partit
 		// Ablation: only recipient misses advance the takeover. Pure
 		// turn-off periods keep donor-driven progress (they have no
 		// recipient to miss, so they would never complete).
-		if c.Cfg().RecipientMissOnly && ds.hasRecipient() && (core == d || hit) {
+		if c.v == VariantRecipientMissOnly && ds.hasRecipient() && (core == d || hit) {
 			continue
 		}
 		if !ds.bits.Set(set) {
@@ -286,7 +332,7 @@ func (c *CoopPart) Decide(now int64) {
 	l2 := c.Cache()
 	n := c.NumCores()
 
-	next := umon.ThresholdLookahead(c.MissCurves(c.mons), l2.Ways(), c.Cfg().MinAllocWays, c.Cfg().Threshold)
+	next := umon.ThresholdLookahead(c.MissCurves(c.mons), l2.Ways(), c.Cfg().Threshold)
 	c.DecayMonitors(c.mons)
 
 	// Pre in Algorithm 2: the allocation the registers are already
@@ -375,10 +421,10 @@ func (c *CoopPart) Decide(now int64) {
 }
 
 // pickVictim chooses the fill victim among the masked ways: LRU by
-// default, or pseudo-random under the RandomVictim ablation (invalid
-// ways are preferred either way).
+// default, or pseudo-random under VariantRandomVictim (invalid ways
+// are preferred either way).
 func (c *CoopPart) pickVictim(set int, mask uint64) int {
-	if !c.Cfg().RandomVictim {
+	if c.v != VariantRandomVictim {
 		return c.Cache().Victim(set, mask)
 	}
 	l2 := c.Cache()
@@ -413,13 +459,14 @@ func (c *CoopPart) pickOffWay() int {
 }
 
 // PoweredWayEquiv implements partition.Scheme: ways with any permission
-// bit set are powered; the rest are gated (unless gating is disabled by
-// the ablation switch, in which case everything stays powered).
+// bit set are powered; the rest are gated (under VariantNoGating
+// everything stays powered, and VariantDrowsy weights idle ways by
+// their drowsy leakage).
 func (c *CoopPart) PoweredWayEquiv() float64 {
-	if c.Cfg().DisableGating {
+	switch c.v {
+	case VariantNoGating:
 		return float64(c.Cache().Ways())
-	}
-	if c.DrowsyEnabled() {
+	case VariantDrowsy:
 		return c.drowsyPoweredEquiv(c.lastNow)
 	}
 	return float64(c.perms.PoweredWays())

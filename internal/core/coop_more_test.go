@@ -12,13 +12,12 @@ import (
 // fourCoreScheme builds a 4-core, 8-way, 16-set CoopPart.
 func fourCoreScheme(threshold float64) *CoopPart {
 	return New(partition.Config{
-		Cache:           cache.Config{Name: "l2", SizeBytes: 16 * 8 * 64, LineBytes: 64, Ways: 8, Latency: 20},
-		NumCores:        4,
-		DRAM:            mem.New(mem.DefaultConfig()),
-		Threshold:       threshold,
-		TimelineBucket:  100,
-		TimelineBuckets: 16,
-	})
+		Cache:          cache.Config{Name: "l2", SizeBytes: 16 * 8 * 64, LineBytes: 64, Ways: 8, Latency: 20},
+		NumCores:       4,
+		DRAM:           mem.New(mem.DefaultConfig()),
+		Threshold:      threshold,
+		TimelineBucket: 100,
+	}, VariantNone)
 }
 
 func TestFourCoreInitialPartition(t *testing.T) {
@@ -138,15 +137,13 @@ func TestTurnOnWayIsImmediate(t *testing.T) {
 }
 
 func TestRecipientMissOnlyAblationSlower(t *testing.T) {
-	run := func(missOnly bool) int64 {
-		cfg := partition.Config{
-			Cache:             cache.Config{Name: "l2", SizeBytes: 16 * 4 * 64, LineBytes: 64, Ways: 4, Latency: 15},
-			NumCores:          2,
-			DRAM:              mem.New(mem.DefaultConfig()),
-			Threshold:         0.05,
-			RecipientMissOnly: missOnly,
-		}
-		c := New(cfg)
+	run := func(v Variant) int64 {
+		c := New(partition.Config{
+			Cache:     cache.Config{Name: "l2", SizeBytes: 16 * 4 * 64, LineBytes: 64, Ways: 4, Latency: 15},
+			NumCores:  2,
+			DRAM:      mem.New(mem.DefaultConfig()),
+			Threshold: 0.05,
+		}, v)
 		l2 := c.Cache()
 		// Preload both cores' ways so a good share of accesses hit: in
 		// the ablated mode only recipient *misses* advance the takeover,
@@ -169,8 +166,8 @@ func TestRecipientMissOnlyAblationSlower(t *testing.T) {
 		}
 		return now
 	}
-	full := run(false)
-	missOnly := run(true)
+	full := run(VariantNone)
+	missOnly := run(VariantRecipientMissOnly)
 	if missOnly <= full {
 		t.Fatalf("recipient-miss-only takeover (%d cycles) should be slower than full (%d)",
 			missOnly, full)
@@ -178,14 +175,12 @@ func TestRecipientMissOnlyAblationSlower(t *testing.T) {
 }
 
 func TestDisableGatingKeepsWaysPowered(t *testing.T) {
-	cfg := partition.Config{
-		Cache:         cache.Config{Name: "l2", SizeBytes: 16 * 4 * 64, LineBytes: 64, Ways: 4, Latency: 15},
-		NumCores:      2,
-		DRAM:          mem.New(mem.DefaultConfig()),
-		Threshold:     0.2,
-		DisableGating: true,
-	}
-	c := New(cfg)
+	c := New(partition.Config{
+		Cache:     cache.Config{Name: "l2", SizeBytes: 16 * 4 * 64, LineBytes: 64, Ways: 4, Latency: 15},
+		NumCores:  2,
+		DRAM:      mem.New(mem.DefaultConfig()),
+		Threshold: 0.2,
+	}, VariantNoGating)
 	l2 := c.Cache()
 	// Force a turn-off transition to completion.
 	c.perms.SetWrite(1, 0, false)

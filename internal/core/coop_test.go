@@ -10,15 +10,17 @@ import (
 )
 
 // testScheme builds a small two-core CoopPart: 4 ways, 16 sets.
-func testScheme(threshold float64) *CoopPart {
+func testScheme(threshold float64) *CoopPart { return testVariant(threshold, VariantNone) }
+
+// testVariant is testScheme in variant v.
+func testVariant(threshold float64, v Variant) *CoopPart {
 	return New(partition.Config{
-		Cache:           cache.Config{Name: "l2", SizeBytes: 16 * 4 * 64, LineBytes: 64, Ways: 4, Latency: 15},
-		NumCores:        2,
-		DRAM:            mem.New(mem.DefaultConfig()),
-		Threshold:       threshold,
-		TimelineBucket:  100,
-		TimelineBuckets: 16,
-	})
+		Cache:          cache.Config{Name: "l2", SizeBytes: 16 * 4 * 64, LineBytes: 64, Ways: 4, Latency: 15},
+		NumCores:       2,
+		DRAM:           mem.New(mem.DefaultConfig()),
+		Threshold:      threshold,
+		TimelineBucket: 100,
+	}, v)
 }
 
 // addrFor builds a byte address for core that maps to the given set

@@ -7,59 +7,41 @@ package core
 // cache to offer further energy reductions". This file implements that
 // extension at way granularity on top of Cooperative Partitioning:
 //
-//   - a way whose data array has not been touched for DrowsyWindow
-//     cycles drops to drowsy voltage (leakage scaled by DrowsyFactor,
+//   - a way whose data array has not been touched for drowsyWindow
+//     cycles drops to drowsy voltage (leakage scaled by drowsyFactor,
 //     contents preserved — unlike the gated-Vdd power-off of
 //     unallocated ways, which loses state);
-//   - the next data access to a drowsy way pays DrowsyWakePenalty
+//   - the next data access to a drowsy way pays drowsyWakePenalty
 //     cycles to restore full voltage;
 //   - tag arrays stay awake, so lookups are unaffected (the standard
 //     drowsy-cache design point).
 //
-// The extension is off by default (DrowsyWindow == 0) and changes
-// neither allocations nor takeover behaviour — only the static-power
-// accounting and a small wake latency.
+// The extension is VariantDrowsy and changes neither allocations nor
+// takeover behaviour — only the static-power accounting and a small
+// wake latency.
 
-// DrowsyConfig parameterises the extension.
-type DrowsyConfig struct {
-	// Window is the idle time, in cycles, after which a way's data
-	// array goes drowsy. Zero disables the extension.
-	Window int64
-	// Factor is a drowsy way's leakage relative to full voltage
-	// (typically ~0.25 at 45nm).
-	Factor float64
-	// WakePenalty is the extra access latency to wake a drowsy way.
-	WakePenalty int64
-}
-
-// DefaultDrowsyConfig returns literature-typical constants: a 4k-cycle
-// window, 25% residual leakage, one-cycle wake.
-func DefaultDrowsyConfig() DrowsyConfig {
-	return DrowsyConfig{Window: 4000, Factor: 0.25, WakePenalty: 1}
-}
-
-// EnableDrowsy switches the extension on. Call before running; the
-// configuration is fixed for the scheme's lifetime.
-func (c *CoopPart) EnableDrowsy(cfg DrowsyConfig) {
-	if cfg.Window <= 0 || cfg.Factor < 0 || cfg.Factor > 1 {
-		panic("core: invalid drowsy configuration")
-	}
-	c.drowsy = cfg
-	c.lastTouch = make([]int64, c.Cache().Ways())
-}
-
-// DrowsyEnabled reports whether the extension is active.
-func (c *CoopPart) DrowsyEnabled() bool { return c.drowsy.Window > 0 }
+// The extension's literature-typical constants.
+const (
+	// drowsyWindow is the idle time, in cycles, after which a way's
+	// data array goes drowsy.
+	drowsyWindow = 4000
+	// drowsyFactor is a drowsy way's leakage relative to full voltage
+	// (~0.25 at 45nm).
+	drowsyFactor = 0.25
+	// drowsyWakePenalty is the extra access latency to wake a drowsy
+	// way.
+	drowsyWakePenalty = 1
+)
 
 // wakeWay records a data-array touch on way at time now and returns
 // the wake penalty if the way was drowsy.
 func (c *CoopPart) wakeWay(way int, now int64) int64 {
-	if !c.DrowsyEnabled() || way < 0 {
+	if c.v != VariantDrowsy || way < 0 {
 		return 0
 	}
 	var penalty int64
-	if now-c.lastTouch[way] > c.drowsy.Window {
-		penalty = c.drowsy.WakePenalty
+	if now-c.lastTouch[way] > drowsyWindow {
+		penalty = drowsyWakePenalty
 	}
 	c.lastTouch[way] = now
 	return penalty
@@ -67,10 +49,10 @@ func (c *CoopPart) wakeWay(way int, now int64) int64 {
 
 // IsDrowsy reports whether way's data array is drowsy at time now.
 func (c *CoopPart) IsDrowsy(way int, now int64) bool {
-	if !c.DrowsyEnabled() || c.perms.IsOff(way) {
+	if c.v != VariantDrowsy || c.perms.IsOff(way) {
 		return false
 	}
-	return now-c.lastTouch[way] > c.drowsy.Window
+	return now-c.lastTouch[way] > drowsyWindow
 }
 
 // drowsyPoweredEquiv returns powered way-equivalents with drowsy ways
@@ -82,7 +64,7 @@ func (c *CoopPart) drowsyPoweredEquiv(now int64) float64 {
 		case c.perms.IsOff(w):
 			// gated: counted by the meter's gated-leak residual
 		case c.IsDrowsy(w, now):
-			eq += c.drowsy.Factor
+			eq += drowsyFactor
 		default:
 			eq++
 		}

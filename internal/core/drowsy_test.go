@@ -4,53 +4,55 @@ import "testing"
 
 func TestDrowsyDisabledByDefault(t *testing.T) {
 	c := testScheme(0.05)
-	if c.DrowsyEnabled() {
-		t.Fatal("drowsy must be off by default")
-	}
 	if c.IsDrowsy(0, 1_000_000) {
 		t.Fatal("IsDrowsy must be false when disabled")
 	}
 	if c.PoweredWayEquiv() != 4 {
 		t.Fatal("default powered ways wrong")
 	}
+	// No wake penalty either: a hit long after the fill costs the
+	// plain hit latency.
+	addr := addrFor(c, 0, 5, 2)
+	c.Access(0, addr, false, 0)
+	if res := c.Access(0, addr, false, 1_000_000); !res.Hit || res.Latency != 15 {
+		t.Fatalf("idle hit: hit=%v latency=%d, want a hit at 15", res.Hit, res.Latency)
+	}
 }
 
 func TestDrowsyWaysGoDrowsyWhenIdle(t *testing.T) {
-	c := testScheme(0.05)
-	c.EnableDrowsy(DrowsyConfig{Window: 100, Factor: 0.25, WakePenalty: 1})
+	c := testVariant(0.05, VariantDrowsy)
 	// Touch core 0's ways at t=0.
 	c.Access(0, addrFor(c, 0, 0, 1), false, 0)
-	if c.IsDrowsy(0, 50) && c.IsDrowsy(1, 50) {
+	if c.IsDrowsy(0, drowsyWindow/2) && c.IsDrowsy(1, drowsyWindow/2) {
 		t.Fatal("recently-idle ways already drowsy")
 	}
-	if !c.IsDrowsy(0, 500) {
+	if !c.IsDrowsy(0, drowsyWindow+1) {
 		t.Fatal("way 0 should be drowsy after the window")
 	}
 }
 
 func TestDrowsyWakePenalty(t *testing.T) {
-	c := testScheme(0.05)
-	c.EnableDrowsy(DrowsyConfig{Window: 100, Factor: 0.25, WakePenalty: 3})
+	c := testVariant(0.05, VariantDrowsy)
 	addr := addrFor(c, 0, 5, 2)
 	c.Access(0, addr, false, 0) // fill (wakes the victim way)
 	// Re-access long after the window: hit, but pays the wake penalty.
-	res := c.Access(0, addr, false, 10_000)
+	late := int64(10 * drowsyWindow)
+	res := c.Access(0, addr, false, late)
 	if !res.Hit {
 		t.Fatal("expected hit")
 	}
-	if res.Latency != 15+3 {
-		t.Fatalf("latency = %d, want hit latency 15 + wake 3", res.Latency)
+	if res.Latency != 15+drowsyWakePenalty {
+		t.Fatalf("latency = %d, want hit latency 15 + wake %d", res.Latency, drowsyWakePenalty)
 	}
 	// Immediate re-access: awake, no penalty.
-	res = c.Access(0, addr, false, 10_010)
+	res = c.Access(0, addr, false, late+10)
 	if res.Latency != 15 {
 		t.Fatalf("awake hit latency = %d, want 15", res.Latency)
 	}
 }
 
 func TestDrowsyReducesPoweredEquiv(t *testing.T) {
-	c := testScheme(0.05)
-	c.EnableDrowsy(DrowsyConfig{Window: 100, Factor: 0.25, WakePenalty: 1})
+	c := testVariant(0.05, VariantDrowsy)
 	c.Access(0, addrFor(c, 0, 0, 1), false, 0)
 	c.Access(1, addrFor(c, 1, 0, 1), false, 0)
 	full := c.PoweredWayEquiv()
@@ -68,8 +70,7 @@ func TestDrowsyReducesPoweredEquiv(t *testing.T) {
 }
 
 func TestDrowsyPreservesContents(t *testing.T) {
-	c := testScheme(0.05)
-	c.EnableDrowsy(DefaultDrowsyConfig())
+	c := testVariant(0.05, VariantDrowsy)
 	addr := addrFor(c, 0, 7, 3)
 	c.Access(0, addr, true, 0)
 	// Long idle: drowsy, but unlike gated-Vdd the data survives.
@@ -80,8 +81,7 @@ func TestDrowsyPreservesContents(t *testing.T) {
 }
 
 func TestDrowsyOffWaysNotDrowsy(t *testing.T) {
-	c := testScheme(0.05)
-	c.EnableDrowsy(DefaultDrowsyConfig())
+	c := testVariant(0.05, VariantDrowsy)
 	l2 := c.Cache()
 	c.perms.SetWrite(1, 0, false)
 	c.startDonation(0, transfer{way: 1, recipient: -1}, 0)
@@ -100,11 +100,19 @@ func TestDrowsyOffWaysNotDrowsy(t *testing.T) {
 	}
 }
 
-func TestEnableDrowsyValidation(t *testing.T) {
+func TestUnknownVariantRejected(t *testing.T) {
+	if err := Variant("bogus").Validate(); err == nil {
+		t.Fatal("unknown variant validated")
+	}
+	for _, v := range []Variant{VariantNone, VariantRecipientMissOnly, VariantNoGating, VariantRandomVictim, VariantDrowsy} {
+		if err := v.Validate(); err != nil {
+			t.Fatalf("%q: %v", v, err)
+		}
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("invalid drowsy config must panic")
+			t.Fatal("New with an unknown variant must panic")
 		}
 	}()
-	testScheme(0.05).EnableDrowsy(DrowsyConfig{Window: -1})
+	testVariant(0.05, Variant("bogus"))
 }

@@ -16,13 +16,12 @@ import (
 func nCoreScheme(t *testing.T, cores, ways, sets int) *CoopPart {
 	t.Helper()
 	return New(partition.Config{
-		Cache:           cache.Config{Name: "l2", SizeBytes: sets * ways * 64, LineBytes: 64, Ways: ways, Latency: 15},
-		NumCores:        cores,
-		DRAM:            mem.New(mem.DefaultConfig()),
-		Threshold:       0.05,
-		TimelineBucket:  100,
-		TimelineBuckets: 16,
-	})
+		Cache:          cache.Config{Name: "l2", SizeBytes: sets * ways * 64, LineBytes: 64, Ways: ways, Latency: 15},
+		NumCores:       cores,
+		DRAM:           mem.New(mem.DefaultConfig()),
+		Threshold:      0.05,
+		TimelineBucket: 100,
+	}, VariantNone)
 }
 
 func TestMoreCoresThanWaysRejectedLoudly(t *testing.T) {

@@ -127,7 +127,7 @@ func (c *CoopPart) RestoreStateJSON(data []byte) error {
 		return fmt.Errorf("core: snapshot geometry mismatch (%d/%d owners, %d/%d allocs, %d/%d donors)",
 			len(st.Owner), len(c.owner), len(st.Alloc), len(c.alloc), len(st.Donors), len(c.donors))
 	}
-	if c.DrowsyEnabled() != (st.LastTouch != nil) {
+	if (c.lastTouch != nil) != (st.LastTouch != nil) {
 		return fmt.Errorf("core: snapshot drowsy state does not match scheme configuration")
 	}
 	if st.LastTouch != nil && len(st.LastTouch) != len(c.lastTouch) {

@@ -109,14 +109,6 @@ func (g *Gshare) Predict(pc uint64, taken bool) bool {
 // Penalty returns the misprediction bubble in cycles.
 func (g *Gshare) Penalty() int { return g.cfg.MispredictPenalty }
 
-// MispredictRate returns mispredictions per branch.
-func (g *Gshare) MispredictRate() float64 {
-	if g.stats.Branches == 0 {
-		return 0
-	}
-	return float64(g.stats.Mispredicts) / float64(g.stats.Branches)
-}
-
 // btbLookupInsert probes the BTB for pc, inserting on miss, and reports
 // whether it hit.
 func (g *Gshare) btbLookupInsert(pc uint64) bool {

@@ -163,14 +163,8 @@ func (c *Core) IPC() float64 {
 	return float64(c.Retired()) / cycles
 }
 
-// MeasuredCycles returns cycles elapsed since the last ResetStats.
-func (c *Core) MeasuredCycles() float64 { return c.clock - c.snapClock }
-
 // Stats returns the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
-
-// Predictor exposes the branch predictor (for reporting).
-func (c *Core) Predictor() *Gshare { return c.gshare }
 
 // effectiveMLP clamps the benchmark's intrinsic miss parallelism by the
 // window resources: the LSQ bounds in-flight memory operations and the

@@ -136,15 +136,10 @@ func (m *Meter) Advance(now int64) {
 	m.lastCycle = now
 }
 
-// SetPoweredWays records a change in how many ways are powered,
-// accounting leakage up to the change point first.
-func (m *Meter) SetPoweredWays(now int64, powered int) {
-	m.SetPoweredEquiv(now, float64(powered))
-}
-
-// SetPoweredEquiv is SetPoweredWays for fractional way-equivalents, as
-// produced by set-partitioned schemes (CPE gates unused set regions of
-// a way, leaving a fraction of it powered).
+// SetPoweredEquiv records a change in how many way-equivalents are
+// powered, accounting leakage up to the change point first. The count
+// is fractional for set-partitioned schemes (CPE gates unused set
+// regions of a way, leaving a fraction of it powered).
 func (m *Meter) SetPoweredEquiv(now int64, powered float64) {
 	if powered < 0 {
 		powered = 0

@@ -30,7 +30,7 @@ func TestStaticScalesWithPoweredWays(t *testing.T) {
 	full.Advance(1000)
 
 	half := NewMeter(p, 8)
-	half.SetPoweredWays(0, 4)
+	half.SetPoweredEquiv(0, 4)
 	half.Advance(1000)
 
 	if half.Static() >= full.Static() {
@@ -56,8 +56,8 @@ func TestAdvanceIsIdempotentBackwards(t *testing.T) {
 func TestSetPoweredWaysAccountsUpToChange(t *testing.T) {
 	p := DefaultParams()
 	m := NewMeter(p, 8)
-	m.SetPoweredWays(500, 2) // first 500 cycles at 8 ways
-	m.Advance(1000)          // next 500 at 2 on + 6 gated
+	m.SetPoweredEquiv(500, 2) // first 500 cycles at 8 ways
+	m.Advance(1000)           // next 500 at 2 on + 6 gated
 	want := 500*p.LeakPerWayCyc*8 + 500*p.LeakPerWayCyc*(2+6*p.GatedLeakRatio)
 	if math.Abs(m.Static()-want) > 1e-9 {
 		t.Fatalf("static = %v, want %v", m.Static(), want)
@@ -66,11 +66,11 @@ func TestSetPoweredWaysAccountsUpToChange(t *testing.T) {
 
 func TestSetPoweredWaysClamps(t *testing.T) {
 	m := NewMeter(DefaultParams(), 8)
-	m.SetPoweredWays(0, -3)
+	m.SetPoweredEquiv(0, -3)
 	if m.PoweredWays() != 0 {
 		t.Fatalf("powered = %d, want clamp to 0", m.PoweredWays())
 	}
-	m.SetPoweredWays(0, 99)
+	m.SetPoweredEquiv(0, 99)
 	if m.PoweredWays() != 8 {
 		t.Fatalf("powered = %d, want clamp to 8", m.PoweredWays())
 	}
@@ -95,7 +95,7 @@ func TestOverheadCharges(t *testing.T) {
 func TestReset(t *testing.T) {
 	m := NewMeter(DefaultParams(), 8)
 	m.OnAccess(AccessEvent{TagsConsulted: 8, DataRead: true})
-	m.SetPoweredWays(100, 2)
+	m.SetPoweredEquiv(100, 2)
 	m.Advance(200)
 	m.Reset()
 	if m.Dynamic() != 0 || m.Static() != 0 || m.Total() != 0 || m.PoweredWays() != 8 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -38,7 +39,7 @@ func (r *Runner) AblationVictim() (metrics.Figure, error) {
 		if err != nil {
 			return metrics.Figure{}, err
 		}
-		cp0, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
+		cp0, err := r.RunGroupVariant(g, sim.CoopPart, 0, core.VariantNone)
 		if err != nil {
 			return metrics.Figure{}, err
 		}
@@ -72,7 +73,7 @@ func (r *Runner) AblationTakeover() (metrics.Figure, error) {
 	// finish and drop out of the average).
 	err := r.runPairs(workload.Groups2, false,
 		request{Scheme: sim.CoopPart, Threshold: 0},
-		request{Scheme: sim.CoopPart, Threshold: 0, Variant: VariantRecipientMissOnly})
+		request{Scheme: sim.CoopPart, Threshold: 0, Variant: core.VariantRecipientMissOnly})
 	if err != nil {
 		return metrics.Figure{}, err
 	}
@@ -85,11 +86,11 @@ func (r *Runner) AblationTakeover() (metrics.Figure, error) {
 	var full, missOnly []float64
 	for _, g := range workload.Groups2 {
 		fig.X = append(fig.X, g.Name)
-		cp, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
+		cp, err := r.RunGroupVariant(g, sim.CoopPart, 0, core.VariantNone)
 		if err != nil {
 			return metrics.Figure{}, err
 		}
-		ablated, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantRecipientMissOnly)
+		ablated, err := r.RunGroupVariant(g, sim.CoopPart, 0, core.VariantRecipientMissOnly)
 		if err != nil {
 			return metrics.Figure{}, err
 		}
@@ -110,7 +111,7 @@ func (r *Runner) AblationTakeover() (metrics.Figure, error) {
 func (r *Runner) AblationGating() (metrics.Figure, error) {
 	err := r.runPairs(workload.Groups2, false,
 		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
-		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantNoGating})
+		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: core.VariantNoGating})
 	if err != nil {
 		return metrics.Figure{}, err
 	}
@@ -127,7 +128,7 @@ func (r *Runner) AblationGating() (metrics.Figure, error) {
 		if err != nil {
 			return metrics.Figure{}, err
 		}
-		ungated, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, VariantNoGating)
+		ungated, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, core.VariantNoGating)
 		if err != nil {
 			return metrics.Figure{}, err
 		}
@@ -145,7 +146,7 @@ func (r *Runner) AblationGating() (metrics.Figure, error) {
 func (r *Runner) AblationRandomVictim() (metrics.Figure, error) {
 	err := r.runPairs(workload.Groups2, true,
 		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
-		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantRandomVictim})
+		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: core.VariantRandomVictim})
 	if err != nil {
 		return metrics.Figure{}, err
 	}
@@ -162,7 +163,7 @@ func (r *Runner) AblationRandomVictim() (metrics.Figure, error) {
 		if err != nil {
 			return metrics.Figure{}, err
 		}
-		rnd, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, VariantRandomVictim)
+		rnd, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, core.VariantRandomVictim)
 		if err != nil {
 			return metrics.Figure{}, err
 		}

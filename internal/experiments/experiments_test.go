@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -343,5 +347,42 @@ func TestAblationRandomVictimSmallGap(t *testing.T) {
 	// Section 2.5: the gap between placements is small.
 	if avgR < avgL*0.85 || avgR > avgL*1.15 {
 		t.Fatalf("victim-policy gap too large: LRU %v vs Random %v", avgL, avgR)
+	}
+}
+
+// TestAblationAndExtensionFigureBytes pins the exact WriteTable bytes
+// of every ablation and extension figure by SHA-256 at UnitScale, seed
+// 1. The runs are the shared unitRunner's, which the shape tests above
+// already execute. A change that moves any of these results must
+// re-record the digests and say why.
+func TestAblationAndExtensionFigureBytes(t *testing.T) {
+	cases := []struct {
+		name string
+		gen  func() (metrics.Figure, error)
+		want string
+	}{
+		{"AblationVictim", unitRunner.AblationVictim,
+			"69c943d2522e10c5e2a122b08858fe5a206b4fecf60cd1a75cd206e70244b414"},
+		{"AblationTakeover", unitRunner.AblationTakeover,
+			"30e5fc22d1eacbdf32f2d1e01fbab8414ad9a09af6c3f9d72a8af11694442e52"},
+		{"AblationGating", unitRunner.AblationGating,
+			"dbe860af63a41d111b963987bc149e8ba2feb035613041f41185e80bc044b7a1"},
+		{"AblationRandomVictim", unitRunner.AblationRandomVictim,
+			"238cfb62bee908cdfa06c0307fa040305899177bd58645900ee0766b662f3d50"},
+		{"ExtDrowsy", unitRunner.ExtDrowsy,
+			"00278cb0abcd80cb79ad0a67fcfa5043665f323a8fcb46dce47e14ff78fb05b6"},
+	}
+	for _, c := range cases {
+		fig, err := c.gen()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var b bytes.Buffer
+		if err := fig.WriteTable(&b); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != c.want {
+			t.Errorf("%s: table digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }

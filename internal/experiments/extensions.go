@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -27,7 +28,7 @@ import (
 func (r *Runner) ExtDrowsy() (metrics.Figure, error) {
 	err := r.runPairs(workload.Groups2, true,
 		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
-		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: VariantDrowsy})
+		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: core.VariantDrowsy})
 	if err != nil {
 		return metrics.Figure{}, err
 	}
@@ -44,7 +45,7 @@ func (r *Runner) ExtDrowsy() (metrics.Figure, error) {
 		if err != nil {
 			return metrics.Figure{}, err
 		}
-		ext, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, VariantDrowsy)
+		ext, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, core.VariantDrowsy)
 		if err != nil {
 			return metrics.Figure{}, err
 		}

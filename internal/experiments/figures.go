@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -137,7 +138,7 @@ func (r *Runner) thresholdSeries(id, title, ylabel string, speedup bool,
 
 	base := make([]float64, len(groups))
 	for i, g := range groups {
-		res, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
+		res, err := r.RunGroupVariant(g, sim.CoopPart, 0, core.VariantNone)
 		if err != nil {
 			return metrics.Figure{}, err
 		}
@@ -148,7 +149,7 @@ func (r *Runner) thresholdSeries(id, title, ylabel string, speedup bool,
 	for _, T := range Thresholds {
 		vals := make([]float64, len(groups))
 		for i, g := range groups {
-			res, err := r.RunGroupVariant(g, sim.CoopPart, T, VariantNone)
+			res, err := r.RunGroupVariant(g, sim.CoopPart, T, core.VariantNone)
 			if err != nil {
 				return metrics.Figure{}, err
 			}

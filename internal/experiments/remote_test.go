@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -93,7 +94,7 @@ func resultKinds(g workload.Group, scheme sim.SchemeKind) []resultKind {
 	return []resultKind{
 		{"run",
 			func(r *Runner) (any, error) { return r.RunGroup(g, scheme) },
-			func(r *Runner) string { return r.RunKey(g, scheme, DefaultThreshold, VariantNone) }},
+			func(r *Runner) string { return r.RunKey(g, scheme, DefaultThreshold, core.VariantNone) }},
 		{"alone",
 			func(r *Runner) (any, error) { return r.AloneResults(b, cores) },
 			func(r *Runner) string { return r.AloneKey(b, cores) }},

@@ -90,44 +90,10 @@ type Remote interface {
 		benchmark string, cores int, fid sim.Fidelity) (partition.CoreProfile, bool)
 }
 
-// Variant names a run-configuration mutation of the ablation and
-// extension studies (DESIGN.md §7). Variants are part of the memo key,
-// so an ablated run never aliases the plain run it is compared against.
-type Variant string
-
-const (
-	// VariantNone is the unmodified scheme.
-	VariantNone Variant = ""
-	// VariantRecipientMissOnly advances takeover only on recipient
-	// misses (UCP-style convergence).
-	VariantRecipientMissOnly Variant = "recipient-miss-only"
-	// VariantNoGating partitions identically but never powers ways off.
-	VariantNoGating Variant = "no-gating"
-	// VariantRandomVictim fills into a pseudo-random way of the owner's
-	// allocation instead of the LRU way.
-	VariantRandomVictim Variant = "random-victim"
-	// VariantDrowsy enables the drowsy-cache extension (paper Section 6).
-	VariantDrowsy Variant = "drowsy"
-)
-
-// applyVariant mutates cfg for the named variant.
-func applyVariant(cfg *sim.RunConfig, v Variant) error {
-	switch v {
-	case VariantNone:
-	case VariantRecipientMissOnly:
-		cfg.RecipientMissOnly = true
-	case VariantNoGating:
-		cfg.DisableGating = true
-	case VariantRandomVictim:
-		cfg.RandomVictim = true
-	case VariantDrowsy:
-		d := core.DefaultDrowsyConfig()
-		cfg.Drowsy = &d
-	default:
-		return fmt.Errorf("experiments: unknown variant %q", v)
-	}
-	return nil
-}
+// Variant is the ablation or extension arm of a run (DESIGN.md §7).
+// Its values are the core.Variant constants; the alias keeps the name
+// the Remote interface and the service protocol spell.
+type Variant = core.Variant
 
 // Runner executes and memoises simulation runs. All methods are safe
 // for concurrent use: each distinct run executes exactly once, with
@@ -162,7 +128,7 @@ type aloneKey struct {
 // NewRunner builds a Runner; a zero-value Config gets the test scale,
 // seed 1, the paper's threshold and one worker per CPU. The runner
 // keeps the decoded threshold, so an encoded explicit zero shares the
-// memo and store keys of RunGroupVariant(g, s, 0, VariantNone).
+// memo and store keys of RunGroupVariant(g, s, 0, core.VariantNone).
 func NewRunner(cfg Config) *Runner {
 	if cfg.Scale.Name == "" {
 		cfg.Scale = sim.TestScale()
@@ -272,11 +238,8 @@ func lookup[K comparable, V any](r *Runner, memo *flight.Group[K, V], key K, sto
 // nothing).
 func (r *Runner) simulate(cfg sim.RunConfig) (res *sim.Results, err error) {
 	r.sims.Add(1)
-	cores := cfg.Cores
-	if cores == 0 {
-		cores = len(cfg.Group.Benchmarks)
-	}
-	labels := pprof.Labels("scheme", string(cfg.Scheme), "group", cfg.Group.Name, "cores", strconv.Itoa(cores))
+	labels := pprof.Labels("scheme", string(cfg.Scheme), "group", cfg.Group.Name,
+		"cores", strconv.Itoa(len(cfg.Group.Benchmarks)))
 	pprof.Do(context.Background(), labels, func(context.Context) {
 		res, err = r.cfg.Checkpoints.Run(cfg)
 	})
@@ -333,7 +296,7 @@ func (r *Runner) Profile(benchmark string, cores int) (partition.CoreProfile, er
 // RunGroup executes (memoised) one group under one scheme at the
 // runner's threshold.
 func (r *Runner) RunGroup(g workload.Group, scheme sim.SchemeKind) (*sim.Results, error) {
-	return r.RunGroupVariant(g, scheme, r.cfg.Threshold, VariantNone)
+	return r.RunGroupVariant(g, scheme, r.cfg.Threshold, core.VariantNone)
 }
 
 // RunGroupVariant is the fully keyed run: group x scheme x threshold x
@@ -354,9 +317,7 @@ func (r *Runner) RunGroupVariant(g workload.Group, scheme sim.SchemeKind, thresh
 				Group:     g,
 				Threshold: sim.EncodeThreshold(threshold),
 				Seed:      r.cfg.Seed,
-			}
-			if err := applyVariant(&cfg, v); err != nil {
-				return nil, err
+				Variant:   v,
 			}
 			if scheme == sim.DynCPE {
 				for _, b := range g.Benchmarks {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -76,7 +77,7 @@ func TestThresholdZeroMemoisedDistinctly(t *testing.T) {
 	r := NewRunner(Config{Scale: sim.UnitScale()})
 	g := workload.Groups2[0]
 
-	zero, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
+	zero, err := r.RunGroupVariant(g, sim.CoopPart, 0, core.VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestThresholdZeroMemoisedDistinctly(t *testing.T) {
 	if got := r.Simulations(); got != 2 {
 		t.Fatalf("executed %d simulations, want 2 (T=0 and T=default)", got)
 	}
-	defExplicit, err := r.RunGroupVariant(g, sim.CoopPart, DefaultThreshold, VariantNone)
+	defExplicit, err := r.RunGroupVariant(g, sim.CoopPart, DefaultThreshold, core.VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestEncodedZeroThresholdConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := r.RunGroupVariant(g, sim.CoopPart, 0, VariantNone)
+	zero, err := r.RunGroupVariant(g, sim.CoopPart, 0, core.VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestEncodedZeroThresholdConfig(t *testing.T) {
 		t.Fatalf("encoded-zero runner did not share the T=0 memo entry (%d simulations)", r.Simulations())
 	}
 	def := NewRunner(Config{Scale: sim.UnitScale()})
-	if r.RunKey(g, sim.CoopPart, r.cfg.Threshold, VariantNone) == def.RunKey(g, sim.CoopPart, def.cfg.Threshold, VariantNone) {
+	if r.RunKey(g, sim.CoopPart, r.cfg.Threshold, core.VariantNone) == def.RunKey(g, sim.CoopPart, def.cfg.Threshold, core.VariantNone) {
 		t.Fatal("encoded-zero runner shares the default threshold's store key")
 	}
 }
@@ -202,7 +203,10 @@ func TestFlightMemoisesErrors(t *testing.T) {
 }
 
 // TestVariantKeyedSeparately makes sure an ablated run never aliases
-// the plain run it is compared against.
+// the plain run it is compared against, and that a variant the
+// simulator cannot run is an error, not some other run's result cached
+// under the variant's key: an unknown variant, or one on a scheme other
+// than CoopPart.
 func TestVariantKeyedSeparately(t *testing.T) {
 	r := NewRunner(Config{Scale: sim.UnitScale()})
 	g := workload.Groups2[0]
@@ -210,14 +214,19 @@ func TestVariantKeyedSeparately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, VariantNoGating)
+	gated, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, core.VariantNoGating)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain == gated {
 		t.Fatal("variant run aliased the plain run")
 	}
-	if _, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, Variant("bogus")); err == nil {
+	if _, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, core.Variant("bogus")); err == nil {
 		t.Fatal("unknown variant should error")
+	}
+	for _, v := range []Variant{core.VariantDrowsy, core.VariantNoGating, core.VariantRandomVictim} {
+		if res, err := r.RunGroupVariant(g, sim.UCP, r.cfg.Threshold, v); err == nil {
+			t.Errorf("UCP under variant %q returned a result (%d IPCs), want an error", v, len(res.IPC))
+		}
 	}
 }

@@ -27,6 +27,12 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxOutstanding caps Config.MaxOutstanding far above any shipped
+// configuration (the paper's is 64): New allocates the in-flight queue
+// at that capacity, and a configuration can arrive from outside the
+// program (expd).
+const maxOutstanding = 1 << 16
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Banks <= 0 || c.Banks&(c.Banks-1) != 0 {
@@ -35,8 +41,8 @@ func (c Config) Validate() error {
 	if c.LatencyCycles <= 0 {
 		return fmt.Errorf("mem: latency %d must be positive", c.LatencyCycles)
 	}
-	if c.MaxOutstanding <= 0 {
-		return fmt.Errorf("mem: max outstanding %d must be positive", c.MaxOutstanding)
+	if c.MaxOutstanding <= 0 || c.MaxOutstanding > maxOutstanding {
+		return fmt.Errorf("mem: max outstanding %d must be in [1, %d]", c.MaxOutstanding, maxOutstanding)
 	}
 	return nil
 }
@@ -148,14 +154,6 @@ func (d *DRAM) Write(line uint64, now int64) {
 	issue := d.reserve(line, now)
 	d.inflight = append(d.inflight, issue+int64(d.cfg.LatencyCycles))
 	d.stats.Writes++
-}
-
-// AvgReadLatency returns the mean observed read latency.
-func (d *DRAM) AvgReadLatency() float64 {
-	if d.stats.Reads == 0 {
-		return 0
-	}
-	return float64(d.stats.TotalLatency) / float64(d.stats.Reads)
 }
 
 // Reset clears all timing state and counters.

@@ -77,15 +77,25 @@ func TestRequestsDrainOverTime(t *testing.T) {
 	}
 }
 
+// avgReadLatency is the mean observed read latency from the DRAM's
+// counters.
+func avgReadLatency(d *DRAM) float64 {
+	st := d.Stats()
+	if st.Reads == 0 {
+		return 0
+	}
+	return float64(st.TotalLatency) / float64(st.Reads)
+}
+
 func TestAvgReadLatency(t *testing.T) {
 	d := New(DefaultConfig())
-	if d.AvgReadLatency() != 0 {
-		t.Fatal("empty DRAM should report 0 average latency")
+	if st := d.Stats(); st.Reads != 0 || st.TotalLatency != 0 {
+		t.Fatalf("empty DRAM counted %+v", st)
 	}
 	d.Read(0, 0)
 	d.Read(1, 10000)
-	if got := d.AvgReadLatency(); got != 400 {
-		t.Fatalf("AvgReadLatency = %v, want 400", got)
+	if got := avgReadLatency(d); got != 400 {
+		t.Fatalf("average read latency = %v, want 400", got)
 	}
 }
 

@@ -41,9 +41,9 @@ func TestSixteenCorePressureBoundsInflight(t *testing.T) {
 	if st.BankConflicts == 0 {
 		t.Fatal("16-core storm produced no bank conflicts")
 	}
-	if d.AvgReadLatency() <= float64(cfg.LatencyCycles) {
+	if avgReadLatency(d) <= float64(cfg.LatencyCycles) {
 		t.Fatalf("average latency %v not above uncontended %d under pressure",
-			d.AvgReadLatency(), cfg.LatencyCycles)
+			avgReadLatency(d), cfg.LatencyCycles)
 	}
 }
 
@@ -56,9 +56,9 @@ func TestPressureLatencyGrowsWithOffered(t *testing.T) {
 		sparse.Read(uint64(i), int64(i)*1000) // one at a time, banks idle
 		burst.Read(uint64(i), 0)              // all at cycle 0
 	}
-	if burst.AvgReadLatency() <= sparse.AvgReadLatency() {
+	if avgReadLatency(burst) <= avgReadLatency(sparse) {
 		t.Fatalf("burst latency %v not above sparse %v",
-			burst.AvgReadLatency(), sparse.AvgReadLatency())
+			avgReadLatency(burst), avgReadLatency(sparse))
 	}
 }
 

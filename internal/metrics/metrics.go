@@ -38,21 +38,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Normalise divides each value by the matching baseline value.
-func Normalise(values, baseline []float64) ([]float64, error) {
-	if len(values) != len(baseline) {
-		return nil, fmt.Errorf("metrics: length mismatch %d vs %d", len(values), len(baseline))
-	}
-	out := make([]float64, len(values))
-	for i := range values {
-		if baseline[i] == 0 {
-			return nil, fmt.Errorf("metrics: zero baseline at %d", i)
-		}
-		out[i] = values[i] / baseline[i]
-	}
-	return out, nil
-}
-
 // NamedSeries is one labelled data series of a figure.
 type NamedSeries struct {
 	Name   string

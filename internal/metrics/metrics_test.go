@@ -28,19 +28,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestNormalise(t *testing.T) {
-	got, err := Normalise([]float64{2, 6}, []float64{4, 3})
-	if err != nil || got[0] != 0.5 || got[1] != 2 {
-		t.Fatalf("Normalise = %v, %v", got, err)
-	}
-	if _, err := Normalise([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := Normalise([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("zero baseline accepted")
-	}
-}
-
 // Property: geomean of positive values lies between min and max.
 func TestPropertyGeoMeanBounds(t *testing.T) {
 	f := func(raw []uint16) bool {

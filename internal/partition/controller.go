@@ -45,7 +45,7 @@ func NewController(cfg Config) Controller {
 		dram:  cfg.DRAM,
 		n:     cfg.NumCores,
 		stats: Stats{PerCore: make([]CoreStats, cfg.NumCores)},
-		trans: NewTransitionStats(cfg.TimelineBucket, cfg.TimelineBuckets),
+		trans: NewTransitionStats(cfg.TimelineBucket, timelineBuckets),
 	}
 }
 

@@ -110,7 +110,7 @@ func (c *CPE) Decide(now int64) {
 			curves[i] = make(umon.Curve, c.l2.Ways()+1)
 		}
 	}
-	alloc := umon.ThresholdLookahead(curves, c.l2.Ways(), c.cfg.MinAllocWays, c.cfg.Threshold)
+	alloc := umon.ThresholdLookahead(curves, c.l2.Ways(), c.cfg.Threshold)
 
 	// Set-dimension heuristic: an application whose profiled traffic
 	// cannot even touch every set once is confined to half the sets.

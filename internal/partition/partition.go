@@ -119,6 +119,10 @@ type TransitionStats struct {
 	TimelineBucket int64
 }
 
+// timelineBuckets is the number of Fig. 16 flush-histogram buckets a
+// scheme records.
+const timelineBuckets = 64
+
 // NewTransitionStats creates transition stats with a flush timeline of
 // buckets cycles-wide buckets.
 func NewTransitionStats(bucket int64, buckets int) *TransitionStats {
@@ -168,29 +172,12 @@ type Config struct {
 	// UMONSampling is the set-sampling ratio for schemes that monitor
 	// utility (UCP, Cooperative Partitioning). 1 monitors every set.
 	UMONSampling int
-	// MinAllocWays is the per-core way guarantee used by the lookahead
-	// algorithms (UCP uses 1).
-	MinAllocWays int
 	// Threshold is the paper's T parameter for Cooperative
 	// Partitioning's Algorithm 1.
 	Threshold float64
-	// TimelineBucket/TimelineBuckets shape the Fig. 16 flush histogram.
-	TimelineBucket  int64
-	TimelineBuckets int
-
-	// Ablation switches (DESIGN.md §7). RecipientMissOnly makes
-	// Cooperative Partitioning set takeover bits only on recipient
-	// misses (UCP-style convergence) instead of on every donor or
-	// recipient access — isolating why cooperative takeover is faster.
-	RecipientMissOnly bool
-	// DisableGating keeps unallocated ways powered, isolating the
-	// static-energy contribution of gated-Vdd way power-off.
-	DisableGating bool
-	// RandomVictim makes Cooperative Partitioning choose its fill
-	// victim pseudo-randomly among the core's writable ways instead of
-	// by LRU — the degenerate placement Section 2.5 compares the
-	// way-aligned restriction against.
-	RandomVictim bool
+	// TimelineBucket is the width, in cycles, of the Fig. 16 flush
+	// histogram's timelineBuckets buckets.
+	TimelineBucket int64
 }
 
 // Validate reports configuration errors.
@@ -221,14 +208,8 @@ func (c Config) withDefaults() Config {
 	if c.UMONSampling <= 0 {
 		c.UMONSampling = 1
 	}
-	if c.MinAllocWays <= 0 {
-		c.MinAllocWays = 1
-	}
 	if c.TimelineBucket <= 0 {
 		c.TimelineBucket = 10000
-	}
-	if c.TimelineBuckets <= 0 {
-		c.TimelineBuckets = 64
 	}
 	return c
 }

@@ -16,11 +16,10 @@ func testConfig(cores int) Config {
 		ways = 8
 	}
 	return Config{
-		Cache:           cache.Config{Name: "l2", SizeBytes: 16 * ways * 64, LineBytes: 64, Ways: ways, Latency: 15},
-		NumCores:        cores,
-		DRAM:            mem.New(mem.DefaultConfig()),
-		TimelineBucket:  100,
-		TimelineBuckets: 16,
+		Cache:          cache.Config{Name: "l2", SizeBytes: 16 * ways * 64, LineBytes: 64, Ways: ways, Latency: 15},
+		NumCores:       cores,
+		DRAM:           mem.New(mem.DefaultConfig()),
+		TimelineBucket: 100,
 	}
 }
 

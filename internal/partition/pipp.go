@@ -134,7 +134,7 @@ func (p *PIPP) swapLRU(set, a, b int) {
 // Decide implements Scheme: recompute quotas by look-ahead.
 func (p *PIPP) Decide(now int64) {
 	p.stats.Decisions++
-	next := umon.Lookahead(p.MissCurves(p.mons), p.l2.Ways(), p.cfg.MinAllocWays)
+	next := umon.Lookahead(p.MissCurves(p.mons), p.l2.Ways())
 	p.DecayMonitors(p.mons)
 	for i := range next {
 		if next[i] != p.quotas[i] {

@@ -147,9 +147,6 @@ func TestControllerAccessors(t *testing.T) {
 	if u.NumCores() != 2 {
 		t.Fatalf("NumCores = %d", u.NumCores())
 	}
-	if u.Cfg().MinAllocWays != 1 {
-		t.Fatalf("defaulted MinAllocWays = %d", u.Cfg().MinAllocWays)
-	}
 	if u.Cfg().UMONSampling != 1 {
 		t.Fatalf("defaulted UMONSampling = %d", u.Cfg().UMONSampling)
 	}

@@ -94,7 +94,7 @@ func (u *UCP) onVictim(core int, ev victimEvent, now int64) {
 // monitors' miss curves and start tracking the resulting migration.
 func (u *UCP) Decide(now int64) {
 	u.stats.Decisions++
-	next := umon.Lookahead(u.MissCurves(u.mons), u.l2.Ways(), u.cfg.MinAllocWays)
+	next := umon.Lookahead(u.MissCurves(u.mons), u.l2.Ways())
 	u.DecayMonitors(u.mons)
 
 	changed := false

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -96,14 +97,14 @@ func TestRemoteMatchesLocal(t *testing.T) {
 
 	local := experiments.NewRunner(experiments.Config{Scale: sc})
 	want, err := local.RunGroupVariant(g, sim.CoopPart, experiments.DefaultThreshold,
-		experiments.VariantNone)
+		core.VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	remote := experiments.NewRunner(experiments.Config{Scale: sc, Remote: cl})
 	got, err := remote.RunGroupVariant(g, sim.CoopPart, experiments.DefaultThreshold,
-		experiments.VariantNone)
+		core.VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestEveryFaultScheduleConverges(t *testing.T) {
 	g := mustGroup(t, "G2-1")
 	baseline := experiments.NewRunner(experiments.Config{Scale: sc})
 	want, err := baseline.RunGroupVariant(g, sim.UCP, experiments.DefaultThreshold,
-		experiments.VariantNone)
+		core.VariantNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestEveryFaultScheduleConverges(t *testing.T) {
 			})
 			remote := experiments.NewRunner(experiments.Config{Scale: sc, Remote: cl})
 			got, err := remote.RunGroupVariant(g, sim.UCP, experiments.DefaultThreshold,
-				experiments.VariantNone)
+				core.VariantNone)
 			if err != nil {
 				t.Fatalf("fault schedule surfaced an error: %v", err)
 			}
@@ -260,7 +261,7 @@ func TestKeyMismatchIsPermanent(t *testing.T) {
 	cl := newTestClient(t, base, ClientOptions{Transport: tr, MaxAttempts: 5})
 	g := mustGroup(t, "G2-1")
 	_, ok := cl.RemoteRun("run|bogus-key", sim.UnitScale(), 1, g,
-		sim.CoopPart, experiments.DefaultThreshold, experiments.VariantNone, sim.FidelityExact)
+		sim.CoopPart, experiments.DefaultThreshold, core.VariantNone, sim.FidelityExact)
 	if ok {
 		t.Fatal("key mismatch returned a result")
 	}
@@ -296,7 +297,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 	// connection or a wait on a run that never finishes.
 	sc, g := sim.UnitScale(), mustGroup(t, "G2-8")
 	key := experiments.NewRunner(experiments.Config{Scale: sc, Seed: 1}).
-		RunKey(g, sim.CoopPart, 2, experiments.VariantNone)
+		RunKey(g, sim.CoopPart, 2, core.VariantNone)
 	bad := mustJSON(t, RunRequest{Kind: KindRun, Key: key, Scale: sc, Seed: 1,
 		Group: g, Scheme: sim.CoopPart, Threshold: 2})
 	for i := 0; i < 2; i++ {
@@ -311,6 +312,53 @@ func TestServerRejectsGarbage(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/run: %d", resp.StatusCode)
+	}
+}
+
+// TestBadScaleDoesNotWedgeServer: a Scale that passes Validate must
+// build, because a panic inside a run leaves its singleflight entry
+// open forever. Three identical requests for an LLC with 2-byte lines
+// (the trace generator refuses lines under 4 bytes) each get an error
+// answer, and a healthy request sent after them still completes
+// within the client's deadline instead of queueing behind requests
+// that never finish.
+func TestBadScaleDoesNotWedgeServer(t *testing.T) {
+	srv := NewServer(ServerOptions{MaxConcurrent: 2, Logf: quietf(t)})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		// Close waits for every handler, which a wedged server never
+		// lets finish.
+		if !t.Failed() {
+			hs.Close()
+		}
+	})
+	post := func(req RunRequest, deadline time.Duration) (int, error) {
+		hc := &http.Client{Timeout: deadline}
+		resp, err := hc.Post(hs.URL+"/v1/run", "application/json", strings.NewReader(mustJSON(t, req)))
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	request := func(sc sim.Scale, scheme sim.SchemeKind) RunRequest {
+		g := mustGroup(t, "G2-8")
+		key := experiments.NewRunner(experiments.Config{Scale: sc, Seed: 1}).
+			RunKey(g, scheme, experiments.DefaultThreshold, core.VariantNone)
+		return RunRequest{Kind: KindRun, Key: key, Scale: sc, Seed: 1,
+			Group: g, Scheme: scheme, Threshold: experiments.DefaultThreshold}
+	}
+	bad := sim.UnitScale()
+	bad.L2TwoCore.LineBytes = 2
+	for i := 0; i < 3; i++ {
+		code, err := post(request(bad, sim.FairShare), 5*time.Second)
+		if err != nil || code != http.StatusInternalServerError {
+			t.Errorf("bad scale, post %d: status %d, error %v; want a 500 answer", i+1, code, err)
+		}
+	}
+	code, err := post(request(sim.UnitScale(), sim.FairShare), 30*time.Second)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("healthy request after bad ones: status %d, error %v", code, err)
 	}
 }
 
@@ -440,15 +488,15 @@ func BenchmarkServiceRoundTrip(b *testing.B) {
 	sc := sim.UnitScale()
 	local := experiments.NewRunner(experiments.Config{Scale: sc})
 	key := local.RunKey(g, sim.CoopPart, experiments.DefaultThreshold,
-		experiments.VariantNone)
+		core.VariantNone)
 	if _, ok := cl.RemoteRun(key, sc, 1, g, sim.CoopPart,
-		experiments.DefaultThreshold, experiments.VariantNone, sim.FidelityExact); !ok {
+		experiments.DefaultThreshold, core.VariantNone, sim.FidelityExact); !ok {
 		b.Fatal("warmup request failed")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := cl.RemoteRun(key, sc, 1, g, sim.CoopPart,
-			experiments.DefaultThreshold, experiments.VariantNone, sim.FidelityExact); !ok {
+			experiments.DefaultThreshold, core.VariantNone, sim.FidelityExact); !ok {
 			b.Fatal("warm request failed")
 		}
 	}

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math"
-
-	"repro/internal/cpu"
-)
+import "math"
 
 // clockHeap is an indexed binary min-heap over the local clocks of a
 // fixed set of cores, ordered by (clock, core index). The secondary
@@ -90,75 +86,6 @@ func (h *clockHeap) secondBound(minIdx int) int64 {
 		}
 	}
 	if bestIdx < minIdx {
-		best--
-	}
-	return best
-}
-
-// corePicker selects the next core to step. One- and two-core systems
-// keep the linear scan (a single compare — cheaper than any heap
-// bookkeeping), larger CMPs use the O(log n) heap; both orders are
-// identical by construction, the split is purely a constant-factor
-// choice.
-type corePicker struct {
-	cores []*cpu.Core
-	heap  *clockHeap // nil selects the linear scan
-}
-
-// newPicker builds the picker for the system's core count.
-func (s *System) newPicker() corePicker {
-	p := corePicker{cores: s.cores}
-	if len(s.cores) >= 4 {
-		clocks := make([]int64, len(s.cores))
-		for i, c := range s.cores {
-			clocks[i] = c.Now()
-		}
-		p.heap = newClockHeap(clocks)
-	}
-	return p
-}
-
-// Min returns the index of the core with the smallest (clock, index).
-func (p *corePicker) Min() int {
-	if p.heap != nil {
-		return p.heap.Min()
-	}
-	min := 0
-	for i := 1; i < len(p.cores); i++ {
-		if p.cores[i].Now() < p.cores[min].Now() {
-			min = i
-		}
-	}
-	return min
-}
-
-// FixMin records that the minimum core's clock advanced to now.
-func (p *corePicker) FixMin(now int64) {
-	if p.heap != nil {
-		p.heap.FixMin(now)
-	}
-}
-
-// Bound returns the inclusive clock bound under which core min (the
-// current Min) keeps being selected: per-record stepping would step it
-// repeatedly while its Now() stays at or below this value, so a
-// batched step may retire up to that point without reordering any
-// inter-core interleaving. math.MaxInt64 for a single-core system.
-func (p *corePicker) Bound(min int) int64 {
-	if p.heap != nil {
-		return p.heap.secondBound(min)
-	}
-	best := int64(math.MaxInt64)
-	bestIdx := int(^uint(0) >> 1)
-	for i := range p.cores {
-		if i == min {
-			continue
-		}
-		if n := p.cores[i].Now(); n < best || (n == best && i < bestIdx) {
-			best, bestIdx = n, i
-		}
-	}
-	if bestIdx < min {
 		best--
 	}
 	return best

@@ -47,21 +47,21 @@ func diffStepping(t *testing.T, cfg RunConfig, what string) {
 // window per StepEvent call — so they stress the decision-boundary and
 // retirement-target caps hardest.
 func TestEventSteppingBitIdenticalSolo(t *testing.T) {
-	for _, name := range workload.Names() {
+	for _, b := range workload.All() {
 		diffStepping(t, RunConfig{
 			Scale:  UnitScale(),
 			Scheme: Unmanaged,
-			Group:  SoloGroup(name),
+			Group:  SoloGroup(b.Name),
 			Seed:   3,
-		}, "solo "+name)
+		}, "solo "+b.Name)
 	}
 }
 
 // TestEventSteppingBitIdenticalGroups covers the multiprogrammed
 // interleavings: 2-16 cores, the takeover scheme (whose phase
-// decisions move ways between cores) and a quota scheme. The picker
-// bound cap is what keeps inter-core access ordering identical; these
-// configurations exercise both the linear and the heap picker.
+// decisions move ways between cores) and a quota scheme. The clock
+// heap's second-minimum bound is what keeps inter-core access ordering
+// identical; these configurations exercise it from 2 to 16 cores.
 func TestEventSteppingBitIdenticalGroups(t *testing.T) {
 	g8 := workload.Groups8[0]
 	g16 := workload.Groups16[0]

@@ -88,10 +88,7 @@ func TestIntegrationWeightedSpeedupTermsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range res.Benchmarks {
-		alone, err := RunAlone(b, UnitScale(), 2, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		alone := runAlone(t, b, UnitScale(), 2, 3)
 		ratio := res.IPC[i] / alone.IPC[0]
 		// Sharing cannot beat running alone by more than timing noise
 		// (short unit-scale runs leave sweep/LRU interleaving noise, so
@@ -152,9 +149,8 @@ func TestIntegrationMPKIStableAcrossSchemes(t *testing.T) {
 
 func TestIntegrationDrowsyRunEndToEnd(t *testing.T) {
 	g, _ := workload.FindGroup("G2-2")
-	d := core.DefaultDrowsyConfig()
 	res, err := Run(RunConfig{
-		Scale: UnitScale(), Scheme: CoopPart, Group: g, Seed: 3, Drowsy: &d,
+		Scale: UnitScale(), Scheme: CoopPart, Group: g, Seed: 3, Variant: core.VariantDrowsy,
 	})
 	if err != nil {
 		t.Fatal(err)

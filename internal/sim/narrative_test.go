@@ -20,10 +20,7 @@ func TestNarrativeCacheHungryAppsLoseUnderFairShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone, err := RunAlone("perlbench", UnitScale(), 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alone := runAlone(t, "perlbench", UnitScale(), 2, 5)
 	if shared.IPC[1] >= alone.IPC[0] {
 		t.Fatalf("perlbench shared IPC %v should trail alone IPC %v",
 			shared.IPC[1], alone.IPC[0])

@@ -96,23 +96,14 @@ func SoloGroup(benchmark string) workload.Group {
 	return workload.Group{Name: "solo-" + benchmark, Benchmarks: []string{benchmark}}
 }
 
-// RunAlone measures a benchmark's alone IPC: the application running by
-// itself with the whole LLC (Unmanaged, no contention), as Equation 1's
-// denominator requires. The LLC geometry must match the shared runs it
-// will be compared with, so the core count of the target group is part
-// of the key.
-func RunAlone(benchmark string, sc Scale, coresInGroup int, seed uint64) (*Results, error) {
-	cfg, err := AloneConfig(benchmark, sc, coresInGroup, seed)
-	if err != nil {
-		return nil, err
-	}
-	return Run(cfg)
-}
-
-// AloneConfig builds the RunConfig of a benchmark's alone run: a scale
-// whose two-core L2 is the target group geometry, one core on it. The
-// checkpoint layer routes solo runs through this builder so the config
-// (and thus the warm-up checkpoint identity) is canonical.
+// AloneConfig builds the RunConfig of a benchmark's alone run, which
+// measures its alone IPC: the application running by itself with the
+// whole LLC (Unmanaged, no contention), as Equation 1's denominator
+// requires. The LLC geometry must match the shared runs it will be
+// compared with, so the scale's two-core L2 is the target group's
+// geometry, with one core on it. The checkpoint layer routes solo runs
+// through this builder so the config (and thus the warm-up checkpoint
+// identity) is canonical.
 func AloneConfig(benchmark string, sc Scale, coresInGroup int, seed uint64) (RunConfig, error) {
 	l2, err := sc.L2For(coresInGroup)
 	if err != nil {

@@ -140,18 +140,19 @@ func (s Scale) L2For(cores int) (cache.Config, error) {
 	return cfg, nil
 }
 
-// InstrScale is the run length relative to the paper's 1B instructions.
-func (s Scale) InstrScale() float64 {
-	return float64(s.InstrPerApp) / 1e9
-}
-
 // PhaseScale is the partitioning interval relative to the paper's 5M
 // cycles; workload phase-oscillation periods scale with it.
 func (s Scale) PhaseScale() float64 {
 	return float64(s.PhaseCycles) / 5e6
 }
 
-// Validate reports scale errors.
+// maxMSHRs caps Scale.MSHRs far above any shipped scale (FullScale
+// uses 128): each core's MSHR file is allocated at that capacity, and
+// a scale can arrive from outside the program (expd).
+const maxMSHRs = 1 << 16
+
+// Validate reports scale errors. A scale that passes builds a system
+// without panicking.
 func (s Scale) Validate() error {
 	if err := s.L1D.Validate(); err != nil {
 		return err
@@ -159,14 +160,21 @@ func (s Scale) Validate() error {
 	if err := s.L1I.Validate(); err != nil {
 		return err
 	}
-	if err := s.L2TwoCore.Validate(); err != nil {
-		return err
-	}
-	if err := s.L2FourCore.Validate(); err != nil {
-		return err
+	for _, l2 := range []cache.Config{s.L2TwoCore, s.L2FourCore} {
+		if err := l2.Validate(); err != nil {
+			return err
+		}
+		// The trace generator aligns addresses to the LLC line and
+		// refuses lines below 4 bytes.
+		if l2.LineBytes < 4 {
+			return fmt.Errorf("sim: LLC line size %d in scale %q is below 4 bytes", l2.LineBytes, s.Name)
+		}
 	}
 	if err := s.Mem.Validate(); err != nil {
 		return err
+	}
+	if s.MSHRs > maxMSHRs {
+		return fmt.Errorf("sim: %d MSHRs in scale %q exceed the limit of %d", s.MSHRs, s.Name, maxMSHRs)
 	}
 	if s.PhaseCycles <= 0 || s.InstrPerApp == 0 {
 		return fmt.Errorf("sim: non-positive run parameters in scale %q", s.Name)

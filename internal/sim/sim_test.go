@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -181,11 +182,23 @@ func TestUnmanagedConsultsAllWays(t *testing.T) {
 	}
 }
 
-func TestRunAlone(t *testing.T) {
-	res, err := RunAlone("namd", UnitScale(), 2, 1)
+// runAlone runs a benchmark's alone configuration the way the
+// experiment engine does: Run(AloneConfig(...)).
+func runAlone(t testing.TB, benchmark string, sc Scale, coresInGroup int, seed uint64) *Results {
+	t.Helper()
+	cfg, err := AloneConfig(benchmark, sc, coresInGroup, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestRunAlone(t *testing.T) {
+	res := runAlone(t, "namd", UnitScale(), 2, 1)
 	if len(res.IPC) != 1 || res.IPC[0] <= 0 {
 		t.Fatalf("alone run IPC = %v", res.IPC)
 	}
@@ -234,16 +247,30 @@ func TestBadGroupRejected(t *testing.T) {
 }
 
 // TestNewSystemRejectsBadInputs: a threshold outside [0, 1], more
-// cores than L2 ways and a non-power-of-two UMON sampling stride can all
-// arrive from outside the program (expd requests carry the threshold
-// and the whole Scale), so NewSystem must return an error for each
-// rather than let a scheme constructor panic.
+// cores than L2 ways, a non-power-of-two UMON sampling stride, a
+// variant on a scheme it does not apply to, and the scales below can
+// all arrive from outside the program (expd requests carry the
+// threshold, the variant and the whole Scale), so NewSystem must
+// return an error for each rather than panic or run something else.
+// Scale.Validate is its only guard on a scale: LLC lines under 4
+// bytes (the trace generator refuses them) and MSHR or DRAM queue
+// capacities of math.MaxInt (allocated at that capacity) used to pass
+// it and then panic.
 func TestNewSystemRejectsBadInputs(t *testing.T) {
 	g, _ := workload.FindGroup("G2-8")
 	oneWay := UnitScale()
 	oneWay.L2TwoCore.Ways = 1
 	badSampling := UnitScale()
 	badSampling.UMONSampling = 3
+	line := func(n int) Scale {
+		sc := UnitScale()
+		sc.L2TwoCore.LineBytes = n
+		return sc
+	}
+	mshrs := UnitScale()
+	mshrs.MSHRs = math.MaxInt
+	queue := UnitScale()
+	queue.Mem.MaxOutstanding = math.MaxInt
 	for _, tc := range []struct {
 		what string
 		cfg  RunConfig
@@ -252,6 +279,16 @@ func TestNewSystemRejectsBadInputs(t *testing.T) {
 		{"threshold NaN", RunConfig{Scale: UnitScale(), Scheme: CoopPart, Group: g, Threshold: math.NaN()}},
 		{"2 cores on a 1-way L2", RunConfig{Scale: oneWay, Scheme: CoopPart, Group: g}},
 		{"UMON sampling 3", RunConfig{Scale: badSampling, Scheme: UCP, Group: g}},
+		{"unknown variant", RunConfig{Scale: UnitScale(), Scheme: CoopPart, Group: g, Variant: "bogus"}},
+		{"UCP drowsy", RunConfig{Scale: UnitScale(), Scheme: UCP, Group: g, Variant: core.VariantDrowsy}},
+		{"UCP no-gating", RunConfig{Scale: UnitScale(), Scheme: UCP, Group: g, Variant: core.VariantNoGating}},
+		{"UCP random-victim", RunConfig{Scale: UnitScale(), Scheme: UCP, Group: g, Variant: core.VariantRandomVictim}},
+		{"FairShare recipient-miss-only", RunConfig{Scale: UnitScale(), Scheme: FairShare, Group: g,
+			Variant: core.VariantRecipientMissOnly}},
+		{"LLC line 1", RunConfig{Scale: line(1), Scheme: FairShare, Group: g}},
+		{"LLC line 2", RunConfig{Scale: line(2), Scheme: FairShare, Group: g}},
+		{"MSHRs MaxInt", RunConfig{Scale: mshrs, Scheme: FairShare, Group: g}},
+		{"DRAM MaxOutstanding MaxInt", RunConfig{Scale: queue, Scheme: FairShare, Group: g}},
 	} {
 		func() {
 			defer func() {

@@ -213,7 +213,9 @@ func TestSnapshotRejectsMismatchedSystem(t *testing.T) {
 	}
 
 	four := cfg
-	four.Cores = 4
+	if four.Group, err = workload.FindGroup("G4-8"); err != nil {
+		t.Fatal(err)
+	}
 	wrongCores, err := NewSystem(four)
 	if err != nil {
 		t.Fatal(err)

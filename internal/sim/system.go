@@ -40,12 +40,6 @@ type RunConfig struct {
 	Scale  Scale
 	Scheme SchemeKind
 	Group  workload.Group
-	// Cores overrides the CMP's core count (0 = one core per group
-	// benchmark). When Cores exceeds the group size the benchmark list
-	// is tiled cyclically, each instance running as its own core with a
-	// distinct seed and address space; a non-zero Cores below the group
-	// size is an error.
-	Cores int
 	// Threshold is Cooperative Partitioning's T (Algorithm 1), also
 	// used by Dynamic CPE's profile-driven allocation. The paper's
 	// default is 0.05.
@@ -56,15 +50,10 @@ type RunConfig struct {
 	// CaptureProfile records core 0's per-phase utility curves into
 	// Results.Profile (used to generate CPE profiles from solo runs).
 	CaptureProfile bool
-	// RecipientMissOnly and DisableGating are the ablation switches of
-	// DESIGN.md §7, forwarded to the scheme.
-	RecipientMissOnly bool
-	DisableGating     bool
-	RandomVictim      bool
-	// Drowsy enables the drowsy-cache extension on Cooperative
-	// Partitioning runs (Section 6 of the paper: complementary
-	// state-preserving low-leakage mode for idle allocated ways).
-	Drowsy *core.DrowsyConfig
+	// Variant selects an ablation or extension arm of Cooperative
+	// Partitioning (DESIGN.md §7). Every other scheme takes only
+	// core.VariantNone.
+	Variant core.Variant
 }
 
 // System is one assembled CMP: cores, private L1Ds, the shared scheme-
@@ -107,15 +96,13 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	if err := cfg.Group.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(cfg.Group.Benchmarks)
-	if cfg.Cores > 0 {
-		if cfg.Cores < n {
-			return nil, fmt.Errorf("sim: Cores = %d below the %d benchmarks of group %q",
-				cfg.Cores, n, cfg.Group.Name)
-		}
-		cfg.Group = cfg.Group.Tile(cfg.Cores)
-		n = cfg.Cores
+	if err := cfg.Variant.Validate(); err != nil {
+		return nil, err
 	}
+	if cfg.Variant != core.VariantNone && cfg.Scheme != CoopPart {
+		return nil, fmt.Errorf("sim: variant %q applies only to %s, not %s", cfg.Variant, CoopPart, cfg.Scheme)
+	}
+	n := len(cfg.Group.Benchmarks)
 	l2cfg, err := cfg.Scale.L2For(n)
 	if err != nil {
 		return nil, err
@@ -124,17 +111,12 @@ func NewSystem(cfg RunConfig) (*System, error) {
 
 	dram := mem.New(cfg.Scale.Mem)
 	pcfg := partition.Config{
-		Cache:             l2cfg,
-		NumCores:          n,
-		DRAM:              dram,
-		UMONSampling:      cfg.Scale.UMONSampling,
-		MinAllocWays:      1,
-		Threshold:         cfg.Threshold,
-		TimelineBucket:    cfg.Scale.PhaseCycles / 25,
-		TimelineBuckets:   64,
-		RecipientMissOnly: cfg.RecipientMissOnly,
-		DisableGating:     cfg.DisableGating,
-		RandomVictim:      cfg.RandomVictim,
+		Cache:          l2cfg,
+		NumCores:       n,
+		DRAM:           dram,
+		UMONSampling:   cfg.Scale.UMONSampling,
+		Threshold:      cfg.Threshold,
+		TimelineBucket: cfg.Scale.PhaseCycles / 25,
 	}
 	// The scheme constructors panic on a bad config; the threshold and
 	// the L2 geometry can arrive from outside the program (expd), so
@@ -156,11 +138,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 	case DynCPE:
 		scheme = partition.NewCPE(pcfg, cfg.Profiles)
 	case CoopPart:
-		cp := core.New(pcfg)
-		if cfg.Drowsy != nil {
-			cp.EnableDrowsy(*cfg.Drowsy)
-		}
-		scheme = cp
+		scheme = core.New(pcfg, cfg.Variant)
 	default:
 		return nil, fmt.Errorf("sim: unknown scheme %q", cfg.Scheme)
 	}
@@ -181,7 +159,6 @@ func NewSystem(cfg RunConfig) (*System, error) {
 			CoreID:     i,
 			LineBytes:  l2cfg.LineBytes,
 			WayLines:   wayLines,
-			InstrScale: cfg.Scale.InstrScale(),
 			PhaseScale: cfg.Scale.PhaseScale(),
 			Seed:       cfg.Seed,
 		})
@@ -307,11 +284,11 @@ func (s *System) decide(now int64) {
 }
 
 // stepBound returns the inclusive clock bound for one batched step of
-// core ci: the picker's second-minimum (the interleaving per-record
-// stepping would enforce) capped by the next phase boundary (the
-// decision must fire before the core's clock reaches it).
-func (s *System) stepBound(h corePicker, ci int) int64 {
-	bound := h.Bound(ci)
+// core ci: the clock heap's second-minimum bound (the interleaving
+// per-record stepping would enforce) capped by the next phase boundary
+// (the decision must fire before the core's clock reaches it).
+func (s *System) stepBound(h *clockHeap, ci int) int64 {
+	bound := h.secondBound(ci)
 	if d := s.nextDecision - 1; d < bound {
 		bound = d
 	}
@@ -467,7 +444,11 @@ func (s *System) run(target uint64, p *Progress, every uint64, onCkpt func(bound
 		nextCkpt, ckptShort = s.nextCkptBoundary(every, target)
 	}
 
-	h := s.newPicker()
+	clocks := make([]int64, len(s.cores))
+	for i, c := range s.cores {
+		clocks[i] = c.Now()
+	}
+	h := newClockHeap(clocks)
 	var z horizon // seeded from the cores that have not crossed
 	for i := range s.cores {
 		s.account(p, &z, i, target)

@@ -60,11 +60,11 @@ func maxMU(curve Curve, alloc, balance int) (mu float64, blocksReq int) {
 }
 
 // Lookahead runs UCP's look-ahead algorithm: distribute total ways
-// among the applications, each guaranteed minAlloc ways (UCP uses 1 so
-// every core can make progress). The returned counts always sum to
-// total: UCP never leaves capacity unused.
-func Lookahead(curves []Curve, total, minAlloc int) []int {
-	return ThresholdLookahead(curves, total, minAlloc, 0)
+// among the applications, each guaranteed one way so every core can
+// make progress. The returned counts always sum to total: UCP never
+// leaves capacity unused.
+func Lookahead(curves []Curve, total int) []int {
+	return ThresholdLookahead(curves, total, 0)
 }
 
 // ThresholdLookahead is Algorithm 1 of the paper (see the fidelity note
@@ -74,32 +74,20 @@ func Lookahead(curves []Curve, total, minAlloc int) []int {
 // winner's relative miss reduction falls below the threshold, leaving
 // the remaining ways unallocated (the caller turns them off).
 //
-// Each application is guaranteed minAlloc ways, allocated up front, so
-// no core is starved of the LLC entirely.
-func ThresholdLookahead(curves []Curve, total, minAlloc int, threshold float64) []int {
+// Each application is guaranteed one way, allocated up front, so no
+// core is starved of the LLC entirely; callers therefore pass at
+// least as many ways as curves (partition.Config.Validate enforces
+// cores <= ways).
+func ThresholdLookahead(curves []Curve, total int, threshold float64) []int {
 	n := len(curves)
 	alloc := make([]int, n)
 	if n == 0 {
 		return alloc
 	}
-	balance := total
 	for i := range alloc {
-		if minAlloc > 0 {
-			alloc[i] = minAlloc
-			balance -= minAlloc
-		}
+		alloc[i] = 1
 	}
-	if balance < 0 {
-		// minAlloc over-subscribes the cache: fall back to the plain
-		// equal split, keeping the sum-to-total guarantee.
-		for i := range alloc {
-			alloc[i] = 0
-		}
-		for i := 0; i < total; i++ {
-			alloc[i%n]++
-		}
-		return alloc
-	}
+	balance := total - n
 
 	// An application leaves the auction once its best award fails the
 	// threshold gate: utility curves are non-increasing, so a failed
@@ -149,13 +137,4 @@ func ThresholdLookahead(curves []Curve, total, minAlloc int, threshold float64) 
 		balance -= winnerReq
 	}
 	return alloc
-}
-
-// Sum returns the total ways assigned by an allocation vector.
-func Sum(alloc []int) int {
-	s := 0
-	for _, a := range alloc {
-		s += a
-	}
-	return s
 }

@@ -22,12 +22,12 @@ func TestNewRejectsNonPowerOfTwoSampling(t *testing.T) {
 // TestClampedSamplingScalesByTrueRatio is the regression test for the
 // clamped scale-factor bug: with Sets=4 and Sampling=8 the ATD clamps
 // to one row (only set 0 sampled), so the true traffic scale is
-// Sets/SampledSets = 4 — the old code scaled by the nominal 8,
+// Sets/Rows = 4 — the old code scaled by the nominal 8,
 // overestimating every count by 2x.
 func TestClampedSamplingScalesByTrueRatio(t *testing.T) {
 	m := New(Config{Sets: 4, Ways: 2, Sampling: 8})
-	if m.SampledSets() != 1 {
-		t.Fatalf("SampledSets = %d, want 1", m.SampledSets())
+	if rows := len(m.valid); rows != 1 {
+		t.Fatalf("ATD rows = %d, want 1", rows)
 	}
 	m.Access(1, 7) // not sampled
 	m.Access(0, 7) // sampled miss

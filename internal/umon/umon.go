@@ -24,7 +24,7 @@ type Config struct {
 	// Sampling monitors every Sampling-th set (1 = all sets). It must
 	// be a power of two — New panics otherwise (see SetSampler). A
 	// value larger than Sets clamps to one sampled row, and scaled
-	// counters use the true Sets/SampledSets ratio of the clamp.
+	// counters use the true Sets/Rows ratio of the clamp.
 	Sampling int
 }
 
@@ -40,7 +40,6 @@ type Monitor struct {
 	cfg      Config
 	tags     []uint64 // sampledSets * ways, ordered most→least recent
 	valid    []uint64 // one word per sampled row
-	sampled  int
 	hits     []uint64 // hits[d] = hits at stack position d (0-based)
 	misses   uint64
 	accesses uint64
@@ -70,7 +69,6 @@ func New(cfg Config) *Monitor {
 		cfg:     cfg,
 		tags:    make([]uint64, sampled*cfg.Ways),
 		valid:   make([]uint64, sampled),
-		sampled: sampled,
 		hits:    make([]uint64, cfg.Ways),
 		sampler: sampler,
 	}
@@ -84,9 +82,6 @@ func New(cfg Config) *Monitor {
 
 // Config returns the monitor configuration.
 func (m *Monitor) Config() Config { return m.cfg }
-
-// SampledSets returns how many sets the ATD actually tracks.
-func (m *Monitor) SampledSets() int { return m.sampled }
 
 // Access records one LLC access by this monitor's core. set is the
 // index in the real cache; tag is the line's tag. Accesses to
@@ -129,7 +124,7 @@ func (m *Monitor) Access(set int, tag uint64) {
 }
 
 // Accesses returns the number of monitored accesses since the last
-// decay to zero, scaled by the true Sets/SampledSets ratio to estimate
+// decay to zero, scaled by the true Sets/Rows ratio to estimate
 // the full cache's traffic. The true ratio is the clamped stride: when
 // Sampling exceeds Sets only one row is tracked and the nominal ratio
 // would overestimate traffic by Sampling/Sets.
@@ -137,7 +132,7 @@ func (m *Monitor) Accesses() uint64 { return m.accesses * uint64(m.sampler.Strid
 
 // HitsUpTo returns the estimated number of hits the core would see with
 // w ways allocated: the sum of stack-position counters 0..w-1, scaled
-// by the true Sets/SampledSets ratio (see Accesses).
+// by the true Sets/Rows ratio (see Accesses).
 func (m *Monitor) HitsUpTo(w int) uint64 {
 	if w > m.cfg.Ways {
 		w = m.cfg.Ways
@@ -187,12 +182,4 @@ func (m *Monitor) Reset() {
 	}
 	m.misses = 0
 	m.accesses = 0
-}
-
-// HardwareBits estimates the monitor's storage cost in bits: tag
-// entries (assume 40-bit tags plus valid) and 32-bit hit counters, as
-// in the UCP paper's overhead analysis.
-func (m *Monitor) HardwareBits() int {
-	const tagBits, counterBits = 40 + 1, 32
-	return m.sampled*m.cfg.Ways*tagBits + m.cfg.Ways*counterBits
 }

@@ -53,8 +53,8 @@ func TestMonitorMissesCurveMonotone(t *testing.T) {
 
 func TestMonitorSampling(t *testing.T) {
 	m := New(Config{Sets: 64, Ways: 4, Sampling: 32})
-	if m.SampledSets() != 2 {
-		t.Fatalf("SampledSets = %d, want 2", m.SampledSets())
+	if rows := len(m.valid); rows != 2 {
+		t.Fatalf("ATD rows = %d, want 2", rows)
 	}
 	m.Access(1, 5) // not sampled: set 1 % 32 != 0
 	if m.Accesses() != 0 {
@@ -93,14 +93,16 @@ func TestMonitorReset(t *testing.T) {
 	}
 }
 
+// TestMonitorHardwareBits: the ATD's tag storage is one entry per way
+// of each sampled set, so sampling 1 in 32 sets shrinks it 32-fold.
 func TestMonitorHardwareBits(t *testing.T) {
 	m := New(Config{Sets: 4096, Ways: 8, Sampling: 32})
-	if m.HardwareBits() <= 0 {
-		t.Fatal("HardwareBits must be positive")
+	if got := len(m.tags); got != 4096/32*8 {
+		t.Fatalf("sampled ATD holds %d tags, want %d", got, 4096/32*8)
 	}
 	full := New(Config{Sets: 4096, Ways: 8, Sampling: 1})
-	if m.HardwareBits() >= full.HardwareBits() {
-		t.Fatal("sampling must reduce hardware cost")
+	if got := len(full.tags); got != 4096*8 {
+		t.Fatalf("full ATD holds %d tags, want %d", got, 4096*8)
 	}
 }
 

@@ -90,26 +90,6 @@ func FindGroup(name string) (Group, error) {
 	return Group{}, fmt.Errorf("workload: unknown group %q", name)
 }
 
-// Tile returns the group widened to n cores by cycling its benchmark
-// list: instance k of a benchmark runs as its own core with a distinct
-// seed and address space (Params.CoreID feeds both). The name records
-// the widening so memo keys and reports stay distinct from the
-// original group. Tile returns the group unchanged when n does not
-// exceed its size.
-func (g Group) Tile(n int) Group {
-	if n <= len(g.Benchmarks) {
-		return g
-	}
-	t := Group{
-		Name:       fmt.Sprintf("%s@%d", g.Name, n),
-		Benchmarks: make([]string, n),
-	}
-	for i := 0; i < n; i++ {
-		t.Benchmarks[i] = g.Benchmarks[i%len(g.Benchmarks)]
-	}
-	return t
-}
-
 // Validate checks a group's benchmarks all exist.
 func (g Group) Validate() error {
 	if len(g.Benchmarks) == 0 {

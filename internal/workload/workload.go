@@ -19,12 +19,11 @@
 // the paper's full-size hierarchy and on the scaled-down hierarchy the
 // test suite uses. Phase oscillation periods are specified in full-
 // scale instructions (against the paper's 1B-instruction runs) and
-// scaled by Params.InstrScale.
+// scaled by Params.PhaseScale.
 package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/trace"
 )
@@ -79,13 +78,10 @@ type Params struct {
 	CoreID    int
 	LineBytes int // LLC line size
 	WayLines  int // lines per LLC way (= LLC sets)
-	// InstrScale is the run length relative to the paper's 1B
-	// instructions (kept for reporting and sanity checks).
-	InstrScale float64
 	// PhaseScale is the partitioning interval relative to the paper's
 	// 5M cycles. Footprint-oscillation periods scale with it so that an
 	// oscillation spans the same number of partitioning intervals at
-	// every simulation scale. Defaults to InstrScale when zero.
+	// every simulation scale.
 	PhaseScale float64
 	Seed       uint64
 }
@@ -95,8 +91,8 @@ func (p Params) Validate() error {
 	if p.LineBytes <= 0 || p.WayLines <= 0 {
 		return fmt.Errorf("workload: invalid params %+v", p)
 	}
-	if p.InstrScale <= 0 {
-		return fmt.Errorf("workload: InstrScale must be positive, got %v", p.InstrScale)
+	if p.PhaseScale <= 0 {
+		return fmt.Errorf("workload: PhaseScale must be positive, got %v", p.PhaseScale)
 	}
 	return nil
 }
@@ -302,16 +298,6 @@ var byName = func() map[string]*Benchmark {
 	return m
 }()
 
-// Names returns all benchmark names, sorted.
-func Names() []string {
-	names := make([]string, 0, len(table))
-	for _, b := range table {
-		names = append(names, b.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // All returns every benchmark in table order.
 func All() []Benchmark { return append([]Benchmark(nil), table...) }
 
@@ -427,11 +413,7 @@ func (b Benchmark) TraceConfig(p Params) trace.Config {
 		// Convert the full-scale instruction period to memory accesses
 		// at this run's scale, preserving the oscillation-to-
 		// partitioning-interval ratio.
-		ps := p.PhaseScale
-		if ps == 0 {
-			ps = p.InstrScale
-		}
-		period := s.PhaseInsts * s.MemFrac * ps
+		period := s.PhaseInsts * s.MemFrac * p.PhaseScale
 		if period < 1000 {
 			period = 1000
 		}

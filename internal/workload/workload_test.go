@@ -8,22 +8,21 @@ import (
 
 // testParams is a small materialisation scale used throughout the tests.
 func testParams(core int) Params {
-	return Params{CoreID: core, LineBytes: 64, WayLines: 128, InstrScale: 0.002, Seed: 1}
+	return Params{CoreID: core, LineBytes: 64, WayLines: 128, PhaseScale: 0.002, Seed: 1}
 }
 
 func TestAllBenchmarkConfigsValidate(t *testing.T) {
-	for _, name := range Names() {
-		b := MustGet(name)
+	for _, b := range All() {
 		cfg := b.TraceConfig(testParams(0))
 		if err := cfg.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Errorf("%s: %v", b.Name, err)
 		}
 	}
 }
 
 func TestNineteenBenchmarks(t *testing.T) {
-	if got := len(Names()); got != 19 {
-		t.Fatalf("benchmark count = %d, want 19 (Table 3)", got)
+	if got := len(byName); got != 19 {
+		t.Fatalf("distinct benchmark names = %d, want 19 (Table 3)", got)
 	}
 	if got := len(All()); got != 19 {
 		t.Fatalf("All() length = %d, want 19", got)
@@ -32,8 +31,8 @@ func TestNineteenBenchmarks(t *testing.T) {
 
 func TestClassCountsMatchTable3(t *testing.T) {
 	counts := map[Class]int{}
-	for _, name := range Names() {
-		counts[MustGet(name).Class]++
+	for _, b := range All() {
+		counts[b.Class]++
 	}
 	// Table 3: 4 High, 6 Medium, 9 Low.
 	if counts[High] != 4 || counts[Medium] != 6 || counts[Low] != 9 {
@@ -42,11 +41,10 @@ func TestClassCountsMatchTable3(t *testing.T) {
 }
 
 func TestPaperMPKIMatchesClassBoundary(t *testing.T) {
-	for _, name := range Names() {
-		b := MustGet(name)
+	for _, b := range All() {
 		if got := ClassOf(b.PaperMPKI); got != b.Class {
 			t.Errorf("%s: PaperMPKI %v classifies as %s, table says %s",
-				name, b.PaperMPKI, got, b.Class)
+				b.Name, b.PaperMPKI, got, b.Class)
 		}
 	}
 }
@@ -80,8 +78,8 @@ func TestTraceConfigDisjointAddressSpaces(t *testing.T) {
 
 func TestFootprintsScaleWithWayLines(t *testing.T) {
 	b := MustGet("gcc") // 7-way working set, split into hot fifth + full
-	small := b.TraceConfig(Params{LineBytes: 64, WayLines: 128, InstrScale: 1, Seed: 1})
-	big := b.TraceConfig(Params{LineBytes: 64, WayLines: 4096, InstrScale: 1, Seed: 1})
+	small := b.TraceConfig(Params{LineBytes: 64, WayLines: 128, PhaseScale: 1, Seed: 1})
+	big := b.TraceConfig(Params{LineBytes: 64, WayLines: 4096, PhaseScale: 1, Seed: 1})
 	// Three regions: L1-resident locality, hot fifth, cold tail.
 	if len(small.WorkingSets) != 3 {
 		t.Fatalf("working sets = %d, want L1+hot+tail", len(small.WorkingSets))
@@ -111,8 +109,8 @@ func TestFootprintsScaleWithWayLines(t *testing.T) {
 
 func TestPhasePeriodScales(t *testing.T) {
 	b := MustGet("astar")
-	slow := b.TraceConfig(Params{LineBytes: 64, WayLines: 128, InstrScale: 1, Seed: 1})
-	fast := b.TraceConfig(Params{LineBytes: 64, WayLines: 128, InstrScale: 0.01, Seed: 1})
+	slow := b.TraceConfig(Params{LineBytes: 64, WayLines: 128, PhaseScale: 1, Seed: 1})
+	fast := b.TraceConfig(Params{LineBytes: 64, WayLines: 128, PhaseScale: 0.01, Seed: 1})
 	if fast.PhasePeriod >= slow.PhasePeriod {
 		t.Fatalf("phase period did not scale down: %d vs %d", fast.PhasePeriod, slow.PhasePeriod)
 	}
@@ -192,8 +190,7 @@ func TestGroupsValidate(t *testing.T) {
 }
 
 func TestGroupsDistinctBenchmarks(t *testing.T) {
-	// No group lists the same benchmark twice (tiled groups do, but
-	// only through Tile, which renames them).
+	// No group lists the same benchmark twice.
 	for _, g := range allGroups() {
 		seen := map[string]bool{}
 		for _, b := range g.Benchmarks {
@@ -202,26 +199,6 @@ func TestGroupsDistinctBenchmarks(t *testing.T) {
 			}
 			seen[b] = true
 		}
-	}
-}
-
-func TestGroupTile(t *testing.T) {
-	g := Groups2[0]
-	tiled := g.Tile(8)
-	if tiled.Name != g.Name+"@8" || len(tiled.Benchmarks) != 8 {
-		t.Fatalf("Tile(8) = %+v", tiled)
-	}
-	for i, b := range tiled.Benchmarks {
-		if b != g.Benchmarks[i%2] {
-			t.Fatalf("tiled benchmark %d = %s, want %s", i, b, g.Benchmarks[i%2])
-		}
-	}
-	if err := tiled.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Not widening returns the group untouched.
-	if same := g.Tile(2); same.Name != g.Name || len(same.Benchmarks) != 2 {
-		t.Fatalf("Tile(2) = %+v", same)
 	}
 }
 
