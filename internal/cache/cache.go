@@ -73,12 +73,18 @@ func (c Config) Validate() error {
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %q: line size %d is not a power of two", c.Name, c.LineBytes)
 	}
-	s := c.Sets()
-	if s <= 0 || s&(s-1) != 0 {
-		return fmt.Errorf("cache %q: set count %d is not a positive power of two", c.Name, s)
-	}
 	if c.Ways > 64 {
 		return fmt.Errorf("cache %q: %d ways exceed the 64-way mask limit", c.Name, c.Ways)
+	}
+	// Compared by division: LineBytes*Ways can wrap for a power-of-two
+	// line size near the top of int, and Sets would divide by zero.
+	if c.LineBytes > c.SizeBytes/c.Ways {
+		return fmt.Errorf("cache %q: %d ways of %d-byte lines exceed %d bytes",
+			c.Name, c.Ways, c.LineBytes, c.SizeBytes)
+	}
+	s := c.Sets()
+	if s&(s-1) != 0 {
+		return fmt.Errorf("cache %q: set count %d is not a positive power of two", c.Name, s)
 	}
 	return nil
 }

@@ -1,28 +1,22 @@
 // Package ckpt is the crash-safe checkpoint layer over the simulator
 // (DESIGN.md §14): versioned, checksummed serialization of complete
-// mid-run simulator state, stored content-addressed in a store.Store
-// so checkpoints inherit the result cache's entry format, atomic
-// publish protocol, cross-process lockfiles and quarantine behaviour.
+// simulator state, stored content-addressed in a store.Store so
+// checkpoints inherit the result cache's entry format, atomic publish
+// protocol, cross-process lockfiles and quarantine behaviour.
 //
-// A Manager wraps sim.Run with two capabilities:
-//
-//   - Warm-up sharing: the warm-up prefix of each run is computed once
-//     per identity and every later run of that identity — in this
-//     process via a singleflight memo, in any process via the store —
-//     resumes from the checkpoint instead of re-warming. The warm-up
-//     identity deliberately excludes CaptureProfile, so a benchmark's
-//     alone run and its Dynamic CPE profiling run (which differ in
-//     nothing else) warm exactly once between them.
-//
-//   - Mid-run checkpoints: with a store and Every > 0, the measured
-//     region checkpoints each time all cores retire another Every
-//     instructions, and a rerun of a killed process resumes from the
-//     newest valid checkpoint. Corrupt checkpoints are quarantined by
-//     the store on read and recomputed, never trusted.
+// A run's checkpoints form one sequence over its measured region:
+// boundary 0 is the end of warm-up, and with Every > 0 every further
+// Every measured instructions per core add a boundary. Each boundary is
+// keyed by the full RunConfig fingerprint and the boundary's
+// instruction count. A Manager with a store publishes the sequence as
+// the run goes, and a rerun (another process, or a killed sweep
+// restarted) resumes from the newest boundary it finds. Without a
+// store the Manager snapshots nothing: it only counts warm-ups.
 //
 // Checkpointing is strictly an accelerator: every fault (store down,
-// corrupt entry, geometry mismatch) degrades to plain recomputation,
-// and results are bit-identical with and without the layer.
+// corrupt entry, a checkpoint that does not fit the system) degrades to
+// plain recomputation from a freshly built system, and results are
+// bit-identical with and without the layer.
 package ckpt
 
 import (
@@ -30,7 +24,6 @@ import (
 	"os"
 	"sync/atomic"
 
-	"repro/internal/flight"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -48,36 +41,36 @@ import (
 // bank-port reservations).
 const FormatVersion = 4
 
-// Options parameterise New. The zero value is a memory-only manager:
-// warm-up sharing within the process, no mid-run checkpoints.
+// Options parameterise New. The zero value is a storeless manager: it
+// takes no snapshots and only counts warm-ups.
 type Options struct {
-	// Store persists checkpoints across processes (nil = in-memory
-	// warm-up sharing only). Point it at a dedicated directory
-	// (-checkpoint-dir), not the result cache.
+	// Store persists checkpoints across processes (nil = none). Point
+	// it at a dedicated directory (-checkpoint-dir), not the result
+	// cache.
 	Store *store.Store
-	// Every is the mid-run checkpoint cadence in measured-region
-	// instructions per core; 0 disables mid-run checkpoints. Requires
-	// Store — a mid-run checkpoint that dies with the process is
-	// pointless, so Every without Store is ignored.
+	// Every is the checkpoint cadence in measured-region instructions
+	// per core; 0 keeps only boundary 0, the end of warm-up. Every
+	// without Store is ignored: a checkpoint that dies with the process
+	// protects nothing.
 	Every uint64
-	// Logf receives the layer's once-per-condition warnings plus the
-	// one success-path line — "resumed-from-checkpoint", emitted when a
-	// rerun restores a mid-run checkpoint; stderr if nil.
+	// Logf receives the layer's warnings plus the one success-path
+	// line — "resumed-from-checkpoint", emitted when a rerun restores a
+	// boundary past the end of warm-up; stderr if nil.
 	Logf func(format string, args ...any)
 }
 
 // Stats are the manager's observability counters.
 type Stats struct {
-	// WarmupsComputed counts warm-up prefixes actually simulated.
+	// WarmupsComputed counts runs warmed from scratch.
 	WarmupsComputed uint64
-	// WarmupsResumed counts runs that restored a warm-up checkpoint
-	// (from the in-process memo or the store) instead of re-warming.
+	// WarmupsResumed counts runs restored at boundary 0, the end of
+	// warm-up.
 	WarmupsResumed uint64
-	// MidRunResumed counts runs that restored a mid-run checkpoint,
-	// skipping both warm-up and the measured prefix.
+	// MidRunResumed counts runs restored at a later boundary, skipping
+	// both warm-up and the measured prefix.
 	MidRunResumed uint64
-	// CheckpointsWritten counts snapshots handed to the store
-	// (warm-up and mid-run; the store dedupes re-publishes).
+	// CheckpointsWritten counts snapshots handed to the store (the
+	// store dedupes re-publishes).
 	CheckpointsWritten uint64
 }
 
@@ -92,11 +85,6 @@ type Manager struct {
 	st    *store.Store
 	every uint64
 	logf  func(format string, args ...any)
-
-	// warm memoises warm-up snapshots: concurrent runs of one identity
-	// block on a single warm-up and share it, and the memo doubles as
-	// the in-process warm-up cache.
-	warm flight.Group[string, *sim.Snapshot]
 
 	computed atomic.Uint64
 	resumed  atomic.Uint64
@@ -142,45 +130,36 @@ func (m *Manager) ReportStats(prog string) {
 }
 
 // runID is the content address of one run: human-readable fields for
-// debugging plus fingerprints that pin every field of the RunConfig.
+// debugging plus a fingerprint that pins every field of the RunConfig.
 type runID struct {
 	scale, group, scheme string
 	seed                 uint64
-	// fp fingerprints the full config; mid-run checkpoint keys use it.
-	fp string
-	// warmFP fingerprints the config with CaptureProfile normalised
-	// off; warm-up keys use it, collapsing the alone/profile pair.
-	warmFP string
+	fp                   string
 }
 
 func identity(cfg sim.RunConfig) runID {
-	warm := cfg
-	warm.CaptureProfile = false
 	return runID{
 		scale:  cfg.Scale.Name,
 		group:  cfg.Group.Name,
 		scheme: string(cfg.Scheme),
 		seed:   cfg.Seed,
 		fp:     store.Fingerprint(cfg),
-		warmFP: store.Fingerprint(warm),
 	}
 }
 
-func (id runID) warmKey() string {
-	return fmt.Sprintf("ckpt|v%d|warm|scale=%s|group=%s|scheme=%s|seed=%d|id=%s",
-		FormatVersion, id.scale, id.group, id.scheme, id.seed, id.warmFP)
-}
-
-func (id runID) midKey(boundary uint64) string {
-	return fmt.Sprintf("ckpt|v%d|mid|scale=%s|group=%s|scheme=%s|seed=%d|id=%s|instr=%d",
+// key addresses the checkpoint at a boundary, in measured-region
+// instructions per core (0 = the end of warm-up).
+func (id runID) key(boundary uint64) string {
+	return fmt.Sprintf("ckpt|v%d|scale=%s|group=%s|scheme=%s|seed=%d|id=%s|instr=%d",
 		FormatVersion, id.scale, id.group, id.scheme, id.seed, id.fp, boundary)
 }
 
-// Run executes cfg with checkpointing: resume from the newest valid
-// mid-run checkpoint if one exists, else resume from (or compute and
-// publish) the warm-up checkpoint, then run the measured region,
-// checkpointing every Every instructions. Results are bit-identical to
-// sim.Run(cfg).
+// Run executes cfg with checkpointing: restore the newest checkpoint
+// of the run's sequence if one exists, else warm up from scratch and
+// publish boundary 0; then run the measured region, publishing each
+// later boundary. A checkpoint that restore rejects is never trusted:
+// the run starts again on a freshly built system. Results are
+// bit-identical to sim.Run(cfg).
 func (m *Manager) Run(cfg sim.RunConfig) (*sim.Results, error) {
 	if m == nil {
 		return sim.Run(cfg)
@@ -191,113 +170,79 @@ func (m *Manager) Run(cfg sim.RunConfig) (*sim.Results, error) {
 	}
 	id := identity(cfg)
 
-	if snap, ok := m.latestMid(id, cfg); ok {
-		if err := sys.RestoreSnapshot(snap); err == nil {
-			m.mid.Add(1)
-			// The one success-path log: an operator rerunning a killed
-			// sweep needs to see the rerun did not start from scratch.
-			m.logf("ckpt: resumed-from-checkpoint %s/%s seed=%d (skipping warm-up and measured prefix)",
-				id.group, id.scheme, id.seed)
+	if boundary, snap := m.latest(id, cfg); snap != nil {
+		err := sys.RestoreSnapshot(snap)
+		if err == nil {
+			if boundary == 0 {
+				m.resumed.Add(1)
+			} else {
+				m.mid.Add(1)
+				// The one success-path log: an operator rerunning a killed
+				// sweep needs to see the rerun did not start from scratch.
+				m.logf("ckpt: resumed-from-checkpoint %s/%s seed=%d at %d instructions (skipping warm-up and measured prefix)",
+					id.group, id.scheme, id.seed, boundary)
+			}
 			return m.measured(sys, id), nil
 		}
 		// A checkpoint that parses and checksums but does not fit the
-		// system means key-space or version skew. Never trust it: warn
-		// once and recompute from the warm-up boundary (or scratch).
-		m.logf("ckpt: mid-run checkpoint rejected (%v) — recomputing", err)
-		sys, err = sim.NewSystem(cfg)
-		if err != nil {
+		// system means key-space or version skew, and a failed restore
+		// leaves the system half-overwritten: warn and start over.
+		m.logf("ckpt: checkpoint at %d instructions rejected (%v) — recomputing", boundary, err)
+		if sys, err = sim.NewSystem(cfg); err != nil {
 			return nil, err
 		}
-	}
-	m.warmed(sys, cfg, id)
-	return m.measured(sys, id), nil
-}
-
-// warmed brings sys to the warm-up boundary: restored from a shared
-// checkpoint when one exists (in-process memo first, then the store),
-// computed and published otherwise. Checkpoint faults degrade to a
-// locally computed warm-up — this function cannot fail the run.
-func (m *Manager) warmed(sys *sim.System, cfg sim.RunConfig, id runID) {
-	if cfg.Scale.WarmupInstr == 0 {
-		return
-	}
-	key := id.warmKey()
-	// warmedHere distinguishes the singleflight leader (whose sys has
-	// already executed the warm-up inside the closure) from followers
-	// (whose sys is still cold and must restore the shared snapshot).
-	warmedHere := false
-	snap, err := m.warm.Do(key, func() (*sim.Snapshot, error) {
-		if m.st != nil {
-			var cached sim.Snapshot
-			if m.st.Get(key, &cached) {
-				return &cached, nil
-			}
-		}
-		sys.Warmup()
-		warmedHere = true
-		sn, err := sys.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		sn.StripProfile()
-		if m.st != nil {
-			m.st.Put(key, sn)
-			m.written.Add(1)
-		}
-		return sn, nil
-	})
-	if warmedHere {
-		m.computed.Add(1)
-		return
-	}
-	if err == nil && snap != nil {
-		if rerr := sys.RestoreSnapshot(snap); rerr == nil {
-			m.resumed.Add(1)
-			return
-		} else {
-			m.logf("ckpt: warm-up checkpoint rejected (%v) — re-warming", rerr)
-		}
-	} else if err != nil {
-		m.logf("ckpt: warm-up checkpointing failed (%v) — re-warming", err)
 	}
 	sys.Warmup()
 	m.computed.Add(1)
+	m.publish(sys, id, 0)
+	return m.measured(sys, id), nil
 }
 
 // measured runs the measured region, publishing a checkpoint at each
-// Every-instruction boundary when configured.
+// Every-instruction boundary (none when Every is 0).
 func (m *Manager) measured(sys *sim.System, id runID) *sim.Results {
-	if m.every == 0 {
-		return sys.RunMeasured(0, nil)
-	}
-	return sys.RunMeasured(m.every, func(boundary uint64) {
-		snap, err := sys.Snapshot()
-		if err != nil {
-			m.logf("ckpt: snapshot at %d failed (%v) — boundary skipped", boundary, err)
-			return
-		}
-		m.st.Put(id.midKey(boundary), snap)
-		m.written.Add(1)
-	})
+	return sys.RunMeasured(m.every, func(boundary uint64) { m.publish(sys, id, boundary) })
 }
 
-// latestMid returns the newest valid mid-run checkpoint for id.
-// Boundaries are probed ascending from Every — checkpoints are written
-// in boundary order, so the valid set is a prefix and the probe stops
-// at the first miss. A corrupt entry reads as a miss (the store
-// quarantines it), so a hole ends the prefix and the run resumes from
-// the last checkpoint before it — strictly valid state, never a guess.
-func (m *Manager) latestMid(id runID, cfg sim.RunConfig) (*sim.Snapshot, bool) {
-	if m.every == 0 {
-		return nil, false
+// publish hands the system's snapshot at boundary to the store; it is
+// a no-op without one.
+func (m *Manager) publish(sys *sim.System, id runID, boundary uint64) {
+	if m.st == nil {
+		return
 	}
-	var best *sim.Snapshot
-	for b := m.every; b < cfg.Scale.InstrPerApp; b += m.every {
+	snap, err := sys.Snapshot()
+	if err != nil {
+		m.logf("ckpt: snapshot at %d failed (%v) — boundary skipped", boundary, err)
+		return
+	}
+	m.st.Put(id.key(boundary), snap)
+	m.written.Add(1)
+}
+
+// latest returns the newest checkpoint of id's sequence and its
+// boundary, or a nil snapshot. Boundaries are probed ascending from 0
+// — checkpoints are written in boundary order, so the valid set is a
+// prefix and the probe stops at the first miss. A corrupt entry reads
+// as a miss (the store quarantines it), so a hole ends the prefix and
+// the run resumes from the last checkpoint before it — strictly valid
+// state, never a guess.
+func (m *Manager) latest(id runID, cfg sim.RunConfig) (uint64, *sim.Snapshot) {
+	if m.st == nil {
+		return 0, nil
+	}
+	var (
+		at   uint64
+		best *sim.Snapshot
+	)
+	for b := uint64(0); b < cfg.Scale.InstrPerApp; b += m.every {
 		snap := new(sim.Snapshot)
-		if !m.st.Get(id.midKey(b), snap) {
+		if !m.st.Get(id.key(b), snap) {
 			break
 		}
-		best = snap
+		at, best = b, snap
+		if m.every == 0 {
+			break
+		}
 	}
-	return best, best != nil
+	return at, best
 }

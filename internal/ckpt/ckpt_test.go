@@ -55,8 +55,8 @@ func managerOptions(t *testing.T, st *store.Store, every uint64) Options {
 
 // TestRunBitIdenticalAcrossLayers is the core oracle: the identical
 // RunConfig through every checkpointing configuration — nil manager,
-// memory-only, disk-backed, disk-backed with mid-run checkpoints, and
-// a fresh-process resume over the populated directory — must produce
+// storeless, disk-backed, disk-backed with mid-run checkpoints, and a
+// fresh-process resume over the populated directory — must produce
 // results deeply equal to plain sim.Run.
 func TestRunBitIdenticalAcrossLayers(t *testing.T) {
 	// The case keeps the subtest name it had when this test looped over
@@ -84,7 +84,10 @@ func TestRunBitIdenticalAcrossLayers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res, want) {
-			t.Fatal("memory-only checkpointed run differs from sim.Run")
+			t.Fatal("storeless checkpointed run differs from sim.Run")
+		}
+		if stats := mem.Stats(); stats != (Stats{WarmupsComputed: 1}) {
+			t.Fatalf("storeless run stats off: %v", stats)
 		}
 
 		dir := t.TempDir()
@@ -124,54 +127,109 @@ func TestRunBitIdenticalAcrossLayers(t *testing.T) {
 	})
 }
 
-// TestWarmupSharedBetweenAloneAndProfile pins the exactly-once
-// contract: a benchmark's alone run and its CaptureProfile run differ
-// only in profile capture, so one manager warms the pair once and both
-// results still match their uncheckpointed oracles.
-func TestWarmupSharedBetweenAloneAndProfile(t *testing.T) {
+// TestProfileRunResumesAtBoundaryZero: a CaptureProfile run publishes
+// its end of warm-up, profiling state included, as boundary 0, and a
+// rerun over the directory restores it and reproduces the profile
+// exactly. The benchmark's solo run, which differs only in
+// CaptureProfile, has its own key and warms itself.
+func TestProfileRunResumesAtBoundaryZero(t *testing.T) {
 	g, err := workload.FindGroup("G2-8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := g.Benchmarks[0]
-	alone, err := sim.AloneConfig(b, sim.UnitScale(), len(g.Benchmarks), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	profile, err := sim.ProfileConfig(b, sim.UnitScale(), len(g.Benchmarks), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAlone, err := sim.Run(alone)
+	alone, err := sim.AloneConfig(b, sim.UnitScale(), len(g.Benchmarks), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantProfile, err := sim.Run(profile)
+	want, err := sim.Run(profile)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	m := New(Options{Logf: func(format string, args ...any) { t.Logf("ckpt: "+format, args...) }})
-	gotAlone, err := m.Run(alone)
+	dir := t.TempDir()
+	first := New(managerOptions(t, openStore(t, dir, storeOptions(t)), 0))
+	if _, err := first.Run(profile); err != nil {
+		t.Fatal(err)
+	}
+	if stats := first.Stats(); stats != (Stats{WarmupsComputed: 1, CheckpointsWritten: 1}) {
+		t.Fatalf("first run stats off: %v", stats)
+	}
+
+	rerun := New(managerOptions(t, openStore(t, dir, storeOptions(t)), 0))
+	got, err := rerun.Run(profile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotProfile, err := m.Run(profile)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("profile run resumed at boundary 0 differs from sim.Run")
+	}
+	if stats := rerun.Stats(); stats.WarmupsResumed != 1 || stats.WarmupsComputed != 0 {
+		t.Fatalf("profile rerun did not resume at boundary 0: %v", stats)
+	}
+	if _, err := rerun.Run(alone); err != nil {
+		t.Fatal(err)
+	}
+	if stats := rerun.Stats(); stats.WarmupsComputed != 1 {
+		t.Fatalf("solo run resumed the profile run's checkpoint: %v", stats)
+	}
+}
+
+// TestMisfitCheckpointNeverTrusted: a checkpoint that passes its
+// checksum but does not fit the system is rejected part-way through
+// RestoreSnapshot (a truncated L1D of core 1 fails after the scheme and
+// core 0 are restored). Whether it sits at boundary 0 or at a later
+// boundary, the run must start over on a fresh system rather than
+// continue from the half-restored one.
+func TestMisfitCheckpointNeverTrusted(t *testing.T) {
+	cfg := testCfg(t)
+	want, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotAlone, wantAlone) {
-		t.Fatal("checkpointed alone run differs from sim.Run")
+	sys, err := sim.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotProfile, wantProfile) {
-		t.Fatal("checkpointed profile run differs from sim.Run")
+	sys.Warmup()
+	good, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	stats := m.Stats()
-	if stats.WarmupsComputed != 1 {
-		t.Fatalf("alone+profile pair warmed %d times, want exactly 1 (%v)", stats.WarmupsComputed, stats)
+	misfit, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.WarmupsResumed != 1 {
-		t.Fatalf("profile run did not resume the alone warm-up: %v", stats)
+	misfit.L1D[1].Tags = misfit.L1D[1].Tags[:1]
+
+	id := identity(cfg)
+	for _, c := range []struct {
+		name    string
+		entries map[uint64]*sim.Snapshot
+	}{
+		{"boundary 0", map[uint64]*sim.Snapshot{0: misfit}},
+		{"mid-run", map[uint64]*sim.Snapshot{0: good, testEvery: misfit}},
+	} {
+		st := openStore(t, t.TempDir(), storeOptions(t))
+		for b, snap := range c.entries {
+			st.Put(id.key(b), snap)
+		}
+		m := New(managerOptions(t, st, testEvery))
+		res, err := m.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("%s: run over a misfit checkpoint differs from sim.Run (cycles %d, want %d)",
+				c.name, res.Cycles, want.Cycles)
+		}
+		if stats := m.Stats(); stats.WarmupsComputed != 1 || stats.WarmupsResumed+stats.MidRunResumed != 0 {
+			t.Fatalf("%s: misfit checkpoint counted as resumed: %v", c.name, stats)
+		}
 	}
 }
 

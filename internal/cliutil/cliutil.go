@@ -114,7 +114,7 @@ type Persistence struct {
 	// Results is the persistent result cache (nil = in-memory only).
 	Results *store.Store
 	// Checkpoints is never nil after Open: without -checkpoint-dir it
-	// is memory-only (in-process warm-up sharing still on).
+	// has no store and takes no checkpoints.
 	Checkpoints *ckpt.Manager
 	ckptStore   *store.Store
 }
@@ -126,7 +126,7 @@ func PersistenceFlags(prog string) *Persistence {
 	flag.StringVar(&p.CacheDir, "cache-dir", "",
 		"persistent result cache directory shared across runs and processes (empty = in-memory only)")
 	flag.StringVar(&p.ckptDir, "checkpoint-dir", "",
-		"checkpoint directory: warm-up prefixes and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = in-memory warm-up sharing only)")
+		"checkpoint directory: the end of warm-up and mid-run state persist here, and a rerun resumes from the last valid checkpoint (empty = no checkpoints)")
 	flag.Int64Var(&p.ckptEvery, "checkpoint-every", 0,
 		"measured instructions between mid-run checkpoints (0 = warm-up checkpoints only; requires -checkpoint-dir)")
 	return p

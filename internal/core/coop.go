@@ -127,16 +127,6 @@ func (c *CoopPart) Monitors() []*umon.Monitor { return c.mons }
 // OwnerOf returns the core owning way (-1 if the way is off).
 func (c *CoopPart) OwnerOf(way int) int { return c.owner[way] }
 
-// InTransition reports whether any donor transition is active.
-func (c *CoopPart) InTransition() bool {
-	for i := range c.donors {
-		if c.donors[i].active {
-			return true
-		}
-	}
-	return false
-}
-
 // nextRand is a SplitMix64 step for the "random way" picks of
 // Algorithm 2 (deterministic across runs).
 func (c *CoopPart) nextRand() uint64 {

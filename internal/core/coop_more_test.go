@@ -60,7 +60,7 @@ func TestSimultaneousDonors(t *testing.T) {
 			c.Access(coreID, addrFor(c, coreID, set, 5), false, int64(100+set))
 		}
 	}
-	if c.InTransition() {
+	if inTransition(c) {
 		t.Fatal("transitions did not complete")
 	}
 	if c.OwnerOf(0) != 2 || c.OwnerOf(2) != 3 {
@@ -81,7 +81,7 @@ func TestMultiWayDonationSharesBitVector(t *testing.T) {
 	for set := 0; set < l2.NumSets(); set++ {
 		c.Access(0, addrFor(c, 0, set, 1), false, int64(10+set))
 	}
-	if c.InTransition() {
+	if inTransition(c) {
 		t.Fatal("joint transition incomplete")
 	}
 	tr := c.Transitions()
@@ -159,7 +159,7 @@ func TestRecipientMissOnlyAblationSlower(t *testing.T) {
 		c.BeginTransfer(2, 1, 0, 0) // way 2: donor core 1, recipient core 0
 		rng := rand.New(rand.NewSource(5))
 		now := int64(0)
-		for c.InTransition() && now < 1_000_000 {
+		for inTransition(c) && now < 1_000_000 {
 			now += 3
 			coreID := rng.Intn(2)
 			c.Access(coreID, addrFor(c, coreID, rng.Intn(16), rng.Intn(4)), false, now)

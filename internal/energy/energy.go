@@ -154,24 +154,11 @@ func (m *Meter) SetPoweredEquiv(now int64, powered float64) {
 // PoweredEquiv returns the current powered way-equivalents.
 func (m *Meter) PoweredEquiv() float64 { return m.powered }
 
-// PoweredWays returns the powered way-equivalents rounded down.
-func (m *Meter) PoweredWays() int { return int(m.powered) }
-
 // Dynamic returns accumulated dynamic energy.
 func (m *Meter) Dynamic() float64 { return m.dynamic }
 
 // Static returns accumulated static energy (leakage).
 func (m *Meter) Static() float64 { return m.static_ }
-
-// Total returns dynamic + static energy.
-func (m *Meter) Total() float64 { return m.dynamic + m.static_ }
-
-// Reset zeroes the accumulators and repowers every way.
-func (m *Meter) Reset() {
-	m.dynamic, m.static_ = 0, 0
-	m.lastCycle = 0
-	m.powered = float64(m.ways)
-}
 
 // ResetAt zeroes the accumulators and restarts leakage accounting at
 // now, preserving the current powered-way state (end of warm-up).

@@ -53,9 +53,6 @@ func TestStaticUnderFractionalPoweredSequence(t *testing.T) {
 	if m.PoweredEquiv() != 0.75 {
 		t.Fatalf("powered equiv = %v, want 0.75", m.PoweredEquiv())
 	}
-	if m.PoweredWays() != 0 {
-		t.Fatalf("PoweredWays = %d, want 0 (floor of 0.75)", m.PoweredWays())
-	}
 }
 
 func TestStaticFractionBetweenFullAndGated(t *testing.T) {
@@ -111,9 +108,6 @@ func TestFractionalTotalCombinesBothComponents(t *testing.T) {
 	m.SetPoweredEquiv(0, 1.5)
 	m.OnAccess(AccessEvent{TagsConsulted: 2, DataRead: true})
 	m.Advance(100)
-	if got := m.Total(); math.Abs(got-(m.Dynamic()+m.Static())) > 1e-12 {
-		t.Fatalf("Total %v != Dynamic %v + Static %v", got, m.Dynamic(), m.Static())
-	}
 	if m.Dynamic() == 0 || m.Static() == 0 {
 		t.Fatalf("components: dynamic %v static %v, want both positive", m.Dynamic(), m.Static())
 	}

@@ -12,13 +12,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestWarmupSharingExactlyOnce is the acceptance assertion for warm-up
-// sharing: across a TestScale sweep (every scheme on one group, plus
-// the solo and profiling runs weighted speedup and DynCPE pull in),
-// each warm-up identity is computed exactly once. The per-scheme group
-// runs cannot share (the scheme steers the warm-up trajectory), but a
-// benchmark's alone and profile runs — identical but for profile
-// capture — must warm once between them.
+// TestWarmupSharingExactlyOnce: across a TestScale sweep (every scheme
+// on one group, plus the solo and profiling runs weighted speedup and
+// DynCPE pull in), every simulation warms exactly once, and a manager
+// without a store writes no checkpoint. No two runs share a warm-up:
+// a benchmark's solo and profile runs differ in CaptureProfile, so
+// each warms its own one-core prefix.
 func TestWarmupSharingExactlyOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a TestScale sweep")
@@ -33,20 +32,13 @@ func TestWarmupSharingExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	schemes := uint64(len(sim.AllSchemes))
-	benchmarks := uint64(len(g.Benchmarks))
-	// 5 scheme runs + 2 alone + 2 profile simulations...
-	if sims := r.Simulations(); sims != schemes+2*benchmarks {
-		t.Fatalf("sweep ran %d simulations, want %d", sims, schemes+2*benchmarks)
+	// 5 scheme runs + 2 solo + 2 profile simulations, each warmed once.
+	want := uint64(len(sim.AllSchemes) + 2*len(g.Benchmarks))
+	if sims := r.Simulations(); sims != want {
+		t.Fatalf("sweep ran %d simulations, want %d", sims, want)
 	}
-	// ...but only 5 + 2 warm-ups: each (benchmark, seed) pair warmed
-	// exactly once, the profile runs resuming the alone warm-up.
-	stats := mgr.Stats()
-	if stats.WarmupsComputed != schemes+benchmarks {
-		t.Fatalf("sweep computed %d warm-ups, want %d (%v)", stats.WarmupsComputed, schemes+benchmarks, stats)
-	}
-	if stats.WarmupsResumed != benchmarks {
-		t.Fatalf("sweep resumed %d warm-ups, want %d (%v)", stats.WarmupsResumed, benchmarks, stats)
+	if stats := mgr.Stats(); stats != (ckpt.Stats{WarmupsComputed: want}) {
+		t.Fatalf("storeless sweep stats %v, want %d warm-ups computed and nothing else", stats, want)
 	}
 }
 
@@ -113,8 +105,9 @@ func TestWarmupSharingAcrossProcesses(t *testing.T) {
 
 // TestFigureBytesIdenticalWithCheckpointing: the figure pipeline's
 // rendered output — the bytes a byte-comparison of cmd/figures would
-// see — is identical between a default runner (memory-only warm-up
-// sharing) and one running disk-backed mid-run checkpointing.
+// see — is identical between a default runner (a storeless
+// checkpoint manager) and one running disk-backed mid-run
+// checkpointing.
 func TestFigureBytesIdenticalWithCheckpointing(t *testing.T) {
 	render := func(mgr *ckpt.Manager) []byte {
 		r := NewRunner(Config{Scale: sim.UnitScale(), Seed: 1, Checkpoints: mgr})
@@ -132,7 +125,7 @@ func TestFigureBytesIdenticalWithCheckpointing(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	baseline := render(nil) // NewRunner substitutes the memory-only manager
+	baseline := render(nil) // NewRunner substitutes a storeless manager
 
 	st, err := store.Open(t.TempDir(), store.Options{
 		Logf: func(format string, args ...any) { t.Logf("store: "+format, args...) },

@@ -351,10 +351,11 @@ func TestAblationRandomVictimSmallGap(t *testing.T) {
 }
 
 // TestAblationAndExtensionFigureBytes pins the exact WriteTable bytes
-// of every ablation and extension figure by SHA-256 at UnitScale, seed
-// 1. The runs are the shared unitRunner's, which the shape tests above
-// already execute. A change that moves any of these results must
-// re-record the digests and say why.
+// of every ablation and extension figure, and of the two-core paper
+// figures, by SHA-256 at UnitScale, seed 1. The runs are the shared
+// unitRunner's, which the shape tests above already execute (Figs
+// 12-13 reuse Fig 11's runs). A change that moves any of these
+// results must re-record the digests and say why.
 func TestAblationAndExtensionFigureBytes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -371,6 +372,24 @@ func TestAblationAndExtensionFigureBytes(t *testing.T) {
 			"238cfb62bee908cdfa06c0307fa040305899177bd58645900ee0766b662f3d50"},
 		{"ExtDrowsy", unitRunner.ExtDrowsy,
 			"00278cb0abcd80cb79ad0a67fcfa5043665f323a8fcb46dce47e14ff78fb05b6"},
+		{"Fig5", unitRunner.Fig5,
+			"493d7f15fa7ca233a351633239a9327a7d79a6b8d9aa3c6bad712c648ce00f7d"},
+		{"Fig6", unitRunner.Fig6,
+			"2c916cae9cadc34b4948a544d217d7c6a951b9e350cc406b8b62aa6463a8c37a"},
+		{"Fig7", unitRunner.Fig7,
+			"bb8af5ed4574e07e12013791c5c5429fb318a158150ea4c811a38246ab3236c3"},
+		{"Fig11", unitRunner.Fig11,
+			"43f9e1f610cdfd758be0e6b4a29f6bee20b47ce8643d27c2361e70edfe6b51ee"},
+		{"Fig12", unitRunner.Fig12,
+			"47f08daf8bc7d9614bcb3e4be3b04d8e832c10daa22f8ef3f4db0fcf7a7c51b3"},
+		{"Fig13", unitRunner.Fig13,
+			"4dc61c0d56c47264e0ed2f76430991234a3c0d3c5385cbba855d445a23dd4dbc"},
+		{"Fig14", unitRunner.Fig14,
+			"91781345caa0b078ca4574bb096b3122ab602feb8d2a82a3ff940edde543f620"},
+		{"Fig15", unitRunner.Fig15,
+			"f2be687fd27b4eec2027588c29153696c470ef12ac8becccd3b622d142b5b0dd"},
+		{"Fig16", unitRunner.Fig16,
+			"26f32b137908fbaeda3a3364d97ca758a0d9dfe24c5c07f6b40bbfc88b33ee85"},
 	}
 	for _, c := range cases {
 		fig, err := c.gen()

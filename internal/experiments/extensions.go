@@ -23,49 +23,19 @@ import (
 //     of the chip budget permits a frequency uplift of
 //     (1/(1-s))^(1/3) - 1.
 
-// ExtDrowsy compares Cooperative Partitioning's static power with and
-// without the drowsy extension, normalised to the plain scheme.
+// ExtDrowsy compares Cooperative Partitioning's static power and
+// performance with and without the drowsy extension, normalised to the
+// plain scheme.
 func (r *Runner) ExtDrowsy() (metrics.Figure, error) {
-	err := r.runPairs(workload.Groups2, true,
-		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold},
-		request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: core.VariantDrowsy})
-	if err != nil {
-		return metrics.Figure{}, err
-	}
-	fig := metrics.Figure{
-		ID:     "ExtDrowsy",
+	plain := request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold}
+	drowsy := request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold, Variant: core.VariantDrowsy}
+	return r.groupFigure(metrics.Figure{ID: "ExtDrowsy",
 		Title:  "Cooperative Partitioning + drowsy ways: static power vs plain CP",
-		YLabel: "static power normalised to plain CoopPart",
-		XLabel: "group",
-	}
-	var ratios, wsRatios []float64
-	for _, g := range workload.Groups2 {
-		fig.X = append(fig.X, g.Name)
-		plain, err := r.RunGroup(g, sim.CoopPart)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		ext, err := r.RunGroupVariant(g, sim.CoopPart, r.cfg.Threshold, core.VariantDrowsy)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		ratios = append(ratios, ext.StaticPower/plain.StaticPower)
-		wsP, err := r.WeightedSpeedup(plain)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		wsE, err := r.WeightedSpeedup(ext)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		wsRatios = append(wsRatios, wsE/wsP)
-	}
-	fig.Series = []metrics.NamedSeries{
-		{Name: "StaticPower", Values: ratios},
-		{Name: "Performance", Values: wsRatios},
-	}
-	fig.AppendGeoMeanColumn("AVG")
-	return fig, nil
+		YLabel: "static power normalised to plain CoopPart"},
+		workload.Groups2, []column{
+			{"StaticPower", drowsy, &plain, staticPower},
+			{"Performance", drowsy, &plain, weightedSpeedup},
+		}, metrics.GeoMean)
 }
 
 // HeadroomRow is one workload's thermal-headroom estimate.

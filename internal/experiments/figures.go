@@ -2,192 +2,214 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// schemeSeries runs every group under every scheme and returns one
-// series per scheme of value(results) normalised to the FairShare run
-// of the same group, with the paper's AVG (geometric mean) appended.
-func (r *Runner) schemeSeries(cores int, id, title, ylabel string, speedup bool,
-	value func(*Runner, *sim.Results) (float64, error)) (metrics.Figure, error) {
+// metric reads one value off a run. solo marks a metric that needs
+// Equation 1's solo runs, so groupFigure's fan-out includes them.
+type metric struct {
+	value func(r *Runner, res *sim.Results) (float64, error)
+	solo  bool
+}
 
-	groups, err := groupsFor(cores)
-	if err != nil {
+var (
+	weightedSpeedup = &metric{solo: true,
+		value: func(r *Runner, res *sim.Results) (float64, error) { return r.WeightedSpeedup(res) }}
+	dynamicEnergy = &metric{
+		value: func(_ *Runner, res *sim.Results) (float64, error) { return res.Dynamic, nil }}
+	staticPower = &metric{
+		value: func(_ *Runner, res *sim.Results) (float64, error) { return res.StaticPower, nil }}
+	transferCycles = &metric{
+		value: func(_ *Runner, res *sim.Results) (float64, error) { return res.Transition.AvgTransferCycles(), nil }}
+)
+
+// column is one series of a per-group figure: the metric of the run
+// request names, divided by the baseline run's metric when there is a
+// baseline. Neither request names a group; the builder fills it in.
+type column struct {
+	name     string
+	request  request
+	baseline *request
+	metric   *metric
+}
+
+// groupFigure is the one builder of the per-group figures: it fans out
+// every run the columns read, fills one value per column and group,
+// and appends the AVG bar, avg of each series (metrics.GeoMean, or
+// metrics.MeanNonZero for the transfer-cycle figures).
+func (r *Runner) groupFigure(fig metrics.Figure, groups []workload.Group, cols []column,
+	avg func([]float64) float64) (metrics.Figure, error) {
+
+	// Each run is listed once: a duplicate task would park a worker on
+	// the in-flight original. Runs of different groups never coincide.
+	reqs := make([]request, 0, len(groups)*(len(cols)+1))
+	solo := false
+	for _, g := range groups {
+		first := len(reqs)
+		for i := range cols {
+			c := &cols[i]
+			solo = solo || c.metric.solo
+			for _, q := range []*request{&c.request, c.baseline} {
+				if q == nil || slices.ContainsFunc(reqs[first:], func(o request) bool {
+					return o.Scheme == q.Scheme && o.Threshold == q.Threshold && o.Variant == q.Variant
+				}) {
+					continue
+				}
+				run := *q
+				run.Group = g
+				reqs = append(reqs, run)
+			}
+		}
+	}
+	if err := r.runAll(reqs, solo); err != nil {
 		return metrics.Figure{}, err
 	}
-	// Fan every (group, scheme) run — and, for the weighted-speedup
-	// figures, the solo runs Equation 1 needs — out over the worker
-	// pool; the serial collection below then hits the warm memo.
-	if err := r.runAll(r.crossRequests(groups, sim.AllSchemes), speedup); err != nil {
-		return metrics.Figure{}, err
+
+	value := func(q request, g workload.Group, m *metric) (float64, error) {
+		res, err := r.RunGroupVariant(g, q.Scheme, q.Threshold, q.Variant)
+		if err != nil {
+			return 0, err
+		}
+		return m.value(r, res)
 	}
-	fig := metrics.Figure{ID: id, Title: title, YLabel: ylabel, XLabel: "group"}
+	// Columns that share a baseline point at one request (all of Figs
+	// 5-13's do); its metric is read once per group.
+	type baseRead struct {
+		baseline *request
+		metric   *metric
+		group    int
+	}
+	bases := make(map[baseRead]float64)
+	fig.XLabel = "group"
 	for _, g := range groups {
 		fig.X = append(fig.X, g.Name)
 	}
-
-	base := make([]float64, len(groups))
-	for i, g := range groups {
-		res, err := r.RunGroup(g, sim.FairShare)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		if base[i], err = value(r, res); err != nil {
-			return metrics.Figure{}, err
-		}
-	}
-
-	for _, scheme := range sim.AllSchemes {
-		vals := make([]float64, len(groups))
+	for _, c := range cols {
+		vals := make([]float64, 0, len(groups)+1)
 		for i, g := range groups {
-			res, err := r.RunGroup(g, scheme)
+			v, err := value(c.request, g, c.metric)
 			if err != nil {
 				return metrics.Figure{}, err
 			}
-			v, err := value(r, res)
-			if err != nil {
-				return metrics.Figure{}, err
+			if c.baseline != nil {
+				k := baseRead{c.baseline, c.metric, i}
+				base, ok := bases[k]
+				if !ok {
+					if base, err = value(*c.baseline, g, c.metric); err != nil {
+						return metrics.Figure{}, err
+					}
+					bases[k] = base
+				}
+				if base == 0 {
+					return metrics.Figure{}, fmt.Errorf("%s: zero baseline for %s on %s", fig.ID, c.name, g.Name)
+				}
+				v /= base
 			}
-			if base[i] == 0 {
-				return metrics.Figure{}, fmt.Errorf("%s: zero FairShare baseline for %s", id, g.Name)
-			}
-			vals[i] = v / base[i]
+			vals = append(vals, v)
 		}
-		fig.Series = append(fig.Series, metrics.NamedSeries{Name: string(scheme), Values: vals})
+		fig.Series = append(fig.Series, metrics.NamedSeries{Name: c.name, Values: append(vals, avg(vals))})
 	}
-	fig.AppendGeoMeanColumn("AVG")
+	fig.X = append(fig.X, "AVG")
 	return fig, nil
 }
 
-// wsValue is the weighted-speedup metric (Equation 1).
-func wsValue(r *Runner, res *sim.Results) (float64, error) { return r.WeightedSpeedup(res) }
-
-// dynValue is the LLC dynamic energy.
-func dynValue(_ *Runner, res *sim.Results) (float64, error) { return res.Dynamic, nil }
-
-// statValue is the LLC static energy.
-func statValue(_ *Runner, res *sim.Results) (float64, error) { return res.StaticPower, nil }
+// schemeColumns are the series of Figures 5-10: every scheme's metric
+// normalised to the Fair Share run of the same group.
+func (r *Runner) schemeColumns(m *metric) []column {
+	fair := request{Scheme: sim.FairShare, Threshold: r.cfg.Threshold}
+	var cols []column
+	for _, s := range sim.AllSchemes {
+		cols = append(cols, column{string(s), request{Scheme: s, Threshold: r.cfg.Threshold}, &fair, m})
+	}
+	return cols
+}
 
 // Fig5 is the weighted speedup of the two-application workloads,
 // normalised to Fair Share.
 func (r *Runner) Fig5() (metrics.Figure, error) {
-	return r.schemeSeries(2, "Fig5",
-		"Weighted speedup of two-application workloads",
-		"weighted speedup normalised to Fair Share", true, wsValue)
+	return r.groupFigure(metrics.Figure{ID: "Fig5",
+		Title:  "Weighted speedup of two-application workloads",
+		YLabel: "weighted speedup normalised to Fair Share"},
+		workload.Groups2, r.schemeColumns(weightedSpeedup), metrics.GeoMean)
 }
 
 // Fig6 is the dynamic energy of the two-application workloads.
 func (r *Runner) Fig6() (metrics.Figure, error) {
-	return r.schemeSeries(2, "Fig6",
-		"Dynamic energy consumption of the two-application workloads",
-		"dynamic energy normalised to Fair Share", false, dynValue)
+	return r.groupFigure(metrics.Figure{ID: "Fig6",
+		Title:  "Dynamic energy consumption of the two-application workloads",
+		YLabel: "dynamic energy normalised to Fair Share"},
+		workload.Groups2, r.schemeColumns(dynamicEnergy), metrics.GeoMean)
 }
 
 // Fig7 is the static energy of the two-application workloads.
 func (r *Runner) Fig7() (metrics.Figure, error) {
-	return r.schemeSeries(2, "Fig7",
-		"Static energy consumption of the two-application workloads",
-		"static energy normalised to Fair Share", false, statValue)
+	return r.groupFigure(metrics.Figure{ID: "Fig7",
+		Title:  "Static energy consumption of the two-application workloads",
+		YLabel: "static energy normalised to Fair Share"},
+		workload.Groups2, r.schemeColumns(staticPower), metrics.GeoMean)
 }
 
 // Fig8 is the weighted speedup of the four-application workloads.
 func (r *Runner) Fig8() (metrics.Figure, error) {
-	return r.schemeSeries(4, "Fig8",
-		"Weighted speedup of the four-application workloads",
-		"weighted speedup normalised to Fair Share", true, wsValue)
+	return r.groupFigure(metrics.Figure{ID: "Fig8",
+		Title:  "Weighted speedup of the four-application workloads",
+		YLabel: "weighted speedup normalised to Fair Share"},
+		workload.Groups4, r.schemeColumns(weightedSpeedup), metrics.GeoMean)
 }
 
 // Fig9 is the dynamic energy of the four-application workloads.
 func (r *Runner) Fig9() (metrics.Figure, error) {
-	return r.schemeSeries(4, "Fig9",
-		"Dynamic energy consumption of the four-application workloads",
-		"dynamic energy normalised to Fair Share", false, dynValue)
+	return r.groupFigure(metrics.Figure{ID: "Fig9",
+		Title:  "Dynamic energy consumption of the four-application workloads",
+		YLabel: "dynamic energy normalised to Fair Share"},
+		workload.Groups4, r.schemeColumns(dynamicEnergy), metrics.GeoMean)
 }
 
 // Fig10 is the static energy of the four-application workloads.
 func (r *Runner) Fig10() (metrics.Figure, error) {
-	return r.schemeSeries(4, "Fig10",
-		"Static energy consumption of the four-application workloads",
-		"static energy normalised to Fair Share", false, statValue)
+	return r.groupFigure(metrics.Figure{ID: "Fig10",
+		Title:  "Static energy consumption of the four-application workloads",
+		YLabel: "static energy normalised to Fair Share"},
+		workload.Groups4, r.schemeColumns(staticPower), metrics.GeoMean)
 }
 
-// thresholdSeries runs CoopPart at every threshold of Figures 11-13 on
-// the two-core groups and normalises each group's metric to the T=0
-// run.
-func (r *Runner) thresholdSeries(id, title, ylabel string, speedup bool,
-	value func(*Runner, *sim.Results) (float64, error)) (metrics.Figure, error) {
-
-	groups := workload.Groups2
-	var reqs []request
+// thresholdColumns are the series of Figures 11-13: CoopPart at every
+// threshold of the sweep, normalised to its T=0 run on the same group.
+func thresholdColumns(m *metric) []column {
+	zero := request{Scheme: sim.CoopPart}
+	var cols []column
 	for _, T := range Thresholds {
-		for _, g := range groups {
-			reqs = append(reqs, request{Group: g, Scheme: sim.CoopPart, Threshold: T})
-		}
+		cols = append(cols, column{fmt.Sprintf("T=%.2f", T), request{Scheme: sim.CoopPart, Threshold: T}, &zero, m})
 	}
-	if err := r.runAll(reqs, speedup); err != nil {
-		return metrics.Figure{}, err
-	}
-	fig := metrics.Figure{ID: id, Title: title, YLabel: ylabel, XLabel: "group"}
-	for _, g := range groups {
-		fig.X = append(fig.X, g.Name)
-	}
-
-	base := make([]float64, len(groups))
-	for i, g := range groups {
-		res, err := r.RunGroupVariant(g, sim.CoopPart, 0, core.VariantNone)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		if base[i], err = value(r, res); err != nil {
-			return metrics.Figure{}, err
-		}
-	}
-	for _, T := range Thresholds {
-		vals := make([]float64, len(groups))
-		for i, g := range groups {
-			res, err := r.RunGroupVariant(g, sim.CoopPart, T, core.VariantNone)
-			if err != nil {
-				return metrics.Figure{}, err
-			}
-			v, err := value(r, res)
-			if err != nil {
-				return metrics.Figure{}, err
-			}
-			if base[i] == 0 {
-				return metrics.Figure{}, fmt.Errorf("%s: zero T=0 baseline for %s", id, g.Name)
-			}
-			vals[i] = v / base[i]
-		}
-		fig.Series = append(fig.Series, metrics.NamedSeries{
-			Name: fmt.Sprintf("T=%.2f", T), Values: vals})
-	}
-	fig.AppendGeoMeanColumn("AVG")
-	return fig, nil
+	return cols
 }
 
 // Fig11 is the takeover-threshold sweep's performance impact.
 func (r *Runner) Fig11() (metrics.Figure, error) {
-	return r.thresholdSeries("Fig11",
-		"Impact of the takeover threshold value on performance",
-		"weighted speedup normalised to T=0", true, wsValue)
+	return r.groupFigure(metrics.Figure{ID: "Fig11",
+		Title:  "Impact of the takeover threshold value on performance",
+		YLabel: "weighted speedup normalised to T=0"},
+		workload.Groups2, thresholdColumns(weightedSpeedup), metrics.GeoMean)
 }
 
 // Fig12 is the takeover-threshold sweep's dynamic-energy impact.
 func (r *Runner) Fig12() (metrics.Figure, error) {
-	return r.thresholdSeries("Fig12",
-		"Impact of the takeover threshold value on dynamic energy",
-		"dynamic energy normalised to T=0", false, dynValue)
+	return r.groupFigure(metrics.Figure{ID: "Fig12",
+		Title:  "Impact of the takeover threshold value on dynamic energy",
+		YLabel: "dynamic energy normalised to T=0"},
+		workload.Groups2, thresholdColumns(dynamicEnergy), metrics.GeoMean)
 }
 
 // Fig13 is the takeover-threshold sweep's static-energy impact.
 func (r *Runner) Fig13() (metrics.Figure, error) {
-	return r.thresholdSeries("Fig13",
-		"Impact of the takeover threshold value on static energy",
-		"static energy normalised to T=0", false, statValue)
+	return r.groupFigure(metrics.Figure{ID: "Fig13",
+		Title:  "Impact of the takeover threshold value on static energy",
+		YLabel: "static energy normalised to T=0"},
+		workload.Groups2, thresholdColumns(staticPower), metrics.GeoMean)
 }
 
 // Fig14 is the breakdown of events that set takeover bits during way
@@ -246,40 +268,16 @@ func (r *Runner) Fig14() (metrics.Figure, error) {
 }
 
 // Fig15 is the average number of cycles needed to transfer a way, UCP
-// versus Cooperative Partitioning.
+// versus Cooperative Partitioning. Groups whose runs completed no
+// transfer report 0 and are skipped by the average.
 func (r *Runner) Fig15() (metrics.Figure, error) {
-	groups := workload.Groups2
-	if err := r.Prefetch(groups, []sim.SchemeKind{sim.UCP, sim.CoopPart}); err != nil {
-		return metrics.Figure{}, err
-	}
-	fig := metrics.Figure{
-		ID:     "Fig15",
+	return r.groupFigure(metrics.Figure{ID: "Fig15",
 		Title:  "Cycles taken to transfer a way",
-		YLabel: "cycles per way transfer",
-		XLabel: "group",
-	}
-	var ucp, coop []float64
-	for _, g := range groups {
-		fig.X = append(fig.X, g.Name)
-		ru, err := r.RunGroup(g, sim.UCP)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		rc, err := r.RunGroup(g, sim.CoopPart)
-		if err != nil {
-			return metrics.Figure{}, err
-		}
-		ucp = append(ucp, ru.Transition.AvgTransferCycles())
-		coop = append(coop, rc.Transition.AvgTransferCycles())
-	}
-	// Groups whose runs completed no transfer report 0 and are skipped
-	// by the average.
-	fig.Series = []metrics.NamedSeries{
-		{Name: "UCP", Values: append(ucp, metrics.MeanNonZero(ucp))},
-		{Name: "CoopPart", Values: append(coop, metrics.MeanNonZero(coop))},
-	}
-	fig.X = append(fig.X, "AVG")
-	return fig, nil
+		YLabel: "cycles per way transfer"},
+		workload.Groups2, []column{
+			{name: "UCP", request: request{Scheme: sim.UCP, Threshold: r.cfg.Threshold}, metric: transferCycles},
+			{name: "CoopPart", request: request{Scheme: sim.CoopPart, Threshold: r.cfg.Threshold}, metric: transferCycles},
+		}, metrics.MeanNonZero)
 }
 
 // Fig16 is the LLC-to-memory flush bandwidth over time after a

@@ -61,11 +61,11 @@ type Config struct {
 	// warm. service.Client is the production implementation.
 	Remote Remote
 	// Checkpoints executes every simulation the runner performs
-	// locally (DESIGN.md §14): warm-up prefixes are computed once per
-	// identity and shared, and with a checkpoint store attached,
-	// killed runs resume mid-measured-region. nil gets a memory-only
-	// manager (in-process warm-up sharing, no mid-run checkpoints) —
-	// results are bit-identical in every configuration.
+	// locally (DESIGN.md §14): with a checkpoint store attached, a run
+	// resumes from the newest checkpoint an earlier process left, from
+	// the end of warm-up on. nil gets a storeless manager, which
+	// snapshots nothing and only counts warm-ups — results are
+	// bit-identical in every configuration.
 	Checkpoints *ckpt.Manager
 }
 
@@ -420,18 +420,6 @@ func (r *Runner) crossRequests(groups []workload.Group, schemes []sim.SchemeKind
 		}
 	}
 	return reqs
-}
-
-// runPairs warms a baseline and a comparison arm for every group: the
-// two template requests are stamped with each group in turn and fanned
-// out together — the shape every two-arm ablation shares.
-func (r *Runner) runPairs(groups []workload.Group, speedup bool, base, alt request) error {
-	reqs := make([]request, 0, 2*len(groups))
-	for _, g := range groups {
-		base.Group, alt.Group = g, g
-		reqs = append(reqs, base, alt)
-	}
-	return r.runAll(reqs, speedup)
 }
 
 // PrefetchAlone warms the solo runs of the given benchmarks on the

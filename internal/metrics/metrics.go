@@ -133,15 +133,6 @@ func csvEscape(s string) string {
 	return s
 }
 
-// AppendGeoMeanColumn extends every series with its geometric mean and
-// the x-axis with label (the paper's AVG bar).
-func (f *Figure) AppendGeoMeanColumn(label string) {
-	f.X = append(f.X, label)
-	for i := range f.Series {
-		f.Series[i].Values = append(f.Series[i].Values, GeoMean(f.Series[i].Values))
-	}
-}
-
 // MeanNonZero returns the arithmetic mean of the non-zero values of xs
 // (zero meaning "no data for this group", e.g. a workload with no way
 // transfers). Returns 0 when every value is zero.

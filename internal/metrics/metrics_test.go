@@ -123,22 +123,6 @@ func TestCSVEscape(t *testing.T) {
 	}
 }
 
-func TestAppendGeoMeanColumn(t *testing.T) {
-	f := testFigure()
-	f.AppendGeoMeanColumn("AVG")
-	if f.X[len(f.X)-1] != "AVG" {
-		t.Fatal("AVG label missing")
-	}
-	got := f.Series[0].Values
-	want := GeoMean([]float64{1.1, 1.2})
-	if math.Abs(got[len(got)-1]-want) > 1e-12 {
-		t.Fatalf("AVG value = %v, want %v", got[len(got)-1], want)
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMeanNonZero(t *testing.T) {
 	if got := MeanNonZero([]float64{0, 2, 0, 4}); got != 3 {
 		t.Fatalf("MeanNonZero = %v, want 3", got)

@@ -19,7 +19,7 @@ func TestUCPAbandonedTransition(t *testing.T) {
 		u.Access(1, addr(c, 1, s, 0), false, int64(i))
 	}
 	u.Decide(5000)
-	if !u.InTransition() {
+	if u.tr == nil {
 		t.Skip("no transition started")
 	}
 	for i := 0; i < 4000; i++ {

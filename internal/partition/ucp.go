@@ -131,6 +131,3 @@ func (u *UCP) Decide(now int64) {
 
 // Allocations implements Scheme.
 func (u *UCP) Allocations() []int { return append([]int(nil), u.quotas...) }
-
-// InTransition reports whether a quota migration is still converging.
-func (u *UCP) InTransition() bool { return u.tr != nil }

@@ -38,8 +38,8 @@ type ServerOptions struct {
 	// against other processes on the same directory.
 	Store *store.Store
 	// Checkpoints is the shared checkpoint manager (nil gets each
-	// runner a memory-only one). Warm-up keys carry the scale
-	// fingerprint and seed, so one manager serves every runner the
+	// runner a storeless one). Checkpoint keys carry the fingerprint of
+	// the whole RunConfig, so one manager serves every runner the
 	// server builds without aliasing runs.
 	Checkpoints *ckpt.Manager
 	// Logf receives request-level warnings; stderr if nil.
@@ -116,9 +116,6 @@ func (s *Server) runner(sc sim.Scale, seed uint64) *experiments.Runner {
 // answer 503 from now on, while requests already executing complete
 // and return their results (http.Server.Shutdown provides the wait).
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Progress is the server's observability snapshot: what /v1/progress
 // serves, one line per tick when streaming.

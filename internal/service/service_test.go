@@ -1,9 +1,15 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -359,6 +366,79 @@ func TestBadScaleDoesNotWedgeServer(t *testing.T) {
 	code, err := post(request(sim.UnitScale(), sim.FairShare), 30*time.Second)
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("healthy request after bad ones: status %d, error %v", code, err)
+	}
+}
+
+// panicFS is a store filesystem that panics when the store opens one
+// entry for reading: a stand-in for any panic inside a run.
+type panicFS struct {
+	store.OSFS
+	entry string // file name of the entry: hex SHA-256 of its key
+}
+
+func (f panicFS) OpenFile(path string, flag int, perm os.FileMode) (store.File, error) {
+	if flag == os.O_RDONLY && filepath.Base(path) == f.entry {
+		panic("injected panic opening " + f.entry)
+	}
+	return f.OSFS.OpenFile(path, flag, perm)
+}
+
+// TestPanickingRunDoesNotWedgeServer: a run that panics must release
+// its singleflight entry. Three identical requests whose lookup panics
+// are all answered — the first by net/http's recovery dropping the
+// connection, the other two with the memoised error as a 500 — and a
+// healthy request sent after them still completes within its client
+// deadline instead of queueing behind handlers that never finish.
+func TestPanickingRunDoesNotWedgeServer(t *testing.T) {
+	request := func(scheme sim.SchemeKind) RunRequest {
+		g := mustGroup(t, "G2-8")
+		key := experiments.NewRunner(experiments.Config{Scale: sim.UnitScale(), Seed: 1}).
+			RunKey(g, scheme, experiments.DefaultThreshold, core.VariantNone)
+		return RunRequest{Kind: KindRun, Key: key, Scale: sim.UnitScale(), Seed: 1,
+			Group: g, Scheme: scheme, Threshold: experiments.DefaultThreshold}
+	}
+	bad := request(sim.UCP)
+	sum := sha256.Sum256([]byte(bad.Key))
+	st, err := store.Open(t.TempDir(), store.Options{
+		FS:   panicFS{entry: hex.EncodeToString(sum[:]) + ".entry"},
+		Logf: quietf(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ServerOptions{MaxConcurrent: 2, Store: st, Logf: quietf(t)})
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic's stack
+	hs.Start()
+	t.Cleanup(func() {
+		// Close waits for every handler, which a wedged server never
+		// lets finish.
+		if !t.Failed() {
+			hs.Close()
+		}
+	})
+	post := func(req RunRequest, deadline time.Duration) (int, error) {
+		hc := &http.Client{Timeout: deadline}
+		resp, err := hc.Post(hs.URL+"/v1/run", "application/json", strings.NewReader(mustJSON(t, req)))
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+
+	if code, err := post(bad, 5*time.Second); err == nil || os.IsTimeout(err) {
+		t.Errorf("panicking post 1: status %d, error %v; want the connection dropped", code, err)
+	}
+	for i := 2; i <= 3; i++ {
+		code, err := post(bad, 5*time.Second)
+		if err != nil || code != http.StatusInternalServerError {
+			t.Errorf("panicking post %d: status %d, error %v; want a 500 answer", i, code, err)
+		}
+	}
+	code, err := post(request(sim.FairShare), 30*time.Second)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("healthy request after panicking ones: status %d, error %v", code, err)
 	}
 }
 

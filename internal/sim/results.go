@@ -101,9 +101,9 @@ func SoloGroup(benchmark string) workload.Group {
 // whole LLC (Unmanaged, no contention), as Equation 1's denominator
 // requires. The LLC geometry must match the shared runs it will be
 // compared with, so the scale's two-core L2 is the target group's
-// geometry, with one core on it. The checkpoint layer routes solo runs
-// through this builder so the config (and thus the warm-up checkpoint
-// identity) is canonical.
+// geometry, with one core on it. The experiment runner builds every
+// solo run here, so the config (and thus its checkpoint identity) is
+// canonical.
 func AloneConfig(benchmark string, sc Scale, coresInGroup int, seed uint64) (RunConfig, error) {
 	l2, err := sc.L2For(coresInGroup)
 	if err != nil {
@@ -119,10 +119,8 @@ func AloneConfig(benchmark string, sc Scale, coresInGroup int, seed uint64) (Run
 	}, nil
 }
 
-// ProfileConfig is AloneConfig with profile capture on — the two
-// configs differ in nothing else, which is what lets one warm-up
-// checkpoint serve both runs (capture only observes; its monitor is
-// reset at the warm-up boundary).
+// ProfileConfig is AloneConfig with profile capture on; the two
+// configs differ in nothing else.
 func ProfileConfig(benchmark string, sc Scale, coresInGroup int, seed uint64) (RunConfig, error) {
 	cfg, err := AloneConfig(benchmark, sc, coresInGroup, seed)
 	if err != nil {

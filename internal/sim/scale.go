@@ -151,9 +151,23 @@ func (s Scale) PhaseScale() float64 {
 // a scale can arrive from outside the program (expd).
 const maxMSHRs = 1 << 16
 
+// maxCores is the largest core count a system can have: the limit of
+// L2For and of the RAP/WAP permission masks.
+const maxCores = 64
+
+// maxSystemBytes caps what NewSystem may allocate for a scale at any
+// core count up to maxCores. FullScale needs about 50 MB at 64 cores;
+// the cap sits far above that, and a scale can arrive from outside the
+// program (expd).
+const maxSystemBytes = 4 << 30
+
 // Validate reports scale errors. A scale that passes builds a system
 // without panicking.
-func (s Scale) Validate() error {
+func (s Scale) Validate() error { return s.validate(maxSystemBytes) }
+
+// validate is Validate with the allocation cap as a parameter, so a
+// fuzz target can build every scale it accepts cheaply.
+func (s Scale) validate(maxBytes float64) error {
 	if err := s.L1D.Validate(); err != nil {
 		return err
 	}
@@ -182,5 +196,33 @@ func (s Scale) Validate() error {
 	if u := s.UMONSampling; u > 1 && u&(u-1) != 0 {
 		return fmt.Errorf("sim: UMON sampling %d in scale %q is not a power of two", u, s.Name)
 	}
+	for cores := 2; cores <= maxCores; cores *= 2 {
+		if b := s.systemBytes(cores); b > maxBytes {
+			return fmt.Errorf("sim: scale %q needs about %.3g bytes at %d cores, above the limit of %.3g",
+				s.Name, b, cores, maxBytes)
+		}
+	}
 	return nil
+}
+
+// systemBytes bounds from above what NewSystem allocates for a system
+// of up to cores cores: for each cache, tag, owner and LRU words per
+// line plus valid and dirty words per set; per core, a utility monitor
+// and a takeover bit vector; the profiling monitor; the MSHR files and
+// the DRAM queues. It counts in float64 so that no size wraps.
+func (s Scale) systemBytes(cores int) float64 {
+	l2, err := s.L2For(cores)
+	if err != nil || l2.Validate() != nil {
+		return 0 // NewSystem rejects this core count before allocating
+	}
+	array := func(c cache.Config) float64 {
+		return float64(c.Sets()) * (float64(c.Ways)*20 + 16)
+	}
+	sets, ways := float64(l2.Sets()), float64(l2.Ways)
+	monitor := func(sampling int) float64 {
+		return (sets/float64(max(sampling, 1)) + 1) * (ways + 1) * 8
+	}
+	perCore := array(s.L1D) + array(s.L1I) + (float64(s.MSHRs)+1)*16 + monitor(s.UMONSampling) + sets
+	return array(l2) + float64(cores)*perCore + monitor(1) +
+		(float64(s.Mem.Banks)+float64(s.Mem.MaxOutstanding))*8
 }

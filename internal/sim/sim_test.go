@@ -253,9 +253,10 @@ func TestBadGroupRejected(t *testing.T) {
 // threshold, the variant and the whole Scale), so NewSystem must
 // return an error for each rather than panic or run something else.
 // Scale.Validate is its only guard on a scale: LLC lines under 4
-// bytes (the trace generator refuses them) and MSHR or DRAM queue
-// capacities of math.MaxInt (allocated at that capacity) used to pass
-// it and then panic.
+// bytes (the trace generator refuses them), MSHR or DRAM queue
+// capacities of math.MaxInt (allocated at that capacity), and DRAM
+// banks or an LLC too large to allocate used to pass it and then
+// panic. FuzzValidScaleBuilds checks the rule behind the last kind.
 func TestNewSystemRejectsBadInputs(t *testing.T) {
 	g, _ := workload.FindGroup("G2-8")
 	oneWay := UnitScale()
@@ -271,6 +272,10 @@ func TestNewSystemRejectsBadInputs(t *testing.T) {
 	mshrs.MSHRs = math.MaxInt
 	queue := UnitScale()
 	queue.Mem.MaxOutstanding = math.MaxInt
+	banks := UnitScale()
+	banks.Mem.Banks = 1 << 62
+	llc := UnitScale()
+	llc.L2TwoCore.SizeBytes = 1 << 58
 	for _, tc := range []struct {
 		what string
 		cfg  RunConfig
@@ -289,6 +294,8 @@ func TestNewSystemRejectsBadInputs(t *testing.T) {
 		{"LLC line 2", RunConfig{Scale: line(2), Scheme: FairShare, Group: g}},
 		{"MSHRs MaxInt", RunConfig{Scale: mshrs, Scheme: FairShare, Group: g}},
 		{"DRAM MaxOutstanding MaxInt", RunConfig{Scale: queue, Scheme: FairShare, Group: g}},
+		{"DRAM banks 1<<62", RunConfig{Scale: banks, Scheme: FairShare, Group: g}},
+		{"LLC of 1<<58 bytes", RunConfig{Scale: llc, Scheme: FairShare, Group: g}},
 	} {
 		func() {
 			defer func() {
@@ -316,4 +323,44 @@ func TestPIPPExtensionRuns(t *testing.T) {
 			t.Fatal("PIPP run produced non-positive IPC")
 		}
 	}
+}
+
+// FuzzValidScaleBuilds: every Scale that validates must build without
+// a panic, whatever its sizes. Sizes are fuzzed as powers of two, the
+// only ones Validate accepts, so the fuzzer spends its time on valid
+// geometries up to the allocation cap; the cap is test-sized here so
+// that each build stays cheap.
+func FuzzValidScaleBuilds(f *testing.F) {
+	f.Add(uint8(12), uint8(6), 4, uint8(16), uint8(6), 8, uint8(17), 16, uint8(3), 64, 16, 1)
+	f.Add(uint8(12), uint8(6), 4, uint8(58), uint8(6), 8, uint8(17), 16, uint8(62), 64, 16, 32)
+	f.Add(uint8(3), uint8(2), 1, uint8(8), uint8(2), 2, uint8(9), 4, uint8(0), 1, 1, 2)
+	// An L1 line of 1<<62 bytes: line size times ways wraps to zero.
+	f.Add(uint8(24), uint8(62), 4, uint8(16), uint8(6), 8, uint8(17), 16, uint8(3), 64, 16, 1)
+	f.Fuzz(func(t *testing.T, l1Size, l1Line uint8, l1Ways int, l2Size, l2Line uint8, l2Ways int,
+		l4Size uint8, l4Ways int, banks uint8, outstanding, mshrs, sampling int) {
+		sc := UnitScale()
+		sc.L1D.SizeBytes, sc.L1D.LineBytes, sc.L1D.Ways = 1<<(l1Size%64), 1<<(l1Line%64), l1Ways
+		sc.L1I = sc.L1D
+		sc.L1I.Name = "L1I"
+		sc.L2TwoCore.SizeBytes, sc.L2TwoCore.LineBytes, sc.L2TwoCore.Ways = 1<<(l2Size%64), 1<<(l2Line%64), l2Ways
+		sc.L2FourCore.SizeBytes, sc.L2FourCore.LineBytes, sc.L2FourCore.Ways = 1<<(l4Size%64), 1<<(l2Line%64), l4Ways
+		sc.Mem.Banks, sc.Mem.MaxOutstanding = 1<<(banks%64), outstanding
+		sc.MSHRs, sc.UMONSampling = mshrs, sampling
+		if sc.validate(64<<20) != nil {
+			return
+		}
+		g2, _ := workload.FindGroup("G2-8")
+		g4, _ := workload.FindGroup("G4-8")
+		profile, err := ProfileConfig(g2.Benchmarks[0], sc, 2, 1)
+		if err != nil {
+			t.Fatalf("ProfileConfig on a valid scale: %v", err)
+		}
+		for _, cfg := range []RunConfig{
+			{Scale: sc, Scheme: CoopPart, Group: g2, Seed: 1},
+			{Scale: sc, Scheme: UCP, Group: g4, Seed: 1},
+			profile,
+		} {
+			NewSystem(cfg) // an error is an answer; a panic fails the target
+		}
+	})
 }

@@ -47,22 +47,10 @@ type Snapshot struct {
 	// taken at the warm-up boundary.
 	Progress *Progress `json:",omitempty"`
 
-	// ProfMon/ProfPhases capture profiling state (CaptureProfile runs
-	// only). A warm-up snapshot strips them (StripProfile): at the
-	// warm-up boundary the monitor has just been Reset, so a restored
-	// profile run's freshly built monitor is already in the identical
-	// state — which is what lets one warm-up checkpoint serve both the
-	// alone and the profile run of a benchmark.
+	// ProfMon/ProfPhases capture profiling state: present exactly
+	// when the run has CaptureProfile set.
 	ProfMon    *umon.State              `json:",omitempty"`
 	ProfPhases []partition.ProfilePhase `json:",omitempty"`
-}
-
-// StripProfile drops the profiling capture state, making the snapshot
-// shareable between CaptureProfile and non-capture runs at the warm-up
-// boundary (see the field comment for why this is exact there).
-func (sn *Snapshot) StripProfile() {
-	sn.ProfMon = nil
-	sn.ProfPhases = nil
 }
 
 // Snapshot returns a deep copy of the system's complete dynamic state.
@@ -118,8 +106,9 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 	if snap.DRAM == nil || snap.Meter == nil {
 		return fmt.Errorf("sim: snapshot missing DRAM or meter state")
 	}
-	if snap.ProfMon != nil && s.profMon == nil {
-		return fmt.Errorf("sim: snapshot carries profiling state but CaptureProfile is off")
+	if (snap.ProfMon != nil) != (s.profMon != nil) {
+		return fmt.Errorf("sim: snapshot carries profiling state %t, system captures a profile %t",
+			snap.ProfMon != nil, s.profMon != nil)
 	}
 	st, ok := s.scheme.(partition.Stateful)
 	if !ok {
@@ -156,9 +145,7 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 		}
 		s.prog = snap.Progress.clone()
 	}
-	// A nil ProfMon leaves a capture run's freshly built (zeroed)
-	// monitor in place — exactly its state at the warm-up boundary.
-	if snap.ProfMon != nil {
+	if s.profMon != nil {
 		if err := s.profMon.Restore(snap.ProfMon); err != nil {
 			return err
 		}

@@ -42,8 +42,8 @@ func roundTripEveryBoundary(t testing.TB, cfg RunConfig, every uint64) int {
 	}
 	sys.Warmup()
 
-	// The warm-up boundary is a checkpoint too (the one warm-up sharing
-	// restores from), so it round-trips first.
+	// Boundary 0, the end of warm-up, is a checkpoint too, so it
+	// round-trips first.
 	type captured struct {
 		boundary uint64
 		data     []byte
@@ -170,9 +170,9 @@ func TestCheckpointsCrossResumeBetweenLoops(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripCaptureProfile covers the profiling state the
-// warm-up path strips: a CaptureProfile run's mid-run snapshots carry
-// the profile monitor and phase log, and continuations must reproduce
+// TestSnapshotRoundTripCaptureProfile covers the profiling state: a
+// CaptureProfile run's snapshots, boundary 0 included, carry the
+// profile monitor and phase log, and continuations must reproduce
 // Results.Profile exactly.
 func TestSnapshotRoundTripCaptureProfile(t *testing.T) {
 	g, err := workload.FindGroup("G2-8")
@@ -222,6 +222,34 @@ func TestSnapshotRejectsMismatchedSystem(t *testing.T) {
 	}
 	if err := wrongCores.RestoreSnapshot(snap); err == nil {
 		t.Fatal("two-core snapshot restored into a four-core system")
+	}
+
+	// A benchmark's solo and profile runs differ only in CaptureProfile:
+	// neither's snapshot may restore into the other.
+	alone, err := AloneConfig(cfg.Group.Benchmarks[0], cfg.Scale, len(cfg.Group.Benchmarks), cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := alone
+	profile.CaptureProfile = true
+	for _, c := range []struct{ from, into RunConfig }{{alone, profile}, {profile, alone}} {
+		src, err := NewSystem(c.from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Warmup()
+		snap, err := src.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := NewSystem(c.into)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.RestoreSnapshot(snap); err == nil {
+			t.Fatalf("snapshot with CaptureProfile=%v restored into a system with CaptureProfile=%v",
+				c.from.CaptureProfile, c.into.CaptureProfile)
+		}
 	}
 }
 
