@@ -58,9 +58,7 @@ func main() {
 
 	srv := service.NewServer(service.ServerOptions{
 		Workers: w, MaxConcurrent: mc, Store: persist.Results, Checkpoints: persist.Checkpoints,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "expd: "+format+"\n", args...)
-		},
+		Logf: cliutil.Logf("expd"),
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -80,7 +80,7 @@ func (s Stats) String() string {
 }
 
 // Manager orchestrates checkpointed runs. All methods are safe for
-// concurrent use; a nil Manager runs everything uncheckpointed.
+// concurrent use.
 type Manager struct {
 	st    *store.Store
 	every uint64
@@ -108,25 +108,12 @@ func New(opts Options) *Manager {
 
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats {
-	if m == nil {
-		return Stats{}
-	}
 	return Stats{
 		WarmupsComputed:    m.computed.Load(),
 		WarmupsResumed:     m.resumed.Load(),
 		MidRunResumed:      m.mid.Load(),
 		CheckpointsWritten: m.written.Load(),
 	}
-}
-
-// ReportStats prints the run's checkpoint counters to stderr (stderr
-// so stdout stays byte-identical with and without checkpointing).
-// Safe on a nil receiver.
-func (m *Manager) ReportStats(prog string) {
-	if m == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%s: ckpt: %s\n", prog, m.Stats())
 }
 
 // runID is the content address of one run: human-readable fields for
@@ -161,9 +148,6 @@ func (id runID) key(boundary uint64) string {
 // the run starts again on a freshly built system. Results are
 // bit-identical to sim.Run(cfg).
 func (m *Manager) Run(cfg sim.RunConfig) (*sim.Results, error) {
-	if m == nil {
-		return sim.Run(cfg)
-	}
 	sys, err := sim.NewSystem(cfg)
 	if err != nil {
 		return nil, err

@@ -54,10 +54,10 @@ func managerOptions(t *testing.T, st *store.Store, every uint64) Options {
 }
 
 // TestRunBitIdenticalAcrossLayers is the core oracle: the identical
-// RunConfig through every checkpointing configuration — nil manager,
-// storeless, disk-backed, disk-backed with mid-run checkpoints, and a
-// fresh-process resume over the populated directory — must produce
-// results deeply equal to plain sim.Run.
+// RunConfig through every checkpointing configuration — storeless,
+// disk-backed with mid-run checkpoints, and a fresh-process resume
+// over the populated directory — must produce results deeply equal to
+// plain sim.Run.
 func TestRunBitIdenticalAcrossLayers(t *testing.T) {
 	// The case keeps the subtest name it had when this test looped over
 	// fidelity tiers (the exact tier's value, rendered "\x00"), so its
@@ -69,17 +69,8 @@ func TestRunBitIdenticalAcrossLayers(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var nilMgr *Manager
-		res, err := nilMgr.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res, want) {
-			t.Fatal("nil-manager run differs from sim.Run")
-		}
-
 		mem := New(Options{Logf: func(string, ...any) {}})
-		res, err = mem.Run(cfg)
+		res, err := mem.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

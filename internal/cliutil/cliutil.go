@@ -6,7 +6,10 @@
 // returns a ready Runner. Validating in one place keeps the error
 // messages identical and makes "fail fast on bad flags" a property of
 // every binary at once rather than copies that drift. cmd/expd uses
-// the persistence half, Persistence, on its own.
+// the persistence half, Persistence, on its own. The libraries print
+// nothing for a binary themselves: every layer logs through Logf(prog),
+// and the layers' counters are printed from here, or on an interrupt
+// by the store.HandleSignals handler installed here.
 package cliutil
 
 import (
@@ -83,15 +86,17 @@ func Setup(prog string, opts Options) (r *experiments.Runner, cleanup func(), er
 	}
 	cfg.Store, cfg.Checkpoints = p.Results, p.Checkpoints
 	stopSignals := store.HandleSignals(prog, p.Results, p.ckptStore)
-	cl, err := service.OpenCLI(*server, prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cl != nil {
+	var cl *service.Client
+	if *server != "" {
+		if cl, err = service.NewClient(*server, service.ClientOptions{Logf: Logf(prog)}); err != nil {
+			return nil, nil, err
+		}
 		cfg.Remote = cl
 	}
 	return experiments.NewRunner(cfg), func() {
-		cl.ReportStats(prog)
+		if cl != nil {
+			report(prog, "service", cl.Stats())
+		}
 		stopSignals()
 		p.Close()
 		if err := stopProf(); err != nil {
@@ -138,7 +143,7 @@ func PersistenceFlags(prog string) *Persistence {
 // protect nothing); a directory that cannot be written is caught here
 // too — all fail fast rather than silently running unpersisted. An
 // open failure after validation, and any mid-run store fault, still
-// degrades gracefully (store.OpenCLI): only the startup contract is
+// degrades gracefully (openStore): only the startup contract is
 // strict.
 func (p *Persistence) Open() error {
 	if p.ckptEvery < 0 {
@@ -153,14 +158,12 @@ func (p *Persistence) Open() error {
 	if err := ProbeWritable(p.CacheDir, "-cache-dir"); err != nil {
 		return err
 	}
-	p.Results = store.OpenCLI(p.CacheDir, p.prog)
-	p.ckptStore = store.OpenCLI(p.ckptDir, p.prog)
+	p.Results = openStore(p.CacheDir, p.prog)
+	p.ckptStore = openStore(p.ckptDir, p.prog)
 	p.Checkpoints = ckpt.New(ckpt.Options{
 		Store: p.ckptStore,
 		Every: uint64(p.ckptEvery),
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, p.prog+": "+format+"\n", args...)
-		},
+		Logf:  Logf(p.prog),
 	})
 	return nil
 }
@@ -170,9 +173,44 @@ func (p *Persistence) Open() error {
 func (p *Persistence) Close() {
 	p.Results.ReleaseLocks()
 	p.ckptStore.ReleaseLocks()
-	p.ckptStore.ReportStats(p.prog + ": checkpoints")
-	p.Checkpoints.ReportStats(p.prog)
-	p.Results.ReportStats(p.prog)
+	if p.ckptStore != nil {
+		report(p.prog+": checkpoints", "store", p.ckptStore.Stats())
+	}
+	report(p.prog, "ckpt", p.Checkpoints.Stats())
+	if p.Results != nil {
+		report(p.prog, "store", p.Results.Stats())
+	}
+}
+
+// openStore opens the store named by a -cache-dir or -checkpoint-dir
+// flag. An empty dir means "no persistent store" and returns nil,
+// which every consumer accepts. An open failure is reported to stderr
+// once and likewise degrades to nil: a broken cache directory must
+// never fail a run that could complete without one.
+func openStore(dir, prog string) *store.Store {
+	if dir == "" {
+		return nil
+	}
+	s, err := store.Open(dir, store.Options{Logf: Logf(prog)})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: store: %v — continuing without persistent cache\n", prog, err)
+		return nil
+	}
+	return s
+}
+
+// Logf returns the logger of a binary's store, checkpoint manager,
+// client and server: one "prog: message" line on stderr per call.
+func Logf(prog string) func(format string, args ...any) {
+	return func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
+	}
+}
+
+// report prints one layer's counters to stderr, so stdout stays
+// byte-identical with and without the layer.
+func report(prog, layer string, stats fmt.Stringer) {
+	fmt.Fprintf(os.Stderr, "%s: %s: %s\n", prog, layer, stats)
 }
 
 // Scale resolves a -scale flag value to its sim.Scale.

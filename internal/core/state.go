@@ -9,13 +9,13 @@ import (
 )
 
 // Snapshot/restore layer for Cooperative Partitioning (DESIGN.md §14).
-// CoopPart implements partition.Stateful like the comparison schemes:
-// the whole dynamic state — controller, monitors, RAP/WAP registers,
-// way ownership, in-flight donor transitions and the Algorithm 2 RNG —
-// round-trips through one JSON document. Derived state is recomputed:
-// the per-core read/write masks and the powered-way mask are rebuilt
-// from the restored registers (then cross-checked by Invariants) and
-// the takeover bit counts are repopcounted from the words.
+// Like every partition.Scheme, CoopPart round-trips its whole dynamic
+// state — controller, monitors, RAP/WAP registers, way ownership,
+// in-flight donor transitions and the Algorithm 2 RNG — through one
+// JSON document. Derived state is recomputed: the per-core read/write
+// masks and the powered-way mask are rebuilt from the restored
+// registers (then cross-checked by Invariants) and the takeover bit
+// counts are repopcounted from the words.
 
 // permState serializes the RAP/WAP register file: only the registers
 // travel; the cached masks are derived.
@@ -80,7 +80,7 @@ type coopState struct {
 	LastNow    int64
 }
 
-// StateJSON implements partition.Stateful.
+// StateJSON implements partition.Scheme.
 func (c *CoopPart) StateJSON() ([]byte, error) {
 	ctl, err := c.ControllerStateJSON()
 	if err != nil {
@@ -116,7 +116,7 @@ func (c *CoopPart) StateJSON() ([]byte, error) {
 	return json.Marshal(st)
 }
 
-// RestoreStateJSON implements partition.Stateful.
+// RestoreStateJSON implements partition.Scheme.
 func (c *CoopPart) RestoreStateJSON(data []byte) error {
 	var st coopState
 	if err := json.Unmarshal(data, &st); err != nil {

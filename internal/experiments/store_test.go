@@ -213,7 +213,6 @@ func TestStoreFaultsNeverBreakARun(t *testing.T) {
 		Logf:        func(format string, args ...any) { t.Logf("store: "+format, args...) },
 		LockTimeout: time.Millisecond,
 		StaleAge:    time.Millisecond,
-		MaxFaults:   3,
 	})
 	if err != nil {
 		t.Fatal(err)

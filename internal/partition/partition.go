@@ -56,6 +56,15 @@ type Scheme interface {
 	// Transitions exposes way-migration statistics (zero-valued for
 	// schemes that do not migrate ways).
 	Transitions() *TransitionStats
+	// StateJSON returns the scheme's dynamic state as a self-contained
+	// JSON document, for checkpoints (state.go).
+	StateJSON() ([]byte, error)
+	// RestoreStateJSON overwrites the scheme's dynamic state from a
+	// document produced by StateJSON on an identically built scheme:
+	// one freshly built from the same Config (and profiles, for
+	// profile-driven schemes). Derived state is rebuilt by the
+	// constructor and only dynamic state travels in the document.
+	RestoreStateJSON(data []byte) error
 }
 
 // CoreStats counts per-core LLC events.

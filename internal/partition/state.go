@@ -11,24 +11,10 @@ import (
 
 // Snapshot/restore layer (DESIGN.md §14). Every scheme serializes its
 // complete dynamic state — the cache substrate, counters, monitors and
-// whatever policy state it carries — as one JSON document behind the
-// Stateful interface, so the checkpoint layer handles all schemes
-// (including Cooperative Partitioning in internal/core) uniformly
-// without this package knowing their concrete types.
-
-// Stateful is implemented by schemes whose mid-run state can be
-// checkpointed and restored. Restore must only be called on a scheme
-// freshly built from the same Config (and profiles, for profile-driven
-// schemes) the snapshot was taken under: derived state is rebuilt by
-// the constructor and only dynamic state travels in the document.
-type Stateful interface {
-	// StateJSON returns the scheme's dynamic state as a
-	// self-contained JSON document.
-	StateJSON() ([]byte, error)
-	// RestoreStateJSON overwrites the scheme's dynamic state from a
-	// document produced by StateJSON on an identically built scheme.
-	RestoreStateJSON(data []byte) error
-}
+// whatever policy state it carries — as one JSON document through
+// Scheme's StateJSON/RestoreStateJSON, so the checkpoint layer handles
+// all schemes (including Cooperative Partitioning in internal/core)
+// uniformly without this package knowing their concrete types.
 
 // controllerState is the dynamic state every scheme shares through its
 // embedded Controller: the physical cache and the two counter blocks.
@@ -128,12 +114,12 @@ type unmanagedState struct {
 	Controller controllerState
 }
 
-// StateJSON implements Stateful.
+// StateJSON implements Scheme.
 func (u *Unmanaged) StateJSON() ([]byte, error) {
 	return json.Marshal(unmanagedState{Controller: u.state()})
 }
 
-// RestoreStateJSON implements Stateful.
+// RestoreStateJSON implements Scheme.
 func (u *Unmanaged) RestoreStateJSON(data []byte) error {
 	var st unmanagedState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -147,12 +133,12 @@ type fairShareState struct {
 	Quotas     []int
 }
 
-// StateJSON implements Stateful.
+// StateJSON implements Scheme.
 func (f *FairShare) StateJSON() ([]byte, error) {
 	return json.Marshal(fairShareState{Controller: f.state(), Quotas: f.quotas})
 }
 
-// RestoreStateJSON implements Stateful.
+// RestoreStateJSON implements Scheme.
 func (f *FairShare) RestoreStateJSON(data []byte) error {
 	var st fairShareState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -188,7 +174,7 @@ type ucpState struct {
 	Transition *ucpTransitionState
 }
 
-// StateJSON implements Stateful.
+// StateJSON implements Scheme.
 func (u *UCP) StateJSON() ([]byte, error) {
 	st := ucpState{
 		Controller: u.state(),
@@ -212,7 +198,7 @@ func (u *UCP) StateJSON() ([]byte, error) {
 	return json.Marshal(st)
 }
 
-// RestoreStateJSON implements Stateful.
+// RestoreStateJSON implements Scheme.
 func (u *UCP) RestoreStateJSON(data []byte) error {
 	var st ucpState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -255,7 +241,7 @@ type pippState struct {
 	Quotas     []int
 }
 
-// StateJSON implements Stateful.
+// StateJSON implements Scheme.
 func (p *PIPP) StateJSON() ([]byte, error) {
 	return json.Marshal(pippState{
 		Controller: p.state(),
@@ -264,7 +250,7 @@ func (p *PIPP) StateJSON() ([]byte, error) {
 	})
 }
 
-// RestoreStateJSON implements Stateful.
+// RestoreStateJSON implements Scheme.
 func (p *PIPP) RestoreStateJSON(data []byte) error {
 	var st pippState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -290,7 +276,7 @@ type cpeState struct {
 	SetShift   []int
 }
 
-// StateJSON implements Stateful. The offline profiles are constructor
+// StateJSON implements Scheme. The offline profiles are constructor
 // inputs (part of the run identity, not run state) and do not travel.
 func (c *CPE) StateJSON() ([]byte, error) {
 	return json.Marshal(cpeState{
@@ -301,7 +287,7 @@ func (c *CPE) StateJSON() ([]byte, error) {
 	})
 }
 
-// RestoreStateJSON implements Stateful.
+// RestoreStateJSON implements Scheme.
 func (c *CPE) RestoreStateJSON(data []byte) error {
 	var st cpeState
 	if err := json.Unmarshal(data, &st); err != nil {

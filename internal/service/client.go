@@ -25,9 +25,26 @@ import (
 // tens of KB; profiles with long timelines stay well under this).
 const maxResponseBytes = 64 << 20
 
-// sleepFn is swapped by tests to observe the backoff schedule without
-// waiting it out.
-var sleepFn = time.Sleep
+// The retry ladder's bounds. A request gets maxAttempts tries (first
+// plus retries), with exponential backoff and full jitter between them
+// from backoffBase doubling to backoffMax; maxFailures consecutive
+// failed attempts disable the remote layer for the rest of the process
+// (the ladder's last rung, mirroring the store's).
+const (
+	maxAttempts = 3
+	backoffBase = 50 * time.Millisecond
+	backoffMax  = 2 * time.Second
+	maxFailures = 6
+)
+
+// requestTimeout is the per-attempt deadline. It bounds how long a
+// hung server can stall one lookup, and is generous because a cold
+// server may be simulating the answer. Tests shorten it and swap
+// sleepFn to skip the backoff waits.
+var (
+	requestTimeout = 5 * time.Minute
+	sleepFn        = time.Sleep
+)
 
 // ClientOptions parameterise NewClient. The zero value is production
 // defaults.
@@ -35,20 +52,6 @@ type ClientOptions struct {
 	// Transport is the fault-injection seam (FaultTripper in tests);
 	// http.DefaultTransport if nil.
 	Transport http.RoundTripper
-	// RequestTimeout is the per-attempt deadline. It bounds how long a
-	// hung server can stall one lookup; the default is generous (5m)
-	// because a cold server may be simulating the answer.
-	RequestTimeout time.Duration
-	// MaxAttempts bounds tries per request (first + retries); 3 if 0.
-	MaxAttempts int
-	// BackoffBase/BackoffMax bound the exponential retry backoff
-	// (full jitter); 50ms doubling to 2s if zero.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MaxFailures is how many consecutive failed attempts disable the
-	// remote layer for the rest of the process (the degradation
-	// ladder's last rung, mirroring store.Options.MaxFaults); 6 if 0.
-	MaxFailures int
 	// Logf receives the client's once-per-condition warnings; stderr
 	// if nil. The client never logs on the success path.
 	Logf func(format string, args ...any)
@@ -72,14 +75,14 @@ func (s ClientStats) String() string {
 // their caller: every transport fault is absorbed by retry (bounded
 // exponential backoff with jitter — requests are idempotent pure
 // lookups, keyed by the same runKey identity the disk store uses) and
-// then by the degradation ladder (MaxFailures consecutive failed
+// then by the degradation ladder (maxFailures consecutive failed
 // attempts ⇒ warn once, answer ok=false forever ⇒ the runner computes
 // locally). A server that dies mid-sweep costs bounded retry time on
 // at most a few requests, then zero.
 type Client struct {
 	base string
 	hc   *http.Client
-	opts ClientOptions
+	logf func(format string, args ...any)
 
 	consecutive atomic.Int64
 	degraded    atomic.Bool
@@ -106,23 +109,9 @@ func NewClient(baseURL string, opts ClientOptions) (*Client, error) {
 	if u.Host == "" {
 		return nil, fmt.Errorf("service: server URL %q has no host", baseURL)
 	}
-	if opts.RequestTimeout == 0 {
-		opts.RequestTimeout = 5 * time.Minute
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 50 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 2 * time.Second
-	}
-	if opts.MaxFailures <= 0 {
-		opts.MaxFailures = 6
-	}
-	if opts.Logf == nil {
-		opts.Logf = func(format string, args ...any) {
+	logf := opts.Logf
+	if logf == nil {
+		logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
@@ -133,25 +122,9 @@ func NewClient(baseURL string, opts ClientOptions) (*Client, error) {
 	return &Client{
 		base:   strings.TrimRight(u.String(), "/"),
 		hc:     &http.Client{Transport: transport},
-		opts:   opts,
+		logf:   logf,
 		warned: make(map[string]bool),
 	}, nil
-}
-
-// OpenCLI builds the client named by a binary's -server flag. An empty
-// URL means "compute locally" and returns nil, which every consumer
-// accepts (a nil *Client is never installed as an experiments.Remote).
-// A malformed URL is returned as an error for the binary to fail fast
-// on — it is user input, not a runtime fault.
-func OpenCLI(serverURL, prog string) (*Client, error) {
-	if serverURL == "" {
-		return nil, nil
-	}
-	return NewClient(serverURL, ClientOptions{
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
-		},
-	})
 }
 
 // Stats returns a snapshot of the client's counters.
@@ -164,26 +137,13 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// ReportStats prints the client's counters to stderr (stderr so stdout
-// stays byte-identical with and without a server). Safe on a nil
-// receiver so binaries can call it unconditionally at exit.
-func (c *Client) ReportStats(prog string) {
-	if c == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%s: service: %s\n", prog, c.Stats())
-}
-
-// Degraded reports whether the ladder has disabled the remote layer.
-func (c *Client) Degraded() bool { return c != nil && c.degraded.Load() }
-
 func (c *Client) warnOnce(class, format string, args ...any) {
 	c.warnMu.Lock()
 	seen := c.warned[class]
 	c.warned[class] = true
 	c.warnMu.Unlock()
 	if !seen {
-		c.opts.Logf(format, args...)
+		c.logf(format, args...)
 	}
 }
 
@@ -241,10 +201,10 @@ func (c *Client) exchange(req RunRequest, value any) bool {
 		c.fallbacks.Add(1)
 		return false
 	}
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
-			sleepFn(c.backoff(attempt))
+			sleepFn(backoff(attempt))
 		}
 		err, permanent := c.attempt(req.Key, body, value)
 		if err == nil {
@@ -263,7 +223,7 @@ func (c *Client) exchange(req RunRequest, value any) bool {
 			return false
 		}
 		c.warnOnce("fault", "service: transport fault: %v — retrying, then computing locally", err)
-		if n := c.consecutive.Add(1); n >= int64(c.opts.MaxFailures) {
+		if n := c.consecutive.Add(1); n >= maxFailures {
 			if !c.degraded.Swap(true) {
 				c.warnOnce("degraded", "service: %d consecutive transport failures — server disabled, computing locally from here on", n)
 			}
@@ -279,7 +239,7 @@ func (c *Client) exchange(req RunRequest, value any) bool {
 // success) and whether it is permanent (4xx — retry cannot help) as
 // opposed to transient (transport error, 5xx, torn or corrupt body).
 func (c *Client) attempt(key string, body []byte, value any) (err error, permanent bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/run", bytes.NewReader(body))
 	if err != nil {
@@ -310,11 +270,11 @@ func (c *Client) attempt(key string, body []byte, value any) (err error, permane
 }
 
 // backoff returns the sleep before retry n (1-based): exponential with
-// full jitter, bounded by BackoffMax.
-func (c *Client) backoff(n int) time.Duration {
-	d := c.opts.BackoffBase << (n - 1)
-	if d > c.opts.BackoffMax || d <= 0 {
-		d = c.opts.BackoffMax
+// full jitter, bounded by backoffMax.
+func backoff(n int) time.Duration {
+	d := backoffBase << (n - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }

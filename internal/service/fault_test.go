@@ -19,7 +19,7 @@ const (
 	// request reaches the server (connection refused / reset).
 	FaultDrop
 	// FaultDelay stalls the round trip by the configured Delay before
-	// proceeding; with a delay past the client's RequestTimeout the
+	// proceeding; with a delay past the client's requestTimeout the
 	// request dies on its context deadline (a hung server).
 	FaultDelay
 	// Fault5xx replaces the response with a synthetic 500.

@@ -21,6 +21,15 @@ import (
 	"repro/internal/workload"
 )
 
+// TestMain gives every client in these tests a 10 s deadline per
+// attempt and no backoff waits, so a fault schedule resolves in
+// milliseconds.
+func TestMain(m *testing.M) {
+	requestTimeout = 10 * time.Second
+	sleepFn = func(time.Duration) {}
+	os.Exit(m.Run())
+}
+
 // quietf is a Logf that routes warnings to the test log.
 func quietf(t *testing.T) func(string, ...any) {
 	return func(format string, args ...any) { t.Logf("service: "+format, args...) }
@@ -36,22 +45,11 @@ func newTestServer(t *testing.T) (string, *Server, *httptest.Server) {
 	return hs.URL, srv, hs
 }
 
-// newTestClient builds a client with fast, deterministic retry timing.
-func newTestClient(t *testing.T, base string, opts ClientOptions) *Client {
+// newTestClient builds a client over transport tr (the default
+// transport if nil) that logs to the test log.
+func newTestClient(t *testing.T, base string, tr http.RoundTripper) *Client {
 	t.Helper()
-	if opts.Logf == nil {
-		opts.Logf = quietf(t)
-	}
-	if opts.RequestTimeout == 0 {
-		opts.RequestTimeout = 10 * time.Second
-	}
-	if opts.BackoffBase == 0 {
-		opts.BackoffBase = time.Millisecond
-	}
-	if opts.BackoffMax == 0 {
-		opts.BackoffMax = 2 * time.Millisecond
-	}
-	c, err := NewClient(base, opts)
+	c, err := NewClient(base, ClientOptions{Transport: tr, Logf: quietf(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +83,6 @@ func TestClientURLValidation(t *testing.T) {
 			t.Errorf("NewClient(%q): expected error", bad)
 		}
 	}
-	if c, err := OpenCLI("", "test"); err != nil || c != nil {
-		t.Errorf("OpenCLI(\"\") = (%v, %v), want (nil, nil)", c, err)
-	}
-	if _, err := OpenCLI(":bad:", "test"); err == nil {
-		t.Error("OpenCLI with malformed URL: expected error")
-	}
 }
 
 // TestRemoteMatchesLocal: a healthy server serves results that are
@@ -98,7 +90,7 @@ func TestClientURLValidation(t *testing.T) {
 // runner performs zero simulations itself.
 func TestRemoteMatchesLocal(t *testing.T) {
 	base, _, _ := newTestServer(t)
-	cl := newTestClient(t, base, ClientOptions{})
+	cl := newTestClient(t, base, nil)
 	sc := sim.UnitScale()
 	g := mustGroup(t, "G2-1")
 
@@ -149,9 +141,9 @@ func TestRemoteMatchesLocal(t *testing.T) {
 // baseline — via retry when the fault is transient, via local
 // fallback when the server is effectively gone. Never an error.
 func TestEveryFaultScheduleConverges(t *testing.T) {
-	restore := sleepFn
-	sleepFn = func(time.Duration) {}
-	defer func() { sleepFn = restore }()
+	restore := requestTimeout
+	requestTimeout = 100 * time.Millisecond // undercuts the 1s delay fault
+	defer func() { requestTimeout = restore }()
 
 	sc := sim.UnitScale()
 	g := mustGroup(t, "G2-1")
@@ -181,12 +173,7 @@ func TestEveryFaultScheduleConverges(t *testing.T) {
 			base, _, _ := newTestServer(t)
 			tr := &FaultTripper{}
 			sched.config(tr)
-			cl := newTestClient(t, base, ClientOptions{
-				Transport:      tr,
-				RequestTimeout: 100 * time.Millisecond, // undercuts the 1s delay fault
-				MaxAttempts:    3,
-				MaxFailures:    4,
-			})
+			cl := newTestClient(t, base, tr)
 			remote := experiments.NewRunner(experiments.Config{Scale: sc, Remote: cl})
 			got, err := remote.RunGroupVariant(g, sim.UCP, experiments.DefaultThreshold,
 				core.VariantNone)
@@ -208,21 +195,15 @@ func TestEveryFaultScheduleConverges(t *testing.T) {
 }
 
 // TestDeadServerDegradesOnce: with every round trip failing, the
-// client crosses MaxFailures, warns, disables itself, and stops
-// touching the network — while the sweep completes locally with
-// baseline-identical results.
+// client crosses maxFailures — two requests of maxAttempts tries each
+// — warns, disables itself, and stops touching the network, while the
+// sweep completes locally with baseline-identical results.
 func TestDeadServerDegradesOnce(t *testing.T) {
-	restore := sleepFn
-	sleepFn = func(time.Duration) {}
-	defer func() { sleepFn = restore }()
-
 	sc := sim.UnitScale()
 	baseline := experiments.NewRunner(experiments.Config{Scale: sc})
 	tr := &FaultTripper{}
 	tr.FailFrom(1, FaultDrop)
-	cl := newTestClient(t, "http://127.0.0.1:9", ClientOptions{
-		Transport: tr, MaxAttempts: 2, MaxFailures: 3,
-	})
+	cl := newTestClient(t, "http://127.0.0.1:9", tr)
 	remote := experiments.NewRunner(experiments.Config{Scale: sc, Remote: cl})
 
 	for _, name := range []string{"G2-1", "G2-2", "G2-3", "G2-4"} {
@@ -239,12 +220,12 @@ func TestDeadServerDegradesOnce(t *testing.T) {
 			t.Fatalf("%s: degraded result differs from baseline", name)
 		}
 	}
-	if !cl.Degraded() {
+	if !cl.Stats().Degraded {
 		t.Fatal("client never degraded against a dead server")
 	}
 	calls := tr.Calls()
-	if calls == 0 {
-		t.Fatal("no transport calls recorded")
+	if calls != maxFailures {
+		t.Fatalf("client degraded after %d transport calls, want %d", calls, maxFailures)
 	}
 	// Further work must not touch the transport at all.
 	g := mustGroup(t, "G2-5")
@@ -259,20 +240,16 @@ func TestDeadServerDegradesOnce(t *testing.T) {
 // TestKeyMismatchIsPermanent: a 409 (the two sides disagree what a key
 // means) must not be retried — it degrades the client immediately.
 func TestKeyMismatchIsPermanent(t *testing.T) {
-	restore := sleepFn
-	sleepFn = func(time.Duration) {}
-	defer func() { sleepFn = restore }()
-
 	base, _, _ := newTestServer(t)
 	tr := &FaultTripper{}
-	cl := newTestClient(t, base, ClientOptions{Transport: tr, MaxAttempts: 5})
+	cl := newTestClient(t, base, tr)
 	g := mustGroup(t, "G2-1")
 	_, ok := cl.RemoteRun("run|bogus-key", sim.UnitScale(), 1, g,
 		sim.CoopPart, experiments.DefaultThreshold, core.VariantNone, sim.FidelityExact)
 	if ok {
 		t.Fatal("key mismatch returned a result")
 	}
-	if !cl.Degraded() {
+	if !cl.Stats().Degraded {
 		t.Fatal("key mismatch did not degrade the client")
 	}
 	if tr.Calls() != 1 {
@@ -446,10 +423,6 @@ func TestPanickingRunDoesNotWedgeServer(t *testing.T) {
 // /healthz stays 200 — and the client treats the 503 as one more
 // transient on the road to local fallback, not an error.
 func TestDrainSemantics(t *testing.T) {
-	restore := sleepFn
-	sleepFn = func(time.Duration) {}
-	defer func() { sleepFn = restore }()
-
 	base, srv, _ := newTestServer(t)
 	get := func(path string) int {
 		resp, err := http.Get(base + path)
@@ -473,7 +446,7 @@ func TestDrainSemantics(t *testing.T) {
 		t.Fatalf("readyz during drain: %d", code)
 	}
 
-	cl := newTestClient(t, base, ClientOptions{MaxAttempts: 2, MaxFailures: 2})
+	cl := newTestClient(t, base, nil)
 	sc := sim.UnitScale()
 	remote := experiments.NewRunner(experiments.Config{Scale: sc, Remote: cl})
 	local := experiments.NewRunner(experiments.Config{Scale: sc})
@@ -492,12 +465,15 @@ func TestDrainSemantics(t *testing.T) {
 	if cl.Stats().LocalFallbacks == 0 {
 		t.Fatal("draining server did not register a local fallback")
 	}
+	if n := srv.Snapshot().Requests; n != maxAttempts {
+		t.Fatalf("draining server saw %d run requests, want %d tries", n, maxAttempts)
+	}
 }
 
 // TestProgressEndpoint: the snapshot counts requests and runs.
 func TestProgressEndpoint(t *testing.T) {
 	base, srv, _ := newTestServer(t)
-	cl := newTestClient(t, base, ClientOptions{})
+	cl := newTestClient(t, base, nil)
 	g := mustGroup(t, "G2-1")
 	remote := experiments.NewRunner(experiments.Config{Scale: sim.UnitScale(), Remote: cl})
 	if _, err := remote.RunGroup(g, sim.Unmanaged); err != nil {
@@ -579,5 +555,19 @@ func BenchmarkServiceRoundTrip(b *testing.B) {
 			experiments.DefaultThreshold, core.VariantNone, sim.FidelityExact); !ok {
 			b.Fatal("warm request failed")
 		}
+	}
+}
+
+// TestResponseBytesPinned pins the bytes of one response frame, so a
+// client of one build reads a server of the next, in both directions.
+func TestResponseBytesPinned(t *testing.T) {
+	enc, err := encodeResponse("k1", map[string]int{"x": 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(enc)
+	const want = "4b8f36183b9adc42582dee70a462490f21b1a07be5c6ed300b3760b8a3e9d070"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("response bytes changed: sha256 %s, want %s\n%s", got, want, enc)
 	}
 }

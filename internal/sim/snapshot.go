@@ -54,14 +54,9 @@ type Snapshot struct {
 }
 
 // Snapshot returns a deep copy of the system's complete dynamic state.
-// It fails only when the scheme does not support checkpointing (all
-// six schemes do; the error guards future ones).
+// It fails only when the scheme cannot encode its state.
 func (s *System) Snapshot() (*Snapshot, error) {
-	st, ok := s.scheme.(partition.Stateful)
-	if !ok {
-		return nil, fmt.Errorf("sim: scheme %s does not support checkpointing", s.scheme.Name())
-	}
-	schemeDoc, err := st.StateJSON()
+	schemeDoc, err := s.scheme.StateJSON()
 	if err != nil {
 		return nil, fmt.Errorf("sim: scheme %s state: %w", s.scheme.Name(), err)
 	}
@@ -110,11 +105,7 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 		return fmt.Errorf("sim: snapshot carries profiling state %t, system captures a profile %t",
 			snap.ProfMon != nil, s.profMon != nil)
 	}
-	st, ok := s.scheme.(partition.Stateful)
-	if !ok {
-		return fmt.Errorf("sim: scheme %s does not support checkpointing", s.scheme.Name())
-	}
-	if err := st.RestoreStateJSON(snap.SchemeState); err != nil {
+	if err := s.scheme.RestoreStateJSON(snap.SchemeState); err != nil {
 		return fmt.Errorf("sim: scheme %s: %w", s.scheme.Name(), err)
 	}
 	for i := 0; i < n; i++ {

@@ -40,7 +40,6 @@ func FuzzFaultSchedule(f *testing.F) {
 			Logf:        func(string, ...any) {},
 			LockTimeout: time.Millisecond,
 			StaleAge:    time.Millisecond,
-			MaxFaults:   2,
 		}
 		want := samplePayloadFuzz()
 		s, err := Open(dir, opts)

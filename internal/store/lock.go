@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -97,6 +98,42 @@ func (s *Store) ReleaseLocks() {
 		s.fs.Remove(k.(string))
 		return true
 	})
+}
+
+// HandleSignals installs a SIGINT/SIGTERM handler that releases every
+// lockfile the given stores still hold and prints their stats before
+// exiting with the conventional 128+signal status. Without it an
+// interrupt mid-publish leaves lockfiles other processes must wait
+// staleAge to reclaim. Binaries with several stores (result cache plus
+// checkpoint store) pass them all — one handler, one exit. The
+// returned stop func uninstalls the handler (deferred by binaries so a
+// normal exit path wins). Safe with nil stores.
+func HandleSignals(prog string, stores ...*Store) (stop func()) {
+	ch := make(chan os.Signal, 2)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	done := make(chan struct{})
+	go func() {
+		select {
+		case sig := <-ch:
+			for _, s := range stores {
+				if s != nil {
+					s.ReleaseLocks()
+					fmt.Fprintf(os.Stderr, "%s: store: %s\n", prog, s.Stats())
+				}
+			}
+			fmt.Fprintf(os.Stderr, "%s: interrupted (%v)\n", prog, sig)
+			code := 128 + int(syscall.SIGTERM)
+			if sig == os.Interrupt {
+				code = 128 + int(syscall.SIGINT)
+			}
+			os.Exit(code)
+		case <-done:
+		}
+	}()
+	return func() {
+		signal.Stop(ch)
+		close(done)
+	}
 }
 
 // lockIsStale decides whether path's lock can be reclaimed. Unreadable

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,17 +22,89 @@ import (
 // entries (they read as misses and are overwritten on the next Put).
 const FormatVersion = 1
 
-// magic self-describes entry files independent of their name.
-const magic = "coopstore"
+// entryMagic self-describes entry files independent of their name.
+const entryMagic = "coopstore"
 
-// header is the first line of an entry file: a self-describing JSON
-// envelope whose Len and SHA256 pin the payload that follows it.
-type header struct {
+// The degradation ladder's two bounds. maxFaults consecutive faults
+// disable the disk layer for the rest of the process; quarantine/
+// keeps at most maxQuarantine files, and the oldest beyond that are
+// reaped (counted in Stats.Reaped), so a recurring corruption source
+// cannot grow the directory without bound.
+const (
+	maxFaults     = 4
+	maxQuarantine = 64
+)
+
+// ErrVersion and ErrKey are Unseal's answers for an intact frame that
+// is not the one asked for: a frame of another format version, and a
+// frame that holds another key (a SHA-256 collision of the address).
+// Every other Unseal error means the frame is damaged.
+var (
+	ErrVersion = errors.New("format version mismatch")
+	ErrKey     = errors.New("key alias")
+)
+
+// frameHeader is the first line of a sealed frame: a self-describing
+// JSON header whose Len and SHA256 pin the payload that follows it.
+type frameHeader struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
 	Key     string `json:"key"`
 	Len     int    `json:"len"`
 	SHA256  string `json:"sha256"`
+}
+
+// Seal frames payload for storage or transfer: the JSON header line,
+// a newline, then the payload. Store entries and expd responses share
+// this frame and differ only in magic and version.
+func Seal(magic string, version int, key string, payload []byte) ([]byte, error) {
+	sum := sha256.Sum256(payload)
+	hb, err := json.Marshal(frameHeader{
+		Magic:   magic,
+		Version: version,
+		Key:     key,
+		Len:     len(payload),
+		SHA256:  hex.EncodeToString(sum[:]),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("encoding header: %w", err)
+	}
+	out := make([]byte, 0, len(hb)+1+len(payload))
+	out = append(append(append(out, hb...), '\n'), payload...)
+	return out, nil
+}
+
+// Unseal checks a sealed frame and returns its payload. Magic, length
+// and checksum come first, so any error but ErrVersion or ErrKey means
+// damage; then the version, then the key (an empty key accepts any).
+// Errors are bare reasons for the caller to wrap.
+func Unseal(magic string, version int, key string, data []byte) ([]byte, error) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return nil, errors.New("no header line")
+	}
+	var h frameHeader
+	if err := json.Unmarshal(data[:nl], &h); err != nil {
+		return nil, fmt.Errorf("bad header: %w", err)
+	}
+	if h.Magic != magic {
+		return nil, errors.New("bad magic")
+	}
+	payload := data[nl+1:]
+	if len(payload) != h.Len {
+		return nil, fmt.Errorf("payload length %d, header says %d (torn write)", len(payload), h.Len)
+	}
+	sum := sha256.Sum256(payload)
+	if hex.EncodeToString(sum[:]) != h.SHA256 {
+		return nil, errors.New("checksum mismatch")
+	}
+	if h.Version != version {
+		return nil, ErrVersion
+	}
+	if key != "" && h.Key != key {
+		return nil, ErrKey
+	}
+	return payload, nil
 }
 
 // Options parameterise Open. The zero value is production defaults.
@@ -46,14 +120,10 @@ type Options struct {
 	// StaleAge is the age past which an unreadable/torn lockfile is
 	// reclaimed; 30s if zero.
 	StaleAge time.Duration
-	// MaxFaults is how many consecutive store faults disable the disk
-	// layer entirely; 4 if zero.
-	MaxFaults int
-	// MaxQuarantine caps how many files quarantine/ may hold: the
-	// oldest beyond the cap are reaped (counted in Stats.Reaped) so a
-	// recurring corruption source cannot grow the directory without
-	// bound. 64 if zero; negative keeps everything.
-	MaxQuarantine int
+	// No binary sets LockTimeout or StaleAge; tests shorten them. A
+	// writer crashed in-process leaves a lockfile that the test's own
+	// live PID owns, which only LockTimeout ends, so at the defaults
+	// the crash tests of ckpt and experiments wait seconds per lock.
 }
 
 // Stats are the store's observability counters (satellite: corruption
@@ -66,7 +136,7 @@ type Stats struct {
 	Writes             uint64
 	WriteSkips         uint64
 	CorruptQuarantined uint64
-	// Reaped counts quarantined files deleted by the MaxQuarantine cap
+	// Reaped counts quarantined files deleted by the maxQuarantine cap
 	// (this process only; other processes sharing the directory keep
 	// their own count).
 	Reaped   uint64
@@ -86,13 +156,11 @@ func (s Stats) String() string {
 // skip the key → disable the store) and surfaces only in Stats and a
 // single log line per condition.
 type Store struct {
-	dir           string
-	fs            FS
-	logf          func(format string, args ...any)
-	lockTimeout   time.Duration
-	staleAge      time.Duration
-	maxFaults     int
-	maxQuarantine int
+	dir         string
+	fs          FS
+	logf        func(format string, args ...any)
+	lockTimeout time.Duration
+	staleAge    time.Duration
 
 	seq         atomic.Uint64
 	hits        atomic.Uint64
@@ -117,14 +185,12 @@ type Store struct {
 // and run storeless rather than abort.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
-		dir:           dir,
-		fs:            opts.FS,
-		logf:          opts.Logf,
-		lockTimeout:   opts.LockTimeout,
-		staleAge:      opts.StaleAge,
-		maxFaults:     opts.MaxFaults,
-		maxQuarantine: opts.MaxQuarantine,
-		warned:        make(map[string]bool),
+		dir:         dir,
+		fs:          opts.FS,
+		logf:        opts.Logf,
+		lockTimeout: opts.LockTimeout,
+		staleAge:    opts.StaleAge,
+		warned:      make(map[string]bool),
 	}
 	if s.fs == nil {
 		s.fs = OSFS{}
@@ -139,12 +205,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if s.staleAge == 0 {
 		s.staleAge = 30 * time.Second
-	}
-	if s.maxFaults == 0 {
-		s.maxFaults = 4
-	}
-	if s.maxQuarantine == 0 {
-		s.maxQuarantine = 64
 	}
 	for _, d := range []string{dir, s.sub("entries"), s.sub("tmp"), s.sub("quarantine"), s.sub("locks")} {
 		if err := s.fs.MkdirAll(d, 0o755); err != nil {
@@ -191,7 +251,7 @@ func (s *Store) Get(key string, value any) bool {
 		// Only a genuine read resets the fault ladder: a miss is an
 		// ENOENT and proves nothing about disk health, and resetting on
 		// it would let an alternating miss/write-fault pattern evade
-		// MaxFaults forever.
+		// maxFaults forever.
 		s.consecutive.Store(0)
 		s.hits.Add(1)
 	} else {
@@ -229,7 +289,7 @@ func (s *Store) Put(key string, value any) {
 func (s *Store) fault(op string, err error) {
 	s.faults.Add(1)
 	s.warnOnce("fault:"+op, "store: %s fault: %v — result stays in-memory, run continues", op, err)
-	if n := s.consecutive.Add(1); n >= int64(s.maxFaults) && !s.disabled.Swap(true) {
+	if n := s.consecutive.Add(1); n >= maxFaults && !s.disabled.Swap(true) {
 		s.warnOnce("degraded", "store: %d consecutive faults — disk layer disabled for this process", n)
 	}
 }
@@ -271,15 +331,14 @@ func (s *Store) get(key string, value any) (bool, error) {
 	if cerr != nil {
 		return false, cerr
 	}
-	payload, why := parseEntry(key, data)
-	switch why {
-	case "":
-	case reasonVersion, reasonAlias:
-		// Well-formed but not ours: an old format version or a hash
+	payload, err := Unseal(entryMagic, FormatVersion, key, data)
+	switch {
+	case errors.Is(err, ErrVersion), errors.Is(err, ErrKey):
+		// Intact but not ours: an old format version or a hash
 		// collision. A plain miss — the next Put overwrites it.
 		return false, nil
-	default:
-		s.quarantine(path, why)
+	case err != nil:
+		s.quarantine(path, err.Error())
 		return false, nil
 	}
 	if err := json.Unmarshal(payload, value); err != nil {
@@ -290,48 +349,6 @@ func (s *Store) get(key string, value any) (bool, error) {
 		return false, nil
 	}
 	return true, nil
-}
-
-const (
-	reasonVersion = "format version mismatch"
-	reasonAlias   = "key alias"
-)
-
-// parseEntry validates an entry file against the key it should hold.
-// An empty reason means payload is intact and checksummed.
-func parseEntry(key string, data []byte) (payload []byte, reason string) {
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
-		return nil, "no header line"
-	}
-	var h header
-	if err := json.Unmarshal(data[:nl], &h); err != nil {
-		return nil, "bad header: " + err.Error()
-	}
-	if h.Magic != magic {
-		return nil, "bad magic"
-	}
-	if h.Version != FormatVersion {
-		return nil, reasonVersion
-	}
-	if h.Key != key {
-		return nil, reasonAlias
-	}
-	payload = data[nl+1:]
-	if len(payload) != h.Len {
-		return nil, fmt.Sprintf("payload length %d, header says %d (torn write)", len(payload), h.Len)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != h.SHA256 {
-		return nil, "checksum mismatch"
-	}
-	return payload, ""
 }
 
 // quarantine moves a corrupt entry aside (recomputation then overwrites
@@ -361,9 +378,6 @@ func (s *Store) quarantine(path, why string) {
 // recurring corruption source must not grow the directory without
 // bound. Best effort: any error leaves the files for next time.
 func (s *Store) reapQuarantine() {
-	if s.maxQuarantine < 0 {
-		return
-	}
 	ents, err := s.fs.ReadDir(s.sub("quarantine"))
 	if err != nil {
 		return
@@ -383,7 +397,7 @@ func (s *Store) reapQuarantine() {
 		}
 		files = append(files, qfile{name: e.Name(), mod: info.ModTime().UnixNano()})
 	}
-	if len(files) <= s.maxQuarantine {
+	if len(files) <= maxQuarantine {
 		return
 	}
 	sort.Slice(files, func(i, j int) bool {
@@ -392,7 +406,7 @@ func (s *Store) reapQuarantine() {
 		}
 		return files[i].name < files[j].name
 	})
-	for _, f := range files[:len(files)-s.maxQuarantine] {
+	for _, f := range files[:len(files)-maxQuarantine] {
 		if err := s.fs.Remove(filepath.Join(s.sub("quarantine"), f.name)); err == nil {
 			s.reaped.Add(1)
 		} else if os.IsNotExist(err) {
@@ -412,16 +426,9 @@ func (s *Store) put(key string, value any) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding value: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	hb, err := json.Marshal(header{
-		Magic:   magic,
-		Version: FormatVersion,
-		Key:     key,
-		Len:     len(payload),
-		SHA256:  hex.EncodeToString(sum[:]),
-	})
+	entry, err := Seal(entryMagic, FormatVersion, key, payload)
 	if err != nil {
-		return fmt.Errorf("store: encoding header: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 
 	name := hashName(key)
@@ -437,13 +444,7 @@ func (s *Store) put(key string, value any) error {
 	if err != nil {
 		return err
 	}
-	_, werr := f.Write(hb)
-	if werr == nil {
-		_, werr = f.Write([]byte{'\n'})
-	}
-	if werr == nil {
-		_, werr = f.Write(payload)
-	}
+	_, werr := f.Write(entry)
 	var serr error
 	if werr == nil {
 		serr = f.Sync()
@@ -481,38 +482,15 @@ func (s *Store) Verify() (valid, corrupt int, err error) {
 		if rerr != nil {
 			return valid, corrupt, rerr
 		}
-		if entryWellFormed(data) {
+		// Verify cannot know which key an entry should serve, and an
+		// intact entry of another version is not corruption.
+		if _, err := Unseal(entryMagic, FormatVersion, "", data); err == nil || errors.Is(err, ErrVersion) {
 			valid++
 		} else {
 			corrupt++
 		}
 	}
 	return valid, corrupt, nil
-}
-
-// entryWellFormed checks structure and checksum without knowing the
-// key (Verify cannot know which key an entry should serve).
-func entryWellFormed(data []byte) bool {
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
-		return false
-	}
-	var h header
-	if err := json.Unmarshal(data[:nl], &h); err != nil || h.Magic != magic {
-		return false
-	}
-	payload := data[nl+1:]
-	if len(payload) != h.Len {
-		return false
-	}
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:]) == h.SHA256
 }
 
 // sweepTmp clears temp files abandoned by dead processes (their pid is

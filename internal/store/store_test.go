@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -189,6 +193,9 @@ func TestVersionMismatchIsMissNotCorrupt(t *testing.T) {
 	if st := s2.Stats(); st.CorruptQuarantined != 0 {
 		t.Fatalf("version mismatch quarantined: %v", st)
 	}
+	if valid, corrupt, err := s2.Verify(); valid != 1 || corrupt != 0 || err != nil {
+		t.Fatalf("Verify of a future-version entry = %d valid, %d corrupt, %v; want 1 valid", valid, corrupt, err)
+	}
 	s2.Put("k1", samplePayload())
 	if !s2.Get("k1", &got) {
 		t.Fatal("overwrite after version mismatch did not take")
@@ -205,9 +212,9 @@ func TestWriteFaultDegradesGracefully(t *testing.T) {
 	opts.FS = ffs
 	s := openTest(t, dir, opts)
 
-	// Write op 1 is the lockfile, 2-4 are header/newline/payload: land
-	// the ENOSPC on the payload write.
-	ffs.FailOp(OpWrite, 4, syscall.ENOSPC)
+	// Write op 1 is the lockfile, 2 the whole entry: land the ENOSPC
+	// on the entry write.
+	ffs.FailOp(OpWrite, 2, syscall.ENOSPC)
 	s.Put("k1", samplePayload())
 	st := s.Stats()
 	if st.Writes != 0 || st.WriteSkips != 1 || st.Faults != 1 {
@@ -240,16 +247,18 @@ func TestConsecutiveFaultsDisableStore(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
 	opts := testOptions(t)
 	opts.FS = ffs
-	opts.MaxFaults = 3
 	s := openTest(t, dir, opts)
 
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= maxFaults; i++ {
+		if st := s.Stats(); st.Degraded {
+			t.Fatalf("store degraded after %d consecutive faults: %v", i-1, st)
+		}
 		ffs.FailOp(OpWrite, i, syscall.EIO)
 		s.Put(strings.Repeat("k", i), samplePayload())
 	}
 	st := s.Stats()
 	if !st.Degraded {
-		t.Fatalf("store not degraded after %d consecutive faults: %v", 3, st)
+		t.Fatalf("store not degraded after %d consecutive faults: %v", maxFaults, st)
 	}
 	// Degraded store: everything still answers, nothing touches disk.
 	before := ffs.WriteOps()
@@ -264,21 +273,31 @@ func TestConsecutiveFaultsDisableStore(t *testing.T) {
 }
 
 // TestSuccessResetsFaultLadder: intermittent faults with successes in
-// between never disable the store.
+// between never disable the store. The run holds 2·(maxFaults−1)
+// faults, past the limit unless the success in the middle resets it.
 func TestSuccessResetsFaultLadder(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(OSFS{})
 	opts := testOptions(t)
 	opts.FS = ffs
-	opts.MaxFaults = 2
 	s := openTest(t, dir, opts)
 
-	ffs.FailOp(OpWrite, 1, syscall.EIO)
-	s.Put("bad1", samplePayload()) // fault 1
-	s.Put("ok", samplePayload())   // success resets the ladder
-	ffs.FailOp(OpWrite, ffs.OpCount(OpWrite)+1, syscall.EIO)
-	s.Put("bad2", samplePayload()) // a fresh fault 1, not fault 2
-	if st := s.Stats(); st.Degraded {
+	faults := func(n int) {
+		for i := 0; i < n; i++ {
+			// Each Put fails its first write, the lockfile; distinct
+			// keys, because a failed key never touches the disk again.
+			ffs.FailOp(OpWrite, ffs.OpCount(OpWrite)+1, syscall.EIO)
+			s.Put("bad"+strconv.Itoa(ffs.OpCount(OpWrite)), samplePayload())
+		}
+	}
+	faults(maxFaults - 1)
+	s.Put("ok", samplePayload()) // success resets the ladder
+	faults(maxFaults - 1)
+	st := s.Stats()
+	if st.Faults != 2*(maxFaults-1) || st.Writes != 1 {
+		t.Fatalf("fault schedule did not run as planned: %v", st)
+	}
+	if st.Degraded {
 		t.Fatalf("store degraded despite interleaved successes: %v", st)
 	}
 }
@@ -319,10 +338,9 @@ func TestSweepTmpReapsDeadProcessFiles(t *testing.T) {
 }
 
 // TestQuarantineCapReapsOldest: quarantine/ is a bounded forensic
-// holding area, not a landfill — beyond MaxQuarantine the oldest
+// holding area, not a landfill — beyond maxQuarantine the oldest
 // .corrupt files (mtime, name tie-break) are reaped on Open and after
-// each quarantine, counted in Stats.Reaped. A negative cap disables
-// reaping entirely.
+// each quarantine, counted in Stats.Reaped.
 func TestQuarantineCapReapsOldest(t *testing.T) {
 	seedQuarantine := func(t *testing.T, dir string, n int) {
 		t.Helper()
@@ -345,45 +363,29 @@ func TestQuarantineCapReapsOldest(t *testing.T) {
 
 	t.Run("open-reaps-beyond-cap", func(t *testing.T) {
 		dir := t.TempDir()
-		seedQuarantine(t, dir, 6)
-		opts := testOptions(t)
-		opts.MaxQuarantine = 3
-		s := openTest(t, dir, opts)
+		seedQuarantine(t, dir, maxQuarantine+3)
+		s := openTest(t, dir, testOptions(t))
 		if st := s.Stats(); st.Reaped != 3 {
 			t.Fatalf("reaped %d, want 3: %v", st.Reaped, st)
 		}
 		left, err := os.ReadDir(filepath.Join(dir, "quarantine"))
-		if err != nil || len(left) != 3 {
-			t.Fatalf("quarantine holds %d files, want 3 (%v)", len(left), err)
+		if err != nil || len(left) != maxQuarantine {
+			t.Fatalf("quarantine holds %d files, want %d (%v)", len(left), maxQuarantine, err)
 		}
-		// The survivors must be the newest three.
+		// The three oldest are the ones reaped.
 		for _, e := range left {
-			if e.Name() != "entry3.corrupt" && e.Name() != "entry4.corrupt" && e.Name() != "entry5.corrupt" {
-				t.Fatalf("oldest-first reaping violated: %s survived", e.Name())
+			for i := 0; i < 3; i++ {
+				if e.Name() == "entry"+strconv.Itoa(i)+".corrupt" {
+					t.Fatalf("oldest-first reaping violated: %s survived", e.Name())
+				}
 			}
-		}
-	})
-
-	t.Run("negative-cap-unlimited", func(t *testing.T) {
-		dir := t.TempDir()
-		seedQuarantine(t, dir, 6)
-		opts := testOptions(t)
-		opts.MaxQuarantine = -1
-		s := openTest(t, dir, opts)
-		if st := s.Stats(); st.Reaped != 0 {
-			t.Fatalf("negative cap reaped %d files", st.Reaped)
-		}
-		left, _ := os.ReadDir(filepath.Join(dir, "quarantine"))
-		if len(left) != 6 {
-			t.Fatalf("quarantine holds %d files, want all 6", len(left))
 		}
 	})
 
 	t.Run("quarantine-path-reaps", func(t *testing.T) {
 		dir := t.TempDir()
-		opts := testOptions(t)
-		opts.MaxQuarantine = 1
-		s := openTest(t, dir, opts)
+		seedQuarantine(t, dir, maxQuarantine-1)
+		s := openTest(t, dir, testOptions(t))
 		s.Put("k1", samplePayload())
 		s.Put("k2", samplePayload())
 		// Corrupt both entries on disk, then read them back: each Get
@@ -415,8 +417,74 @@ func TestQuarantineCapReapsOldest(t *testing.T) {
 			t.Fatalf("reaped %d, want 1: %v", st.Reaped, st)
 		}
 		left, _ := os.ReadDir(filepath.Join(dir, "quarantine"))
-		if len(left) != 1 {
-			t.Fatalf("quarantine holds %d files, want 1", len(left))
+		if len(left) != maxQuarantine {
+			t.Fatalf("quarantine holds %d files, want %d", len(left), maxQuarantine)
 		}
 	})
+}
+
+// TestEntryBytesPinned pins the file Put writes for a fixed key and
+// payload, name and content: a cache directory written by one build
+// must read the same under the next, in both directions.
+func TestEntryBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, testOptions(t))
+	s.Put("k1", samplePayload())
+	path := findEntry(t, dir)
+	if got, want := filepath.Base(path), hashName("k1")+".entry"; got != want {
+		t.Fatalf("entry file %s, want %s", got, want)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	const want = "596a7123c163b6b3d93e70b8459c37abc91b678a66e1aa64e9a6763c43051cd9"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("entry bytes changed: sha256 %s, want %s\n%s", got, want, data)
+	}
+}
+
+// TestUnsealChecksDamageFirst: Unseal reports damage before it reports
+// a frame of another version or key, so a damaged frame of any version
+// is quarantined by Get and counted corrupt by Verify, while an intact
+// one of another version or key is only a miss.
+func TestUnsealChecksDamageFirst(t *testing.T) {
+	payload := []byte(`{"x":42}`)
+	frame, err := Seal("m", 2, "k", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(frame)
+	flipped[len(flipped)-2] ^= 1
+	damage := errors.New("damage")
+	for _, c := range []struct {
+		name    string
+		magic   string
+		version int
+		key     string
+		data    []byte
+		want    error // nil, ErrVersion, ErrKey, or damage for any other error
+	}{
+		{"intact", "m", 2, "k", frame, nil},
+		{"any-key", "m", 2, "", frame, nil},
+		{"other-version", "m", 3, "k", frame, ErrVersion},
+		{"other-key", "m", 2, "j", frame, ErrKey},
+		{"other-magic", "n", 2, "k", frame, damage},
+		{"no-header", "m", 2, "k", payload, damage},
+		{"torn-other-version", "m", 3, "j", frame[:len(frame)-1], damage},
+		{"flipped-other-key", "m", 2, "j", flipped, damage},
+	} {
+		got, err := Unseal(c.magic, c.version, c.key, c.data)
+		kind := err
+		if err != nil && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrKey) {
+			kind = damage
+		}
+		if kind != c.want {
+			t.Errorf("%s: Unseal error %v, want %v", c.name, err, c.want)
+		}
+		if err == nil && !bytes.Equal(got, payload) {
+			t.Errorf("%s: payload %q, want %q", c.name, got, payload)
+		}
+	}
 }
