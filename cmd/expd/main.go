@@ -7,7 +7,7 @@
 // fingerprint is part of the run key), so one daemon serves clients of
 // any scale without aliasing. SIGINT/SIGTERM drains: in-flight
 // simulations complete and are served, new requests get 503, then
-// lockfiles are released and store stats flushed.
+// store stats are flushed.
 //
 // Usage:
 //
@@ -99,8 +99,8 @@ func main() {
 		}
 	}
 
-	// Whatever path got us here, leave the shared caches clean: no live
-	// lockfiles, stats on stderr for the operator.
+	// Whatever path got us here, print the stores' stats on stderr for
+	// the operator.
 	persist.Close()
 	p := srv.Snapshot()
 	fmt.Fprintf(os.Stderr, "expd: served %d requests (%d completed, %d failed), %d simulations\n",

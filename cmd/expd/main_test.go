@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // buildBinary compiles one of the repo's commands into dir.
@@ -194,7 +196,7 @@ func TestCheckpointResumeEndToEnd(t *testing.T) {
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 	ckptArgs := append(args, "-checkpoint-dir", ckptDir, "-checkpoint-every", "30000")
 
-	// SIGKILL mid-sweep: no drain, no deferred stats, no lock release.
+	// SIGKILL mid-sweep: no drain, no deferred stats.
 	victim := exec.Command(figures, ckptArgs...)
 	var victimErr bytes.Buffer
 	victim.Stderr = &victimErr
@@ -230,7 +232,7 @@ func TestCheckpointResumeEndToEnd(t *testing.T) {
 }
 
 // TestExpdGracefulDrain: SIGTERM must drain and exit cleanly — zero
-// exit status, stats flushed, and no live lockfiles left in the cache.
+// exit status, and a cache with no temp file and no corrupt entry.
 func TestExpdGracefulDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon")
@@ -241,8 +243,8 @@ func TestExpdGracefulDrain(t *testing.T) {
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 	base, srv := startExpd(t, expd, cacheDir)
 
-	// Give the server some real work first so runners, the store and
-	// its locks have all been exercised.
+	// Give the server some real work first so runners and the store
+	// have been exercised.
 	if _, errOut, err := runClient(figures, "-fig", "5", "-scale", "unit", "-server", base); err != nil {
 		t.Fatalf("warmup client: %v\n%s", err, errOut)
 	}
@@ -260,9 +262,15 @@ func TestExpdGracefulDrain(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("expd never exited after SIGTERM")
 	}
-	locks, err := os.ReadDir(filepath.Join(cacheDir, "locks"))
-	if err == nil && len(locks) != 0 {
-		t.Fatalf("drained expd left lockfiles: %v", locks)
+	if tmp, err := os.ReadDir(filepath.Join(cacheDir, "tmp")); err != nil || len(tmp) != 0 {
+		t.Fatalf("drained expd left %d temp files (%v)", len(tmp), err)
+	}
+	st, err := store.Open(cacheDir, store.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if valid, corrupt, err := st.Verify(); err != nil || valid == 0 || corrupt != 0 {
+		t.Fatalf("drained expd's cache: %d valid, %d corrupt entries (%v)", valid, corrupt, err)
 	}
 }
 

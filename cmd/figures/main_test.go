@@ -62,8 +62,8 @@ func TestCrossProcessCacheDeterminism(t *testing.T) {
 		t.Fatalf("cache dir has no entries after cold run (err=%v)", err)
 	}
 
-	// Two processes racing on a fresh shared directory: lockfiles
-	// serialise publication, both must still match.
+	// Two processes racing on a fresh shared directory publish the
+	// same keys without a lock: both must still match.
 	raceDir := filepath.Join(t.TempDir(), "race")
 	var wg sync.WaitGroup
 	outs := make([][]byte, 2)

@@ -2,7 +2,7 @@
 // (DESIGN.md §14): versioned, checksummed serialization of complete
 // simulator state, stored content-addressed in a store.Store so
 // checkpoints inherit the result cache's entry format, atomic publish
-// protocol, cross-process lockfiles and quarantine behaviour.
+// protocol and quarantine behaviour.
 //
 // A run's checkpoints form one sequence over its measured region:
 // boundary 0 is the end of warm-up, and with Every > 0 every further

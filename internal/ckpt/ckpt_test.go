@@ -3,7 +3,6 @@ package ckpt
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -31,9 +30,7 @@ const testEvery = 30_000
 
 func storeOptions(t *testing.T) store.Options {
 	return store.Options{
-		Logf:        func(format string, args ...any) { t.Logf("store: "+format, args...) },
-		LockTimeout: 50 * time.Millisecond,
-		StaleAge:    10 * time.Millisecond,
+		Logf: func(format string, args ...any) { t.Logf("store: "+format, args...) },
 	}
 }
 

@@ -8,15 +8,17 @@
 // every binary at once rather than copies that drift. cmd/expd uses
 // the persistence half, Persistence, on its own. The libraries print
 // nothing for a binary themselves: every layer logs through Logf(prog),
-// and the layers' counters are printed from here, or on an interrupt
-// by the store.HandleSignals handler installed here.
+// and the layers' counters are printed from here, at exit or on an
+// interrupt.
 package cliutil
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
+	"syscall"
 
 	"repro/internal/ckpt"
 	"repro/internal/experiments"
@@ -85,7 +87,7 @@ func Setup(prog string, opts Options) (r *experiments.Runner, cleanup func(), er
 		return nil, nil, err
 	}
 	cfg.Store, cfg.Checkpoints = p.Results, p.Checkpoints
-	stopSignals := store.HandleSignals(prog, p.Results, p.ckptStore)
+	stopSignals := handleSignals(prog, p.Results, p.ckptStore)
 	var cl *service.Client
 	if *server != "" {
 		if cl, err = service.NewClient(*server, service.ClientOptions{Logf: Logf(prog)}); err != nil {
@@ -168,11 +170,9 @@ func (p *Persistence) Open() error {
 	return nil
 }
 
-// Close releases every lockfile the stores still hold and prints
-// their stats to stderr.
+// Close prints the stats of the stores and the checkpoint manager to
+// stderr.
 func (p *Persistence) Close() {
-	p.Results.ReleaseLocks()
-	p.ckptStore.ReleaseLocks()
 	if p.ckptStore != nil {
 		report(p.prog+": checkpoints", "store", p.ckptStore.Stats())
 	}
@@ -197,6 +197,33 @@ func openStore(dir, prog string) *store.Store {
 		return nil
 	}
 	return s
+}
+
+// handleSignals installs a binary's SIGINT/SIGTERM handler: it prints
+// the stats of every non-nil store and exits with the conventional
+// 128+signal status. The returned stop func uninstalls the handler, so
+// a normal exit path wins.
+func handleSignals(prog string, stores ...*store.Store) (stop func()) {
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	done := make(chan struct{})
+	go func() {
+		select {
+		case sig := <-ch:
+			for _, s := range stores {
+				if s != nil {
+					report(prog, "store", s.Stats())
+				}
+			}
+			fmt.Fprintf(os.Stderr, "%s: interrupted (%v)\n", prog, sig)
+			os.Exit(128 + int(sig.(syscall.Signal)))
+		case <-done:
+		}
+	}()
+	return func() {
+		signal.Stop(ch)
+		close(done)
+	}
 }
 
 // Logf returns the logger of a binary's store, checkpoint manager,

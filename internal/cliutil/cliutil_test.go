@@ -1,10 +1,17 @@
 package cliutil
 
 import (
+	"bufio"
+	"errors"
 	"math"
 	"os"
+	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"repro/internal/store"
 )
 
 func TestScale(t *testing.T) {
@@ -125,6 +132,93 @@ func TestThreshold(t *testing.T) {
 		}
 		if tc.ok && got != tc.t {
 			t.Errorf("Threshold(%v) = %v, want identity", tc.t, got)
+		}
+	}
+}
+
+// interruptEnv points TestHelperInterrupted at a store dir; unset, the
+// helper is skipped in normal runs.
+const interruptEnv = "CLIUTIL_INTERRUPT_HELPER_DIR"
+
+// TestHelperInterrupted is the re-exec'd child of
+// TestInterruptPrintsStats: it publishes one entry, installs the
+// interrupt handler over its store and an absent one, announces, and
+// waits to be signalled.
+func TestHelperInterrupted(t *testing.T) {
+	dir := os.Getenv(interruptEnv)
+	if dir == "" {
+		t.Skip("helper process entry point")
+	}
+	s, err := store.Open(dir, store.Options{Logf: Logf("helper")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("k", 1)
+	stop := handleSignals("helper", s, nil)
+	defer stop()
+	os.Stdout.WriteString("READY\n")
+	time.Sleep(30 * time.Second) // the parent signals long before this
+	t.Fatal("never signalled")
+}
+
+// TestInterruptPrintsStats: an interrupted binary prints one stats
+// line per store, then the signal, and exits with 128+signal.
+func TestInterruptPrintsStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs the test binary")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sig := range []syscall.Signal{syscall.SIGINT, syscall.SIGTERM} {
+		cmd := exec.Command(exe, "-test.run=^TestHelperInterrupted$", "-test.v")
+		cmd.Env = append(os.Environ(), interruptEnv+"="+t.TempDir())
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		ready := make(chan bool, 1)
+		go func() {
+			sc := bufio.NewScanner(stdout)
+			for sc.Scan() {
+				if sc.Text() == "READY" {
+					ready <- true
+					return
+				}
+			}
+			ready <- false
+		}()
+		select {
+		case ok := <-ready:
+			if !ok {
+				cmd.Wait()
+				t.Fatalf("helper exited before installing its handler: %s", stderr.String())
+			}
+		case <-time.After(30 * time.Second):
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatal("helper never announced its handler")
+		}
+
+		if err := cmd.Process.Signal(sig); err != nil {
+			t.Fatal(err)
+		}
+		err = cmd.Wait()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 128+int(sig) {
+			t.Fatalf("%v: helper exit: err=%v stderr=%q, want exit status %d",
+				sig, err, stderr.String(), 128+int(sig))
+		}
+		want := "helper: store: hits=0 misses=0 writes=1 write-skips=0 corrupt-quarantined=0 reaped=0 faults=0 degraded=false\n" +
+			"helper: interrupted (" + sig.String() + ")\n"
+		if got := stderr.String(); got != want {
+			t.Fatalf("%v: helper stderr:\n%s\nwant:\n%s", sig, got, want)
 		}
 	}
 }

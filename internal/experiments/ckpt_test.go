@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/sim"
@@ -53,9 +52,7 @@ func TestWarmupSharingAcrossProcesses(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := store.Options{
-		Logf:        func(format string, args ...any) { t.Logf("store: "+format, args...) },
-		LockTimeout: 50 * time.Millisecond,
-		StaleAge:    10 * time.Millisecond,
+		Logf: func(format string, args ...any) { t.Logf("store: "+format, args...) },
 	}
 	logf := func(format string, args ...any) { t.Logf("ckpt: "+format, args...) }
 

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -17,9 +16,7 @@ import (
 func openStoreT(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	s, err := store.Open(dir, store.Options{
-		Logf:        func(format string, args ...any) { t.Logf("store: "+format, args...) },
-		LockTimeout: time.Second,
-		StaleAge:    time.Millisecond,
+		Logf: func(format string, args ...any) { t.Logf("store: "+format, args...) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,10 +206,8 @@ func TestStoreFaultsNeverBreakARun(t *testing.T) {
 		ffs.FailOp(store.OpWrite, i, nil)
 	}
 	st, err := store.Open(t.TempDir(), store.Options{
-		FS:          ffs,
-		Logf:        func(format string, args ...any) { t.Logf("store: "+format, args...) },
-		LockTimeout: time.Millisecond,
-		StaleAge:    time.Millisecond,
+		FS:   ffs,
+		Logf: func(format string, args ...any) { t.Logf("store: "+format, args...) },
 	})
 	if err != nil {
 		t.Fatal(err)

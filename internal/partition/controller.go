@@ -67,8 +67,8 @@ func (b *Controller) Decide(now int64) { b.stats.Decisions++ }
 // Gating schemes (Dynamic CPE, Cooperative Partitioning) shadow it.
 func (b *Controller) PoweredWayEquiv() float64 { return float64(b.l2.Ways()) }
 
-// record tallies one access outcome for a core.
-func (b *Controller) record(core int, hit bool, tags int) {
+// Record tallies one access outcome for a core.
+func (b *Controller) Record(core int, hit bool, tags int) {
 	cs := &b.stats.PerCore[core]
 	cs.Accesses++
 	cs.TagsConsulted += uint64(tags)
@@ -79,20 +79,19 @@ func (b *Controller) record(core int, hit bool, tags int) {
 	}
 }
 
-// fill fetches line from memory at time now, returning the read
-// latency.
-func (b *Controller) fill(line uint64, now int64) int64 {
+// Fill fetches line from memory at now and returns the read latency.
+func (b *Controller) Fill(line uint64, now int64) int64 {
 	return b.dram.Read(line, now)
 }
 
-// writeback posts one dirty line to memory.
-func (b *Controller) writeback(line uint64, now int64) {
+// Writeback posts one dirty line to memory.
+func (b *Controller) Writeback(line uint64, now int64) {
 	b.dram.Write(line, now)
 	b.stats.WritebacksToMem++
 }
 
-// newMonitors builds one utility monitor per core.
-func (b *Controller) newMonitors() []*umon.Monitor {
+// NewMonitors builds one utility monitor per core.
+func (b *Controller) NewMonitors() []*umon.Monitor {
 	mons := make([]*umon.Monitor, b.n)
 	for i := range mons {
 		mons[i] = umon.New(umon.Config{
@@ -104,8 +103,8 @@ func (b *Controller) newMonitors() []*umon.Monitor {
 	return mons
 }
 
-// umonSampled reports whether set falls in a monitored sample.
-func (b *Controller) umonSampled(set int) bool {
+// UMONSampled reports whether set falls in a monitored sample.
+func (b *Controller) UMONSampled(set int) bool {
 	return set%b.cfg.UMONSampling == 0
 }
 
@@ -154,13 +153,13 @@ func (b *Controller) access(core int, addr uint64, isWrite bool, now int64, h *a
 
 	if h.mons != nil {
 		h.mons[core].Access(set, line)
-		res.UMONSampled = b.umonSampled(set)
+		res.UMONSampled = b.UMONSampled(set)
 	}
 
 	if mask == 0 {
 		// No ways at all (a region-less core): straight to memory.
-		res.Latency = int64(l2.Latency()) + b.fill(line, now+int64(l2.Latency()))
-		b.record(core, false, 0)
+		res.Latency = int64(l2.Latency()) + b.Fill(line, now+int64(l2.Latency()))
+		b.Record(core, false, 0)
 		return res
 	}
 
@@ -189,7 +188,7 @@ func (b *Controller) access(core int, addr uint64, isWrite bool, now int64, h *a
 		}
 		ev := l2.InstallAt(set, victim, tag, core, isWrite)
 		if ev.Valid && ev.Dirty {
-			b.writeback(ev.Line, now)
+			b.Writeback(ev.Line, now)
 			res.Writebacks++
 		}
 		if h.afterInstall != nil {
@@ -201,10 +200,10 @@ func (b *Controller) access(core int, addr uint64, isWrite bool, now int64, h *a
 				owner: prevOwn, dirty: ev.Valid && ev.Dirty, valid: ev.Valid,
 			}, now)
 		}
-		res.Latency = lat + b.fill(line, now+lat)
+		res.Latency = lat + b.Fill(line, now+lat)
 	}
 
-	b.record(core, res.Hit, res.TagsConsulted)
+	b.Record(core, res.Hit, res.TagsConsulted)
 	st := l2.Stats()
 	st.Accesses++
 	if res.Hit {
@@ -244,7 +243,7 @@ func (b *Controller) FlushWays(mask uint64, now int64) {
 			}
 			ev := b.l2.InvalidateBlock(s, w)
 			if ev.Dirty {
-				b.writeback(ev.Line, now)
+				b.Writeback(ev.Line, now)
 			}
 			b.stats.FlushedOnDecide++
 		}
@@ -274,18 +273,3 @@ func (b *Controller) Cfg() Config { return b.cfg }
 
 // NumCores returns the number of cores sharing the LLC.
 func (b *Controller) NumCores() int { return b.n }
-
-// Record tallies one access outcome for a core.
-func (b *Controller) Record(core int, hit bool, tags int) { b.record(core, hit, tags) }
-
-// Fill fetches line from memory at now and returns the read latency.
-func (b *Controller) Fill(line uint64, now int64) int64 { return b.fill(line, now) }
-
-// Writeback posts one dirty line to memory.
-func (b *Controller) Writeback(line uint64, now int64) { b.writeback(line, now) }
-
-// NewMonitors builds one utility monitor per core.
-func (b *Controller) NewMonitors() []*umon.Monitor { return b.newMonitors() }
-
-// UMONSampled reports whether set falls in a monitored sample.
-func (b *Controller) UMONSampled(set int) bool { return b.umonSampled(set) }

@@ -38,7 +38,7 @@ type PIPP struct {
 // NewPIPP builds the scheme.
 func NewPIPP(cfg Config) *PIPP {
 	p := &PIPP{Controller: NewController(cfg)}
-	p.mons = p.newMonitors()
+	p.mons = p.NewMonitors()
 	p.quotas = p.EqualShares()
 	p.hooks = accessHooks{
 		touch:        p.promote,

@@ -39,7 +39,7 @@ type ucpTransition struct {
 // NewUCP builds the UCP scheme with one utility monitor per core.
 func NewUCP(cfg Config) *UCP {
 	u := &UCP{Controller: NewController(cfg)}
-	u.mons = u.newMonitors()
+	u.mons = u.NewMonitors()
 	// Until the first decision, behave like Fair Share.
 	u.quotas = u.EqualShares()
 	u.hooks = accessHooks{

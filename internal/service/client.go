@@ -27,13 +27,12 @@ const maxResponseBytes = 64 << 20
 
 // The retry ladder's bounds. A request gets maxAttempts tries (first
 // plus retries), with exponential backoff and full jitter between them
-// from backoffBase doubling to backoffMax; maxFailures consecutive
-// failed attempts disable the remote layer for the rest of the process
-// (the ladder's last rung, mirroring the store's).
+// from backoffBase doubling; maxFailures consecutive failed attempts
+// disable the remote layer for the rest of the process (the ladder's
+// last rung, mirroring the store's).
 const (
 	maxAttempts = 3
 	backoffBase = 50 * time.Millisecond
-	backoffMax  = 2 * time.Second
 	maxFailures = 6
 )
 
@@ -270,11 +269,9 @@ func (c *Client) attempt(key string, body []byte, value any) (err error, permane
 }
 
 // backoff returns the sleep before retry n (1-based): exponential with
-// full jitter, bounded by backoffMax.
+// full jitter, between half and all of backoffBase<<(n-1). maxAttempts
+// bounds the doubling: exchange retries at most maxAttempts-1 times.
 func backoff(n int) time.Duration {
 	d := backoffBase << (n - 1)
-	if d > backoffMax || d <= 0 {
-		d = backoffMax
-	}
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 }

@@ -33,9 +33,9 @@ type ServerOptions struct {
 	// rest queue); GOMAXPROCS if zero.
 	MaxConcurrent int
 	// Store is the shared persistent result cache (nil = per-process
-	// memory only). Every runner the server builds publishes into it,
-	// and its cross-process lockfiles are what serialise the server
-	// against other processes on the same directory.
+	// memory only). Every runner the server builds publishes into it;
+	// other processes may share the directory, since each publish is
+	// one atomic rename.
 	Store *store.Store
 	// Checkpoints is the shared checkpoint manager (nil gets each
 	// runner a storeless one). Checkpoint keys carry the fingerprint of

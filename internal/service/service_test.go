@@ -237,6 +237,21 @@ func TestDeadServerDegradesOnce(t *testing.T) {
 	}
 }
 
+// TestBackoffSchedule pins the sleeps before the two retries that
+// maxAttempts allows: half to all of backoffBase, then of twice it.
+func TestBackoffSchedule(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		for n, want := range map[int][2]time.Duration{
+			1: {25 * time.Millisecond, 50 * time.Millisecond},
+			2: {50 * time.Millisecond, 100 * time.Millisecond},
+		} {
+			if d := backoff(n); d < want[0] || d > want[1] {
+				t.Fatalf("backoff(%d) = %v, want in [%v, %v]", n, d, want[0], want[1])
+			}
+		}
+	}
+}
+
 // TestKeyMismatchIsPermanent: a 409 (the two sides disagree what a key
 // means) must not be retried — it degrades the client immediately.
 func TestKeyMismatchIsPermanent(t *testing.T) {

@@ -1,11 +1,8 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // TestCrashConsistencyEverySyscallBoundary is the failure-model proof
@@ -84,77 +81,4 @@ func TestCrashConsistencyEverySyscallBoundary(t *testing.T) {
 		t.Fatal("no crash point ever fired — the schedule is not wired up")
 	}
 	t.Logf("enumerated %d crash points", crashed)
-}
-
-// TestCrashLeavesReclaimableLock: a writer that dies after taking the
-// lock must not wedge the key forever. Another process (simulated by
-// rewriting the lock owner to a dead pid, since our own pid stays
-// alive in-test) reclaims it and publishes.
-func TestCrashLeavesReclaimableLock(t *testing.T) {
-	dir := t.TempDir()
-	ffs := NewFaultFS(OSFS{})
-	opts := testOptions(t)
-	opts.FS = ffs
-	s := openTest(t, dir, opts)
-	// Crash right after the lockfile is fully written: write path of
-	// Put is lock-OpenFile(#1 after Open's 5 mkdirs)... simpler: crash
-	// at the first tmp-file write op = lock open, lock write, lock
-	// close, then tmp open = write ops 6,7,8,9 after Open's 5. Crash
-	// on op 9 (tmp OpenFile): lock exists and is complete.
-	ffs.CrashAtWriteOp(9, 0)
-	s.Put("k", samplePayload())
-	if !ffs.Fired() {
-		t.Fatal("crash did not fire where expected; adjust the schedule")
-	}
-	locks, err := os.ReadDir(filepath.Join(dir, "locks"))
-	if err != nil || len(locks) != 1 {
-		t.Fatalf("want the crashed writer's lockfile on disk, got %d (%v)", len(locks), err)
-	}
-
-	// The lock names our (live) pid, so a fresh store in this test
-	// process correctly refuses to reclaim it and degrades instead —
-	// the conservative half of the contract.
-	s2 := openTest(t, dir, testOptions(t))
-	s2.Put("k", samplePayload())
-	if st := s2.Stats(); st.Writes != 0 || st.Faults == 0 {
-		t.Fatalf("live-pid lock was stolen: %v", st)
-	}
-
-	// Rewrite the owner to a dead pid — what the lock would contain
-	// had the process really died — and the next writer reclaims it.
-	lockPath := filepath.Join(dir, "locks", locks[0].Name())
-	if err := os.WriteFile(lockPath, []byte(`{"pid":999999,"boot_ticks":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3 := openTest(t, dir, testOptions(t))
-	s3.Put("k", samplePayload())
-	if st := s3.Stats(); st.Writes != 1 {
-		t.Fatalf("dead-pid lock not reclaimed: %v", st)
-	}
-	var got payload
-	if !s3.Get("k", &got) {
-		t.Fatal("entry not served after reclaim")
-	}
-}
-
-// TestTornLockfileReclaimedByAge: a lockfile with unparsable content
-// (writer died mid-write) is reclaimed once older than StaleAge.
-func TestTornLockfileReclaimedByAge(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, testOptions(t))
-	name := hashName("k")
-	lockPath := filepath.Join(dir, "locks", name+".lock")
-	if err := os.WriteFile(lockPath, []byte(`{"pi`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh torn lock: not yet stale, writer must wait then time out.
-	start := time.Now()
-	s.Put("k", samplePayload())
-	st := s.Stats()
-	if st.Writes != 1 {
-		// StaleAge in testOptions is 10ms and LockTimeout 50ms: the
-		// torn lock ages out inside the backoff loop, so the Put must
-		// eventually succeed by reclaiming it.
-		t.Fatalf("torn lock never reclaimed: %v (after %v)", st, time.Since(start))
-	}
 }

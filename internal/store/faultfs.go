@@ -19,7 +19,6 @@ const (
 	OpClose
 	OpRename
 	OpRemove
-	OpStat
 	OpReadDir
 	OpSyncDir
 	opCount
@@ -27,7 +26,7 @@ const (
 
 var opNames = [...]string{
 	"mkdirall", "openfile", "read", "write", "sync", "close",
-	"rename", "remove", "stat", "readdir", "syncdir",
+	"rename", "remove", "readdir", "syncdir",
 }
 
 func (o Op) String() string {
@@ -196,13 +195,6 @@ func (f *FaultFS) Remove(path string) error {
 		return err
 	}
 	return f.real.Remove(path)
-}
-
-func (f *FaultFS) Stat(path string) (fs.FileInfo, error) {
-	if err, _ := f.before(OpStat, false); err != nil {
-		return nil, err
-	}
-	return f.real.Stat(path)
 }
 
 func (f *FaultFS) ReadDir(path string) ([]fs.DirEntry, error) {

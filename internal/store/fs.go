@@ -4,13 +4,14 @@
 // results, shared by every binary and every process pointed at one
 // -cache-dir. Durability is the point — atomic publish via
 // temp-file + fsync + rename, per-entry SHA-256 verification with
-// quarantine of corrupt entries, cross-process write exclusion via
-// lockfiles with stale-lock reclamation — and so is graceful
-// degradation: no store fault ever fails a caller; the disk layer
-// silently drops out (per key, then entirely) and the in-memory memo
-// carries the run. Every syscall the store issues goes through the FS
-// interface so the fault-injecting implementation (FaultFS) can prove
-// the failure model at each boundary.
+// quarantine of corrupt entries — and so is graceful degradation: no
+// store fault ever fails a caller; the disk layer silently drops out
+// (per key, then entirely) and the in-memory memo carries the run.
+// Publishers take no lock: each writes its own temp file, the rename
+// commits a whole entry, and runs are deterministic, so two publishers
+// of one key write the same bytes. Every syscall the store issues goes
+// through the FS interface so the fault-injecting implementation
+// (FaultFS) can prove the failure model at each boundary.
 package store
 
 import (
@@ -24,12 +25,11 @@ import (
 // corrupt any individual syscall deterministically.
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
-	// OpenFile opens like os.OpenFile. The store uses exactly three
-	// modes: read-only, write-only|create|excl (tmp files, lockfiles).
+	// OpenFile opens like os.OpenFile. The store uses exactly two
+	// modes: read-only, and write-only|create|excl for tmp files.
 	OpenFile(path string, flag int, perm os.FileMode) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
-	Stat(path string) (fs.FileInfo, error)
 	ReadDir(path string) ([]fs.DirEntry, error)
 	// SyncDir fsyncs a directory so a completed rename survives power
 	// loss. Crash *atomicity* (absent-or-valid) never depends on it —
@@ -54,11 +54,8 @@ func (OSFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(path, flag, perm)
 }
 
-func (OSFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (OSFS) Remove(path string) error             { return os.Remove(path) }
-func (OSFS) Stat(path string) (fs.FileInfo, error) {
-	return os.Stat(path)
-}
+func (OSFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
+func (OSFS) Remove(path string) error                   { return os.Remove(path) }
 func (OSFS) ReadDir(path string) ([]fs.DirEntry, error) { return os.ReadDir(path) }
 
 func (OSFS) SyncDir(path string) error {

@@ -15,7 +15,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+	"syscall"
 )
 
 // FormatVersion is the on-disk entry format. Bumping it orphans old
@@ -114,16 +114,6 @@ type Options struct {
 	// Logf receives the store's once-per-condition warnings; stderr if
 	// nil. The store never logs on the success path.
 	Logf func(format string, args ...any)
-	// LockTimeout bounds how long a writer waits on a live lock before
-	// degrading; 5s if zero.
-	LockTimeout time.Duration
-	// StaleAge is the age past which an unreadable/torn lockfile is
-	// reclaimed; 30s if zero.
-	StaleAge time.Duration
-	// No binary sets LockTimeout or StaleAge; tests shorten them. A
-	// writer crashed in-process leaves a lockfile that the test's own
-	// live PID owns, which only LockTimeout ends, so at the defaults
-	// the crash tests of ckpt and experiments wait seconds per lock.
 }
 
 // Stats are the store's observability counters (satellite: corruption
@@ -156,11 +146,9 @@ func (s Stats) String() string {
 // skip the key → disable the store) and surfaces only in Stats and a
 // single log line per condition.
 type Store struct {
-	dir         string
-	fs          FS
-	logf        func(format string, args ...any)
-	lockTimeout time.Duration
-	staleAge    time.Duration
+	dir  string
+	fs   FS
+	logf func(format string, args ...any)
 
 	seq         atomic.Uint64
 	hits        atomic.Uint64
@@ -174,7 +162,6 @@ type Store struct {
 	disabled    atomic.Bool
 
 	badKeys sync.Map // keys whose disk layer is off for this process
-	held    sync.Map // lockfile paths this process currently holds
 
 	warnMu sync.Mutex
 	warned map[string]bool
@@ -185,12 +172,10 @@ type Store struct {
 // and run storeless rather than abort.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
-		dir:         dir,
-		fs:          opts.FS,
-		logf:        opts.Logf,
-		lockTimeout: opts.LockTimeout,
-		staleAge:    opts.StaleAge,
-		warned:      make(map[string]bool),
+		dir:    dir,
+		fs:     opts.FS,
+		logf:   opts.Logf,
+		warned: make(map[string]bool),
 	}
 	if s.fs == nil {
 		s.fs = OSFS{}
@@ -200,12 +185,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	if s.lockTimeout == 0 {
-		s.lockTimeout = 5 * time.Second
-	}
-	if s.staleAge == 0 {
-		s.staleAge = 30 * time.Second
-	}
+	// Nothing uses locks/; perfbench's store test still reads it.
 	for _, d := range []string{dir, s.sub("entries"), s.sub("tmp"), s.sub("quarantine"), s.sub("locks")} {
 		if err := s.fs.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: creating %s: %w", d, err)
@@ -431,15 +411,8 @@ func (s *Store) put(key string, value any) error {
 		return fmt.Errorf("store: %w", err)
 	}
 
-	name := hashName(key)
-	release, err := s.acquireLock(name)
-	if err != nil {
-		return err
-	}
-	defer release()
-
 	tmp := filepath.Join(s.sub("tmp"),
-		fmt.Sprintf("%s.%d.%d.tmp", name, os.Getpid(), s.seq.Add(1)))
+		fmt.Sprintf("%s.%d.%d.tmp", hashName(key), os.Getpid(), s.seq.Add(1)))
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
@@ -513,6 +486,32 @@ func (s *Store) sweepTmp() {
 		}
 		s.fs.Remove(filepath.Join(s.sub("tmp"), e.Name()))
 	}
+}
+
+// processAlive reports whether pid exists. Permission errors count as
+// alive: reaping is only safe on proof of death.
+func processAlive(pid int) bool {
+	p, err := os.FindProcess(pid)
+	if err != nil {
+		return false
+	}
+	err = p.Signal(syscall.Signal(0))
+	if err == nil {
+		return true
+	}
+	if errors.Is(err, os.ErrProcessDone) || errors.Is(err, syscall.ESRCH) {
+		return false
+	}
+	return true
+}
+
+func firstErr(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Fingerprint returns a short stable fingerprint of v's JSON form —

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 // benchResults approximates a two-core sim.Results payload size.
@@ -67,13 +66,10 @@ func BenchmarkStoreGetMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePut is the publish cost (lock + write + fsync +
-// rename + dir fsync) paid once per simulated run.
+// BenchmarkStorePut is the publish cost (write + fsync + rename + dir
+// fsync) paid once per simulated run.
 func BenchmarkStorePut(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{Logf: func(string, ...any) {}, LockTimeout: time.Second})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := benchStore(b)
 	v := benchValue()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -36,13 +37,10 @@ func samplePayload() payload {
 	return p
 }
 
-// testOptions silences logging and shortens every timeout so fault
-// paths resolve in milliseconds.
+// testOptions routes the store's warnings to the test log.
 func testOptions(t *testing.T) Options {
 	return Options{
-		Logf:        func(format string, args ...any) { t.Logf("store: "+format, args...) },
-		LockTimeout: 50 * time.Millisecond,
-		StaleAge:    10 * time.Millisecond,
+		Logf: func(format string, args ...any) { t.Logf("store: "+format, args...) },
 	}
 }
 
@@ -87,6 +85,40 @@ func TestRoundTrip(t *testing.T) {
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 || st.CorruptQuarantined != 0 || st.Degraded {
 		t.Fatalf("stats = %v", st)
+	}
+}
+
+// TestConcurrentPutsOfOneKey: publishers of one key take no lock. Each
+// writes its own tmp file and renames it over the entry, so every Put
+// succeeds, the last rename leaves one valid entry, and no tmp file is
+// left behind.
+func TestConcurrentPutsOfOneKey(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, testOptions(t))
+	want := samplePayload()
+	const writers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Put("k1", want)
+		}()
+	}
+	wg.Wait()
+
+	if st := s.Stats(); st.Writes != writers || st.Faults != 0 || st.WriteSkips != 0 {
+		t.Fatalf("stats after %d concurrent Puts = %v", writers, st)
+	}
+	if valid, corrupt, err := s.Verify(); valid != 1 || corrupt != 0 || err != nil {
+		t.Fatalf("Verify = %d valid, %d corrupt, %v; want 1 valid", valid, corrupt, err)
+	}
+	var got payload
+	if !s.Get("k1", &got) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("entry after concurrent Puts: %+v, want %+v", got, want)
+	}
+	if left, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(left) != 0 {
+		t.Fatalf("tmp/ holds %d files after concurrent Puts (%v)", len(left), err)
 	}
 }
 
@@ -212,9 +244,8 @@ func TestWriteFaultDegradesGracefully(t *testing.T) {
 	opts.FS = ffs
 	s := openTest(t, dir, opts)
 
-	// Write op 1 is the lockfile, 2 the whole entry: land the ENOSPC
-	// on the entry write.
-	ffs.FailOp(OpWrite, 2, syscall.ENOSPC)
+	// Write op 1 is the whole entry: land the ENOSPC on it.
+	ffs.FailOp(OpWrite, 1, syscall.ENOSPC)
 	s.Put("k1", samplePayload())
 	st := s.Stats()
 	if st.Writes != 0 || st.WriteSkips != 1 || st.Faults != 1 {
@@ -284,8 +315,8 @@ func TestSuccessResetsFaultLadder(t *testing.T) {
 
 	faults := func(n int) {
 		for i := 0; i < n; i++ {
-			// Each Put fails its first write, the lockfile; distinct
-			// keys, because a failed key never touches the disk again.
+			// Each Put fails its one write, the entry; distinct keys,
+			// because a failed key never touches the disk again.
 			ffs.FailOp(OpWrite, ffs.OpCount(OpWrite)+1, syscall.EIO)
 			s.Put("bad"+strconv.Itoa(ffs.OpCount(OpWrite)), samplePayload())
 		}
