@@ -12,7 +12,7 @@
 // Usage:
 //
 //	expd [-addr 127.0.0.1:9190] [-addr-file FILE] [-cache-dir DIR]
-//	     [-workers N] [-max-concurrent N] [-drain-timeout 30s]
+//	     [-max-concurrent N] [-drain-timeout 30s]
 //	     [-checkpoint-dir DIR] [-checkpoint-every N]
 package main
 
@@ -36,7 +36,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9190", "listen address (host:0 picks a free port)")
 	addrFile := flag.String("addr-file", "",
 		"write the bound address to this file once listening (for -addr with port 0)")
-	workers := flag.Int("workers", cliutil.DefaultWorkers(), "concurrent simulations per request")
 	maxConcurrent := flag.Int("max-concurrent", cliutil.DefaultWorkers(),
 		"run requests executing simultaneously (the rest queue)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
@@ -44,10 +43,6 @@ func main() {
 	persist := cliutil.PersistenceFlags("expd")
 	flag.Parse()
 
-	w, err := cliutil.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
 	mc, err := cliutil.Workers(*maxConcurrent)
 	if err != nil {
 		fatal(fmt.Errorf("invalid -max-concurrent=%d: must be >= 1", *maxConcurrent))
@@ -57,7 +52,7 @@ func main() {
 	}
 
 	srv := service.NewServer(service.ServerOptions{
-		Workers: w, MaxConcurrent: mc, Store: persist.Results, Checkpoints: persist.Checkpoints,
+		MaxConcurrent: mc, Store: persist.Results, Checkpoints: persist.Checkpoints,
 		Logf: cliutil.Logf("expd"),
 	})
 	ln, err := net.Listen("tcp", *addr)
@@ -70,8 +65,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "expd: serving on http://%s (cache-dir=%q workers=%d)\n",
-		bound, persist.CacheDir, w)
+	fmt.Fprintf(os.Stderr, "expd: serving on http://%s (cache-dir=%q)\n", bound, persist.CacheDir)
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)

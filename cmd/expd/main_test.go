@@ -275,8 +275,8 @@ func TestExpdGracefulDrain(t *testing.T) {
 }
 
 // TestFlagValidationFailsFast: every binary rejects nonsensical
-// -workers/-seed/-scale/-server/-threshold/-checkpoint-every/-cache-dir
-// values with a non-zero exit and a message naming the problem, before
+// -workers/-max-concurrent/-seed/-scale/-server/-threshold/
+// -checkpoint-every/-cache-dir values with a non-zero exit and a message naming the problem, before
 // any simulation starts — and lists exactly the flags it always had,
 // so the shared bootstrap can neither add nor lose an option.
 func TestFlagValidationFailsFast(t *testing.T) {
@@ -348,15 +348,23 @@ func TestFlagValidationFailsFast(t *testing.T) {
 			})
 		}
 	}
-	// expd itself validates too.
+	// expd itself validates too. It has -max-concurrent and no
+	// -workers: a request never fans out.
 	expd := buildBinary(t, binDir, "repro/cmd/expd", "expd")
-	t.Run("expd/workers-zero", func(t *testing.T) {
-		_, errOut, err := runClient(expd, "-workers", "0")
-		if err == nil {
-			t.Fatal("expd -workers=0 exited zero")
+	t.Run("expd/flag-set", func(t *testing.T) {
+		want := []string{"addr", "addr-file", "cache-dir", "checkpoint-dir", "checkpoint-every",
+			"drain-timeout", "max-concurrent"}
+		if got := listedFlags(expd); !slices.Equal(got, want) {
+			t.Fatalf("expd -h lists %v, want %v", got, want)
 		}
-		if !strings.Contains(string(errOut), "-workers") {
-			t.Fatalf("expd stderr %q does not mention -workers", errOut)
+	})
+	t.Run("expd/max-concurrent-zero", func(t *testing.T) {
+		_, errOut, err := runClient(expd, "-max-concurrent", "0")
+		if err == nil {
+			t.Fatal("expd -max-concurrent=0 exited zero")
+		}
+		if !strings.Contains(string(errOut), "-max-concurrent") {
+			t.Fatalf("expd stderr %q does not mention -max-concurrent", errOut)
 		}
 	})
 	t.Run("expd/bad-addr", func(t *testing.T) {

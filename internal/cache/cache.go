@@ -149,9 +149,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return c.numSets }
 
@@ -300,7 +297,6 @@ func (c *Cache) CountOwned(set, owner int, mask uint64) int {
 type Evicted struct {
 	Line  LineAddr
 	Dirty bool
-	Owner int
 	Valid bool // false if the victim way was empty
 }
 
@@ -312,7 +308,6 @@ func (c *Cache) InstallAt(set, way int, tag uint64, owner int, dirty bool) Evict
 	ev := Evicted{
 		Valid: c.valid[set]&bit != 0,
 		Dirty: c.dirty[set]&bit != 0,
-		Owner: int(c.owners[i]),
 	}
 	if ev.Valid {
 		ev.Line = c.LineFrom(set, c.tags[i])
@@ -326,12 +321,6 @@ func (c *Cache) InstallAt(set, way int, tag uint64, owner int, dirty bool) Evict
 		c.dirty[set] |= bit
 	} else {
 		c.dirty[set] &^= bit
-	}
-	if ev.Valid {
-		c.stats.Evictions++
-		if ev.Dirty {
-			c.stats.DirtyEvictions++
-		}
 	}
 	return ev
 }
@@ -357,7 +346,6 @@ func (c *Cache) FlushBlock(set, way int) (LineAddr, bool) {
 		return 0, false
 	}
 	c.dirty[set] &^= bit
-	c.stats.Flushes++
 	return c.LineFrom(set, c.tags[set*c.ways+way]), true
 }
 
@@ -382,7 +370,6 @@ func (c *Cache) InvalidateBlock(set, way int) Evicted {
 	ev := Evicted{
 		Valid: c.valid[set]&bit != 0,
 		Dirty: c.dirty[set]&bit != 0,
-		Owner: int(c.owners[i]),
 	}
 	if ev.Valid {
 		ev.Line = c.LineFrom(set, c.tags[i])
@@ -445,20 +432,17 @@ func (c *Cache) Access(line LineAddr, owner int, isWrite bool) (Evicted, bool) {
 		}
 		return Evicted{}, true
 	}
-	c.stats.Misses++
 	victim := c.Victim(set, c.allMask)
 	ev := c.InstallAt(set, victim, tag, owner, isWrite)
 	return ev, false
 }
 
-// Stats holds raw event counters for a cache.
+// Stats counts a cache's Access calls and their hits: the private L1s'
+// counts give Results.L1MissRate. The schemes count LLC traffic per
+// core in partition.Stats, so the LLC's own counters stay zero.
 type Stats struct {
-	Accesses       uint64
-	Hits           uint64
-	Misses         uint64
-	Evictions      uint64
-	DirtyEvictions uint64
-	Flushes        uint64
+	Accesses uint64
+	Hits     uint64
 }
 
 // HitRate returns hits/accesses, or 0 when no accesses occurred.

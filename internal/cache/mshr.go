@@ -18,20 +18,12 @@ package cache
 type MSHRFile struct {
 	capacity int
 	entries  []mshrEntry // live entries, unordered
-	stats    MSHRStats
 }
 
 // mshrEntry is one outstanding miss.
 type mshrEntry struct {
 	line LineAddr
 	done int64 // completion time
-}
-
-// MSHRStats counts MSHR file events.
-type MSHRStats struct {
-	Allocations uint64
-	Coalesced   uint64
-	FullStalls  uint64
 }
 
 // NewMSHRFile returns a file with the given number of entries.
@@ -47,9 +39,6 @@ func NewMSHRFile(capacity int) *MSHRFile {
 
 // Capacity returns the number of registers in the file.
 func (m *MSHRFile) Capacity() int { return m.capacity }
-
-// Stats returns the file's counters.
-func (m *MSHRFile) Stats() MSHRStats { return m.stats }
 
 // retire drops entries whose completion time has passed.
 func (m *MSHRFile) retire(now int64) {
@@ -78,7 +67,6 @@ func (m *MSHRFile) Allocate(line LineAddr, now, done int64) (start int64, coales
 	m.retire(now)
 	for i := range m.entries {
 		if m.entries[i].line == line {
-			m.stats.Coalesced++
 			if m.entries[i].done < done {
 				m.entries[i].done = done
 			}
@@ -87,7 +75,6 @@ func (m *MSHRFile) Allocate(line LineAddr, now, done int64) (start int64, coales
 	}
 	start = now
 	if len(m.entries) >= m.capacity {
-		m.stats.FullStalls++
 		earliest, victim := int64(1<<62-1), 0
 		for i := range m.entries {
 			if m.entries[i].done < earliest {
@@ -101,13 +88,6 @@ func (m *MSHRFile) Allocate(line LineAddr, now, done int64) (start int64, coales
 			start = earliest
 		}
 	}
-	m.stats.Allocations++
 	m.entries = append(m.entries, mshrEntry{line: line, done: done})
 	return start, false
-}
-
-// Reset clears all entries and counters.
-func (m *MSHRFile) Reset() {
-	m.entries = m.entries[:0]
-	m.stats = MSHRStats{}
 }

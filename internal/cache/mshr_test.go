@@ -26,9 +26,6 @@ func TestMSHRCoalesce(t *testing.T) {
 	if m.Occupancy(11) != 1 {
 		t.Fatal("coalesced miss created a second entry")
 	}
-	if m.Stats().Coalesced != 1 {
-		t.Fatalf("Coalesced = %d, want 1", m.Stats().Coalesced)
-	}
 }
 
 func TestMSHRCoalesceKeepsLaterCompletion(t *testing.T) {
@@ -51,8 +48,8 @@ func TestMSHRFullStall(t *testing.T) {
 	if start != 100 {
 		t.Fatalf("stalled start = %d, want 100 (earliest retirement)", start)
 	}
-	if m.Stats().FullStalls != 1 {
-		t.Fatalf("FullStalls = %d, want 1", m.Stats().FullStalls)
+	if m.Occupancy(10) != 2 {
+		t.Fatal("the stalled miss did not take the retired entry's register")
 	}
 }
 
@@ -60,14 +57,5 @@ func TestMSHRZeroCapacityClamped(t *testing.T) {
 	m := NewMSHRFile(0)
 	if m.Capacity() != 1 {
 		t.Fatalf("Capacity = %d, want clamp to 1", m.Capacity())
-	}
-}
-
-func TestMSHRReset(t *testing.T) {
-	m := NewMSHRFile(4)
-	m.Allocate(1, 0, 100)
-	m.Reset()
-	if m.Occupancy(0) != 0 || m.Stats().Allocations != 0 {
-		t.Fatal("Reset did not clear state")
 	}
 }

@@ -228,7 +228,7 @@ func (a *aosCache) ownedWays(set, owner int) uint64 {
 
 func (a *aosCache) installAt(set, way int, tag uint64, owner int, dirty bool) Evicted {
 	b := a.at(set, way)
-	ev := Evicted{Valid: b.Valid, Dirty: b.Dirty, Owner: b.Owner}
+	ev := Evicted{Valid: b.Valid, Dirty: b.Dirty}
 	if b.Valid {
 		ev.Line = b.Tag<<uint(log2i(a.numSets)) | uint64(set)
 	}
@@ -248,7 +248,7 @@ func (a *aosCache) flushBlock(set, way int) (uint64, bool) {
 
 func (a *aosCache) invalidateBlock(set, way int) Evicted {
 	b := a.at(set, way)
-	ev := Evicted{Valid: b.Valid, Dirty: b.Dirty, Owner: b.Owner}
+	ev := Evicted{Valid: b.Valid, Dirty: b.Dirty}
 	if b.Valid {
 		ev.Line = b.Tag<<uint(log2i(a.numSets)) | uint64(set)
 	}

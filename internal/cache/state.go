@@ -63,7 +63,6 @@ func (c *Cache) Restore(st *State) error {
 type MSHRState struct {
 	Lines []LineAddr
 	Done  []int64
-	Stats MSHRStats
 }
 
 // State returns a deep copy of the file's dynamic state.
@@ -71,7 +70,6 @@ func (m *MSHRFile) State() *MSHRState {
 	st := &MSHRState{
 		Lines: make([]LineAddr, len(m.entries)),
 		Done:  make([]int64, len(m.entries)),
-		Stats: m.stats,
 	}
 	for i, e := range m.entries {
 		st.Lines[i] = e.line
@@ -80,7 +78,7 @@ func (m *MSHRFile) State() *MSHRState {
 	return st
 }
 
-// Restore overwrites the file's entries and counters with st.
+// Restore overwrites the file's entries with st.
 func (m *MSHRFile) Restore(st *MSHRState) error {
 	if len(st.Lines) != len(st.Done) {
 		return fmt.Errorf("mshr: snapshot has %d lines but %d completion times",
@@ -94,6 +92,5 @@ func (m *MSHRFile) Restore(st *MSHRState) error {
 	for i := range st.Lines {
 		m.entries = append(m.entries, mshrEntry{line: st.Lines[i], done: st.Done[i]})
 	}
-	m.stats = st.Stats
 	return nil
 }

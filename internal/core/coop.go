@@ -121,9 +121,6 @@ func (c *CoopPart) Name() string { return "CoopPart" }
 // Perms exposes the RAP/WAP register file (tests, examples, reporting).
 func (c *CoopPart) Perms() *PermRegs { return c.perms }
 
-// Monitors exposes the per-core utility monitors.
-func (c *CoopPart) Monitors() []*umon.Monitor { return c.mons }
-
 // OwnerOf returns the core owning way (-1 if the way is off).
 func (c *CoopPart) OwnerOf(way int) int { return c.owner[way] }
 
@@ -250,13 +247,6 @@ func (c *CoopPart) Access(core int, addr uint64, isWrite bool, now int64) partit
 	}
 
 	c.Record(core, hit, res.TagsConsulted)
-	st := l2.Stats()
-	st.Accesses++
-	if hit {
-		st.Hits++
-	} else {
-		st.Misses++
-	}
 	return res
 }
 

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Overhead is the hardware cost of Cooperative Partitioning (Table 1):
 // one takeover bit vector per core (one bit per set), plus per-way RAP
 // and WAP registers with one bit per core.
@@ -22,16 +20,6 @@ func (o Overhead) WAPBits() int { return o.Ways * o.Cores }
 
 // TotalBits sums all storage.
 func (o Overhead) TotalBits() int { return o.TakeoverBits() + o.RAPBits() + o.WAPBits() }
-
-// String formats the overhead as a Table 1 row block.
-func (o Overhead) String() string {
-	return fmt.Sprintf(
-		"Takeover Bit Vectors %d * %d = %d bits; RAP %d * %d = %d bits; WAP %d * %d = %d bits; Total %d bits",
-		o.Sets, o.Cores, o.TakeoverBits(),
-		o.Ways, o.Cores, o.RAPBits(),
-		o.Ways, o.Cores, o.WAPBits(),
-		o.TotalBits())
-}
 
 // PaperTable1 reproduces the published Table 1 rows. The paper counts
 // 2048 sets for both caches (2048*2 and 2048*4 takeover bits); note

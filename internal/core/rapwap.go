@@ -51,9 +51,6 @@ func NewPermRegs(ways, cores int) *PermRegs {
 // Ways returns the number of ways covered.
 func (p *PermRegs) Ways() int { return p.ways }
 
-// Cores returns the number of cores covered.
-func (p *PermRegs) Cores() int { return p.cores }
-
 // CanRead reports whether core may read way.
 func (p *PermRegs) CanRead(way, core int) bool { return p.rap[way]&(1<<uint(core)) != 0 }
 

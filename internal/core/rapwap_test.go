@@ -274,7 +274,4 @@ func TestOverheadTable1(t *testing.T) {
 	if pub4.TotalBits() != 8320 {
 		t.Fatalf("four-core total = %d, want 8320", pub4.TotalBits())
 	}
-	if pub4.String() == "" {
-		t.Fatal("String() empty")
-	}
 }

@@ -1,83 +1,55 @@
 // Package cpu models the out-of-order cores of Table 2: a 4-wide,
 // 7-stage pipeline with a 128-entry ROB, 48-entry LSQ, gshare branch
 // prediction with a 1024-entry 4-way BTB, and a minimum 10-cycle
-// misprediction penalty. The model is cycle-batched: instructions are
-// consumed from a synthetic trace and charged retirement slots, branch
-// bubbles and memory stalls, with miss latencies overlapped up to the
-// window's memory-level parallelism. The pipeline depth has no
-// parameter of its own: its only timing effect is the cost of a
-// misprediction, which gshare's 10-cycle minimum penalty models.
+// misprediction penalty. Table 2's values are the package's constants,
+// so every run simulates that one core. The model is cycle-batched:
+// instructions are consumed from a synthetic trace and charged
+// retirement slots, branch bubbles and memory stalls, with miss
+// latencies overlapped up to the window's memory-level parallelism. The
+// pipeline depth has no parameter of its own: its only timing effect is
+// the cost of a misprediction, which gshare's 10-cycle minimum penalty
+// models.
 package cpu
 
-// GshareConfig configures the direction predictor and BTB.
-type GshareConfig struct {
-	HistoryBits       int // global history register length
-	TableBits         int // log2 of the PHT size
-	BTBEntries        int
-	BTBWays           int
-	MispredictPenalty int // minimum bubble, cycles
-}
-
-// DefaultGshareConfig matches Table 2.
-func DefaultGshareConfig() GshareConfig {
-	return GshareConfig{
-		HistoryBits:       12,
-		TableBits:         12,
-		BTBEntries:        1024,
-		BTBWays:           4,
-		MispredictPenalty: 10,
-	}
-}
+// Table 2's direction predictor and BTB.
+const (
+	historyBits       = 12 // global history register length
+	tableBits         = 12 // log2 of the PHT size
+	btbEntries        = 1024
+	btbWays           = 4
+	btbSets           = btbEntries / btbWays
+	mispredictPenalty = 10 // minimum bubble, cycles
+)
 
 // Gshare is a global-history XOR-indexed 2-bit-counter predictor with a
 // set-associative BTB for target presence.
 type Gshare struct {
-	cfg     GshareConfig
 	history uint64
 	pht     []uint8 // 2-bit saturating counters
 	btbTags []uint64
 	btbLRU  []uint64
-	btbSets int
 	clock   uint64
-	stats   BranchStats
-}
-
-// BranchStats counts predictor events.
-type BranchStats struct {
-	Branches    uint64
-	Mispredicts uint64
-	BTBMisses   uint64
 }
 
 // NewGshare builds the predictor; counters initialise weakly not-taken.
-func NewGshare(cfg GshareConfig) *Gshare {
-	if cfg.TableBits <= 0 || cfg.BTBEntries <= 0 || cfg.BTBWays <= 0 {
-		panic("cpu: invalid gshare config")
-	}
-	sets := cfg.BTBEntries / cfg.BTBWays
+func NewGshare() *Gshare {
 	return &Gshare{
-		cfg:     cfg,
-		pht:     make([]uint8, 1<<uint(cfg.TableBits)),
-		btbTags: make([]uint64, sets*cfg.BTBWays),
-		btbLRU:  make([]uint64, sets*cfg.BTBWays),
-		btbSets: sets,
+		pht:     make([]uint8, 1<<tableBits),
+		btbTags: make([]uint64, btbEntries),
+		btbLRU:  make([]uint64, btbEntries),
 	}
 }
 
-// Stats returns predictor counters.
-func (g *Gshare) Stats() BranchStats { return g.stats }
-
 // index computes the gshare PHT index for pc.
 func (g *Gshare) index(pc uint64) int {
-	mask := uint64(len(g.pht) - 1)
-	return int(((pc >> 2) ^ g.history) & mask)
+	return int(((pc >> 2) ^ g.history) & (1<<tableBits - 1))
 }
 
 // Predict records one branch with its actual outcome and returns
 // whether the prediction was correct. BTB misses on taken branches also
-// count as mispredictions (no target available).
+// count as mispredictions (no target available); every taken branch
+// probes the BTB, so a miss fills it even after a direction mispredict.
 func (g *Gshare) Predict(pc uint64, taken bool) bool {
-	g.stats.Branches++
 	idx := g.index(pc)
 	predTaken := g.pht[idx] >= 2
 
@@ -88,35 +60,22 @@ func (g *Gshare) Predict(pc uint64, taken bool) bool {
 		g.pht[idx]--
 	}
 	// Update global history.
-	g.history = g.history<<1 | b2u(taken)
-	if g.cfg.HistoryBits < 64 {
-		g.history &= (1 << uint(g.cfg.HistoryBits)) - 1
-	}
+	g.history = (g.history<<1 | b2u(taken)) & (1<<historyBits - 1)
 
 	correct := predTaken == taken
-	if taken {
-		if !g.btbLookupInsert(pc) {
-			g.stats.BTBMisses++
-			correct = false
-		}
-	}
-	if !correct {
-		g.stats.Mispredicts++
+	if taken && !g.btbLookupInsert(pc) {
+		correct = false
 	}
 	return correct
 }
 
-// Penalty returns the misprediction bubble in cycles.
-func (g *Gshare) Penalty() int { return g.cfg.MispredictPenalty }
-
 // btbLookupInsert probes the BTB for pc, inserting on miss, and reports
 // whether it hit.
 func (g *Gshare) btbLookupInsert(pc uint64) bool {
-	set := int((pc >> 2) % uint64(g.btbSets))
-	base := set * g.cfg.BTBWays
+	base := int((pc>>2)%btbSets) * btbWays
 	g.clock++
 	victim, victimLRU := base, ^uint64(0)
-	for i := 0; i < g.cfg.BTBWays; i++ {
+	for i := 0; i < btbWays; i++ {
 		if g.btbTags[base+i] == pc {
 			g.btbLRU[base+i] = g.clock
 			return true

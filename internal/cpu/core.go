@@ -1,42 +1,20 @@
 package cpu
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/trace"
 )
 
-// Config describes one core's pipeline (Table 2 of the paper).
-type Config struct {
-	Width  int // issue/retire width: a power of two
-	ROB    int // reorder buffer entries
-	LSQ    int // load/store queue entries
-	Gshare GshareConfig
-}
-
-// DefaultConfig returns the paper's 4-wide configuration.
-func DefaultConfig() Config {
-	return Config{
-		Width:  4,
-		ROB:    128,
-		LSQ:    48,
-		Gshare: DefaultGshareConfig(),
-	}
-}
-
-// Validate reports configuration errors. Width must be a power of two:
-// StepEvent's batched retirement is bit-identical to per-instruction
-// retirement only when retireCost = 1/Width is exact (see advanceClock).
-func (c Config) Validate() error {
-	if c.Width <= 0 || c.ROB <= 0 || c.LSQ <= 0 {
-		return fmt.Errorf("cpu: non-positive config %+v", c)
-	}
-	if c.Width&(c.Width-1) != 0 {
-		return fmt.Errorf("cpu: Width %d is not a power of two", c.Width)
-	}
-	return nil
-}
+// Table 2's core. width is a power of two: StepEvent's batched
+// retirement is bit-identical to per-instruction retirement only when
+// retireCost = 1/width is exact (see advanceClock).
+const (
+	width      = 4   // issue/retire width
+	robEntries = 128 // reorder buffer entries
+	lsqEntries = 48  // load/store queue entries
+	retireCost = 1.0 / width
+)
 
 // AccessReply is the memory hierarchy's answer to one data access.
 type AccessReply struct {
@@ -64,7 +42,7 @@ type MemPort interface {
 // consuming a synthetic instruction stream.
 //
 // Timing rules:
-//   - every instruction costs one retire slot (1/Width cycles);
+//   - every instruction costs one retire slot (1/width cycles);
 //   - a mispredicted branch inserts the predictor's bubble;
 //   - a load that hits in the L1 is considered fully hidden by the
 //     out-of-order window;
@@ -78,10 +56,9 @@ type MemPort interface {
 type Core struct {
 	// Hot per-Step scalars first, so they share the struct's leading
 	// cache lines.
-	clock      float64 // local cycle count (monotonic, never reset)
-	retired    uint64
-	fetchLine  uint64  // line of the last instruction fetch
-	retireCost float64 // 1/Width cycles per retired instruction, precomputed
+	clock     float64 // local cycle count (monotonic, never reset)
+	retired   uint64
+	fetchLine uint64 // line of the last instruction fetch
 	// An L1 miss's exposed-latency divisor for a load and for a store:
 	// effectiveMLP() and four times it, constant per benchmark.
 	missDiv [2]float64
@@ -99,45 +76,26 @@ type Core struct {
 	codeBase  uint64
 	codeLimit uint64
 
-	stats Stats
-
 	gshare *Gshare
 	mem    MemPort
 	gen    *trace.Generator
 	id     int
-	cfg    Config
 
-	// Snapshots taken at the end of warm-up so that IPC and counters
+	// Snapshots taken at the end of warm-up so that IPC and Retired
 	// reflect only the measured region while the clock stays monotonic
 	// (the shared LLC and DRAM keep absolute timestamps).
 	snapClock   float64
 	snapRetired uint64
 }
 
-// Stats aggregates per-core execution counters.
-type Stats struct {
-	Retired     uint64
-	Loads       uint64
-	Stores      uint64
-	Branches    uint64
-	L1Misses    uint64
-	FetchMisses uint64 // instruction fetches missing the L1I
-	StallCycles float64
-}
-
 // NewCore builds a core with the given id, consuming gen and accessing
-// memory through mem. It panics on invalid configuration.
-func NewCore(id int, cfg Config, gen *trace.Generator, mem MemPort) *Core {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+// memory through mem.
+func NewCore(id int, gen *trace.Generator, mem MemPort) *Core {
 	c := &Core{
-		id:         id,
-		cfg:        cfg,
-		gshare:     NewGshare(cfg.Gshare),
-		gen:        gen,
-		mem:        mem,
-		retireCost: 1 / float64(cfg.Width),
+		id:     id,
+		gshare: NewGshare(),
+		gen:    gen,
+		mem:    mem,
 	}
 	mlp := c.effectiveMLP()
 	c.missDiv = [2]float64{mlp, 4 * mlp}
@@ -163,18 +121,15 @@ func (c *Core) IPC() float64 {
 	return float64(c.Retired()) / cycles
 }
 
-// Stats returns the core's counters.
-func (c *Core) Stats() Stats { return c.stats }
-
 // effectiveMLP clamps the benchmark's intrinsic miss parallelism by the
 // window resources: the LSQ bounds in-flight memory operations and the
 // ROB bounds how far ahead the window can run to expose them.
 func (c *Core) effectiveMLP() float64 {
 	mlp := c.gen.MLP()
-	if lim := float64(c.cfg.LSQ) / 8; mlp > lim {
+	if lim := lsqEntries / 8.0; mlp > lim {
 		mlp = lim
 	}
-	if lim := float64(c.cfg.ROB) / 32; mlp > lim {
+	if lim := robEntries / 32.0; mlp > lim {
 		mlp = lim
 	}
 	if mlp < 1 {
@@ -204,8 +159,7 @@ func (c *Core) Step() {
 // stepRecord retires one materialized (non-ALU) instruction.
 func (c *Core) stepRecord(r *trace.Record) {
 	c.retired++
-	c.stats.Retired++
-	c.clock += c.retireCost
+	c.clock += retireCost
 
 	// Instruction fetch: one L1I access per new line (sequential
 	// fetches within a line ride the same access). Fetch misses stall
@@ -214,33 +168,22 @@ func (c *Core) stepRecord(r *trace.Record) {
 		c.fetchLine = line
 		reply := c.mem.Fetch(c.id, r.PC, int64(c.clock))
 		if !reply.L1Hit {
-			c.stats.FetchMisses++
-			stall := float64(reply.Latency)
-			c.clock += stall
-			c.stats.StallCycles += stall
+			c.clock += float64(reply.Latency)
 		}
 	}
 
 	if r.Kind == trace.KindBranch {
-		c.stats.Branches++
 		if !c.gshare.Predict(r.PC, r.Taken) {
-			penalty := float64(c.gshare.Penalty())
-			c.clock += penalty
-			c.stats.StallCycles += penalty
+			c.clock += mispredictPenalty
 		}
 		return
 	}
 	// Loads and stores share one arm indexed by the kind, so the
 	// generator's load/store draw is not branched on again here.
 	st := uint64(r.Kind-trace.KindLoad) & 1 // 0 load, 1 store
-	c.stats.Loads += 1 - st
-	c.stats.Stores += st
 	reply := c.mem.Access(c.id, r.Addr, st == 1, int64(c.clock))
 	if !reply.L1Hit {
-		c.stats.L1Misses++
-		stall := float64(reply.Latency) / c.missDiv[st]
-		c.clock += stall
-		c.stats.StallCycles += stall
+		c.clock += float64(reply.Latency) / c.missDiv[st]
 	}
 }
 
@@ -272,7 +215,7 @@ func (c *Core) stepRecord(r *trace.Record) {
 // stays in the fetched I-line retires as one batch and then its record,
 // without a branch on whether the run is empty (retireALURun).
 func (c *Core) StepEvent(bound, priv int64, maxRetire uint64) uint64 {
-	// Clamp far-future bounds so (bound+1)*Width stays in int64; any
+	// Clamp far-future bounds so (bound+1)*width stays in int64; any
 	// real clock is far below 2^52 cycles, so the clamp is invisible.
 	bound = min(bound, 1<<52)
 	priv = min(max(priv, bound), 1<<52)
@@ -313,17 +256,13 @@ func (c *Core) private(r *trace.Record) bool {
 // fetch miss stalls the front end), then the sequential PC advance.
 func (c *Core) stepOneALU(e *trace.Event) {
 	c.retired++
-	c.stats.Retired++
-	c.clock += c.retireCost
+	c.clock += retireCost
 	pc := e.ALUPC
 	if line := pc >> 6; line != c.fetchLine {
 		c.fetchLine = line
 		reply := c.mem.Fetch(c.id, pc, int64(c.clock))
 		if !reply.L1Hit {
-			c.stats.FetchMisses++
-			stall := float64(reply.Latency)
-			c.clock += stall
-			c.stats.StallCycles += stall
+			c.clock += float64(reply.Latency)
 		}
 	}
 	pc += 4
@@ -351,7 +290,6 @@ func (c *Core) retireALURun(e *trace.Event, bound, priv int64, limit uint64) uin
 			k := min(run, (64-off)>>2, (c.codeLimit-pc)>>2, limit-done)
 			j := c.advanceClock(k, priv)
 			c.retired += j
-			c.stats.Retired += j
 			done += j
 			e.ALURun -= int(j)
 			if pc += j << 2; pc >= c.codeLimit {
@@ -376,23 +314,22 @@ func (c *Core) retireALURun(e *trace.Event, bound, priv int64, limit uint64) uin
 // (the per-record stepping condition), and returns how many retired.
 //
 // When every partial sum clock + j·retireCost is exact (exactTo), slot
-// j's whole-cycle clock is floor((t+j)/Width) for t = clock·Width, so
-// the allowed slots are j < (bound+1)·Width − floor(t), and the
+// j's whole-cycle clock is floor((t+j)/width) for t = clock·width, so
+// the allowed slots are j < (bound+1)·width − floor(t), and the
 // advance is one add. Otherwise repeated addition rounds at each step,
 // and the per-slot float additions are performed literally.
 func (c *Core) advanceClock(k uint64, bound int64) uint64 {
-	w := int64(c.cfg.Width)
 	n := k
-	if allowed := (bound+1)*w - int64(c.clock*float64(w)); allowed < int64(k) {
+	if allowed := (bound+1)*width - int64(c.clock*width); allowed < int64(k) {
 		n = uint64(max(allowed, 0))
 	}
-	if end := c.clock + float64(n)*c.retireCost; c.exactTo(end) {
+	if end := c.clock + float64(n)*retireCost; c.exactTo(end) {
 		c.clock = end
 		return n
 	}
 	var done uint64
 	for done < k && int64(c.clock) <= bound {
-		c.clock += c.retireCost
+		c.clock += retireCost
 		done++
 	}
 	return done
@@ -403,19 +340,18 @@ func (c *Core) advanceClock(k uint64, bound int64) uint64 {
 // reaching end is bit-identical to the per-slot adds. It holds when the
 // clock and end share a binade and the clock is below 2⁵²·retireCost:
 // the clock's ulp is then at most retireCost/2, retireCost (a power of
-// two, since Width is) is a multiple of it, and every sum up to end is
+// two, since width is) is a multiple of it, and every sum up to end is
 // a multiple of that ulp inside the binade. Any off-grid clock (an
 // L1-missing store's latency/(4·MLP), or a miss of a benchmark whose
 // MLP is not a power of two) qualifies except near a power of two.
 func (c *Core) exactTo(end float64) bool {
-	return c.clock < (1<<52)*c.retireCost && math.Float64bits(c.clock)>>52 == math.Float64bits(end)>>52
+	return c.clock < (1<<52)*retireCost && math.Float64bits(c.clock)>>52 == math.Float64bits(end)>>52
 }
 
-// ResetStats restarts IPC accounting and zeroes counters while keeping
-// microarchitectural state (predictor, caches, clock) warm. Used at the
-// end of the warm-up period.
+// ResetStats restarts IPC accounting while keeping microarchitectural
+// state (predictor, caches, clock) warm. Used at the end of the warm-up
+// period.
 func (c *Core) ResetStats() {
 	c.snapRetired = c.retired
 	c.snapClock = c.clock
-	c.stats = Stats{}
 }

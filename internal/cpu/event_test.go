@@ -60,9 +60,13 @@ func eventTestConfig(mlp float64, seed uint64) trace.Config {
 // schedule of (bound, maxRetire) windows, comparing full core state
 // after every window. The reference applies the identical windowing:
 // per-record stepping re-checks bound and cap before every Step, which
-// is exactly the contract StepEvent batches under.
-func driveEquivalent(t *testing.T, ref, ev *Core, width int) {
+// is exactly the contract StepEvent batches under. Both cores run on a
+// stallMem, whose replies depend on its call counts, so a missing or
+// an extra access also makes the clocks diverge; the counts are
+// compared too.
+func driveEquivalent(t *testing.T, ref, ev *Core) {
 	t.Helper()
+	refMem, evMem := ref.mem.(*stallMem), ev.mem.(*stallMem)
 	sched := rngSched{state: 0xfeed}
 	var bound int64
 	for w := 0; w < 4000; w++ {
@@ -75,24 +79,26 @@ func driveEquivalent(t *testing.T, ref, ev *Core, width int) {
 		}
 		got := ev.StepEvent(bound, bound, maxRetire)
 		if got != n {
-			t.Fatalf("width %d window %d (bound %d, cap %d): StepEvent retired %d, Step %d",
-				width, w, bound, maxRetire, got, n)
+			t.Fatalf("window %d (bound %d, cap %d): StepEvent retired %d, Step %d",
+				w, bound, maxRetire, got, n)
 		}
 		if math.Float64bits(ev.clock) != math.Float64bits(ref.clock) {
-			t.Fatalf("width %d window %d: clock %v (%#x) != %v (%#x)",
-				width, w, ev.clock, math.Float64bits(ev.clock), ref.clock, math.Float64bits(ref.clock))
+			t.Fatalf("window %d: clock %v (%#x) != %v (%#x)",
+				w, ev.clock, math.Float64bits(ev.clock), ref.clock, math.Float64bits(ref.clock))
 		}
 		if ev.retired != ref.retired || ev.fetchLine != ref.fetchLine {
-			t.Fatalf("width %d window %d: retired/fetchLine diverged: %d/%#x != %d/%#x",
-				width, w, ev.retired, ev.fetchLine, ref.retired, ref.fetchLine)
+			t.Fatalf("window %d: retired/fetchLine diverged: %d/%#x != %d/%#x",
+				w, ev.retired, ev.fetchLine, ref.retired, ref.fetchLine)
 		}
-		if ev.stats != ref.stats {
-			t.Fatalf("width %d window %d: stats %+v != %+v", width, w, ev.stats, ref.stats)
+		if *evMem != *refMem {
+			t.Fatalf("window %d: memory traffic %+v != %+v", w, *evMem, *refMem)
 		}
 	}
-	if ref.stats.Loads == 0 || ref.stats.Branches == 0 || ref.stats.FetchMisses == 0 {
-		t.Fatalf("width %d: test mix did not exercise loads/branches/fetch misses: %+v",
-			width, ref.stats)
+	// stallMem misses every fourth fetch; the predictor's clock counts
+	// taken branches.
+	if refMem.calls == 0 || refMem.fetches < 4 || ref.gshare.clock == 0 {
+		t.Fatalf("test mix did not exercise data accesses/fetch misses/taken branches: %+v, %d taken",
+			*refMem, ref.gshare.clock)
 	}
 }
 
@@ -105,20 +111,15 @@ func (r *rngSched) intn(n int) int {
 }
 
 // TestStepEventMatchesStep is the core-level differential oracle: for
-// every power-of-two width up to 8 and integer and fractional effective
-// MLP, StepEvent under arbitrary (bound, cap) windows is bit-identical
-// — clock bits included — to per-instruction stepping under the same
-// windows.
+// integer and fractional effective MLP, StepEvent under arbitrary
+// (bound, cap) windows is bit-identical — clock bits included — to
+// per-instruction stepping under the same windows.
 func TestStepEventMatchesStep(t *testing.T) {
-	for _, width := range []int{1, 2, 4, 8} {
-		for _, mlp := range []float64{1, 1.5, 2, 3} {
-			cfg := DefaultConfig()
-			cfg.Width = width
-			mk := func() *Core {
-				return NewCore(0, cfg, trace.NewGenerator(eventTestConfig(mlp, 77)), &stallMem{})
-			}
-			driveEquivalent(t, mk(), mk(), width)
+	for _, mlp := range []float64{1, 1.5, 2, 3} {
+		mk := func() *Core {
+			return NewCore(0, trace.NewGenerator(eventTestConfig(mlp, 77)), &stallMem{})
 		}
+		driveEquivalent(t, mk(), mk())
 	}
 }
 
@@ -127,7 +128,7 @@ func TestStepEventMatchesStep(t *testing.T) {
 // the one pending event and pull the next only when it is drained.
 func TestStepEventMixedWithStep(t *testing.T) {
 	mk := func() *Core {
-		return NewCore(0, DefaultConfig(), trace.NewGenerator(eventTestConfig(1.5, 31)), &stallMem{})
+		return NewCore(0, trace.NewGenerator(eventTestConfig(1.5, 31)), &stallMem{})
 	}
 	ref, mixed := mk(), mk()
 	sched := rngSched{state: 4}
@@ -168,13 +169,14 @@ func wholeEventConfig(mlp float64, fp footprint, seed uint64) trace.Config {
 }
 
 // sameCore reports whether a and b agree on what a retirement path
-// writes (clock bits, counters, fetch line, the pending event) and,
-// when full is set, on the whole State(), predictor and generator
-// included. Divergence persists, so the costly full comparison can run
-// on a subset of the calls.
+// writes (clock bits, counters, fetch line, the pending event) and on
+// the traffic their memories served, and, when full is set, on the
+// whole State(), predictor and generator included. Divergence
+// persists, so the costly full comparison can run on a subset of the
+// calls.
 func sameCore(a, b *Core, full bool) bool {
 	if math.Float64bits(a.clock) != math.Float64bits(b.clock) || a.retired != b.retired ||
-		a.fetchLine != b.fetchLine || a.ev != b.ev || a.stats != b.stats {
+		a.fetchLine != b.fetchLine || a.ev != b.ev || !reflect.DeepEqual(a.mem, b.mem) {
 		return false
 	}
 	return !full || reflect.DeepEqual(a.State(), b.State())
@@ -190,32 +192,28 @@ func sameCore(a, b *Core, full bool) bool {
 // the one Step leaves.
 func TestStepEventWholeEventsMatchStep(t *testing.T) {
 	for _, fp := range footprints {
-		for _, width := range []int{1, 2, 4, 8} {
-			for _, mlp := range []float64{1.5, 3} {
-				cfg := DefaultConfig()
-				cfg.Width = width
-				mk := func() *Core {
-					return NewCore(0, cfg, trace.NewGenerator(wholeEventConfig(mlp, fp, 5)), &stallMem{})
+		for _, mlp := range []float64{1.5, 3} {
+			mk := func() *Core {
+				return NewCore(0, trace.NewGenerator(wholeEventConfig(mlp, fp, 5)), &stallMem{})
+			}
+			ref, ev := mk(), mk()
+			sched := rngSched{state: uint64(100*width + fp.Lines)}
+			var bound int64
+			for w := 0; w < 800; w++ {
+				bound += int64(sched.intn(30))
+				maxRetire := uint64(1 + sched.intn(60))
+				var n uint64
+				for n < maxRetire && ref.Now() <= bound {
+					ref.Step()
+					n++
 				}
-				ref, ev := mk(), mk()
-				sched := rngSched{state: uint64(100*width + fp.Lines)}
-				var bound int64
-				for w := 0; w < 800; w++ {
-					bound += int64(sched.intn(30))
-					maxRetire := uint64(1 + sched.intn(60))
-					var n uint64
-					for n < maxRetire && ref.Now() <= bound {
-						ref.Step()
-						n++
-					}
-					if got := ev.StepEvent(bound, bound, maxRetire); got != n {
-						t.Fatalf("%+v width %d mlp %v window %d: StepEvent retired %d, Step %d",
-							fp, width, mlp, w, got, n)
-					}
-					if !sameCore(ev, ref, w%16 == 0) {
-						t.Fatalf("%+v width %d mlp %v window %d: state diverged:\n%+v\n%+v",
-							fp, width, mlp, w, ev.ev, ref.ev)
-					}
+				if got := ev.StepEvent(bound, bound, maxRetire); got != n {
+					t.Fatalf("%+v mlp %v window %d: StepEvent retired %d, Step %d",
+						fp, mlp, w, got, n)
+				}
+				if !sameCore(ev, ref, w%16 == 0) {
+					t.Fatalf("%+v mlp %v window %d: state diverged:\n%+v\n%+v",
+						fp, mlp, w, ev.ev, ref.ev)
 				}
 			}
 		}
@@ -283,7 +281,7 @@ func stepPrivate(ref *Core, m *hashMem, bound, priv int64, maxRetire uint64) (n,
 
 // TestStepEventRunAheadMatchesStep drives StepEvent(bound, priv, cap)
 // against stepPrivate under random windows, priv from bound (no
-// run-ahead) to unbounded, at every width up to 8, on every footprint
+// run-ahead) to unbounded, on every footprint
 // in footprints. After each window the two cores must have retired the
 // same instructions to the same clock bits, and the event core's
 // memory must have served no miss the reference did not, so StepEvent
@@ -295,45 +293,41 @@ func stepPrivate(ref *Core, m *hashMem, bound, priv int64, maxRetire uint64) (n,
 func TestStepEventRunAheadMatchesStep(t *testing.T) {
 	var ahead, stops uint64
 	for _, fp := range footprints {
-		for _, width := range []int{1, 2, 4, 8} {
-			for _, mlp := range []float64{1.5, 3} {
-				cfg := DefaultConfig()
-				cfg.Width = width
-				refMem, evMem := &hashMem{}, &hashMem{}
-				ref := NewCore(0, cfg, trace.NewGenerator(wholeEventConfig(mlp, fp, 11)), refMem)
-				ev := NewCore(0, cfg, trace.NewGenerator(wholeEventConfig(mlp, fp, 11)), evMem)
-				sched := rngSched{state: uint64(7*width + fp.Lines)}
-				var bound int64
-				for w := 0; w < 800; w++ {
-					bound += int64(sched.intn(30))
-					priv := bound + int64(sched.intn(200))
-					switch sched.intn(4) {
-					case 0:
-						priv = bound
-					case 1:
-						priv = math.MaxInt64
-					}
-					maxRetire := uint64(1 + sched.intn(80))
-					n, a := stepPrivate(ref, refMem, bound, priv, maxRetire)
-					ahead += a
-					if n < maxRetire && ref.Now() > bound && ref.Now() <= priv {
-						stops++
-					}
-					if got := ev.StepEvent(bound, priv, maxRetire); got != n {
-						t.Fatalf("%+v width %d mlp %v window %d (bound %d, priv %d, cap %d): StepEvent retired %d, reference %d",
-							fp, width, mlp, w, bound, priv, maxRetire, got, n)
-					}
-					if evMem.misses != refMem.misses {
-						t.Fatalf("%+v width %d mlp %v window %d: StepEvent served %d misses, reference %d",
-							fp, width, mlp, w, evMem.misses, refMem.misses)
-					}
-					if ref.ev.ALURun == 0 && !ref.ev.HasRec && (ev.ev.ALURun != 0 || ev.ev.HasRec) {
-						ref.gen.NextEvent(&ref.ev)
-					}
-					if !sameCore(ev, ref, w%16 == 0) {
-						t.Fatalf("%+v width %d mlp %v window %d: state diverged:\n%+v\n%+v",
-							fp, width, mlp, w, ev.ev, ref.ev)
-					}
+		for _, mlp := range []float64{1.5, 3} {
+			refMem, evMem := &hashMem{}, &hashMem{}
+			ref := NewCore(0, trace.NewGenerator(wholeEventConfig(mlp, fp, 11)), refMem)
+			ev := NewCore(0, trace.NewGenerator(wholeEventConfig(mlp, fp, 11)), evMem)
+			sched := rngSched{state: uint64(7*width + fp.Lines)}
+			var bound int64
+			for w := 0; w < 800; w++ {
+				bound += int64(sched.intn(30))
+				priv := bound + int64(sched.intn(200))
+				switch sched.intn(4) {
+				case 0:
+					priv = bound
+				case 1:
+					priv = math.MaxInt64
+				}
+				maxRetire := uint64(1 + sched.intn(80))
+				n, a := stepPrivate(ref, refMem, bound, priv, maxRetire)
+				ahead += a
+				if n < maxRetire && ref.Now() > bound && ref.Now() <= priv {
+					stops++
+				}
+				if got := ev.StepEvent(bound, priv, maxRetire); got != n {
+					t.Fatalf("%+v mlp %v window %d (bound %d, priv %d, cap %d): StepEvent retired %d, reference %d",
+						fp, mlp, w, bound, priv, maxRetire, got, n)
+				}
+				if evMem.misses != refMem.misses {
+					t.Fatalf("%+v mlp %v window %d: StepEvent served %d misses, reference %d",
+						fp, mlp, w, evMem.misses, refMem.misses)
+				}
+				if ref.ev.ALURun == 0 && !ref.ev.HasRec && (ev.ev.ALURun != 0 || ev.ev.HasRec) {
+					ref.gen.NextEvent(&ref.ev)
+				}
+				if !sameCore(ev, ref, w%16 == 0) {
+					t.Fatalf("%+v mlp %v window %d: state diverged:\n%+v\n%+v",
+						fp, mlp, w, ev.ev, ref.ev)
 				}
 			}
 		}
@@ -345,41 +339,36 @@ func TestStepEventRunAheadMatchesStep(t *testing.T) {
 }
 
 // TestAdvanceClockMatchesPerSlot pins advanceClock's one-add path
-// against the per-slot float additions it replaces, at every width up
-// to 8: on- and off-grid clocks, clocks just below a power of two
-// (where a batch crosses into the next binade and must fall back),
-// clocks past 2⁵²·retireCost, bounds that stop a batch before, at,
-// and in the middle of its slots, and the zero-slot batch of an empty
-// run.
+// against the per-slot float additions it replaces: on- and off-grid
+// clocks, clocks just below a power of two (where a batch crosses into
+// the next binade and must fall back), clocks past 2⁵²·retireCost,
+// bounds that stop a batch before, at, and in the middle of its slots,
+// and the zero-slot batch of an empty run.
 func TestAdvanceClockMatchesPerSlot(t *testing.T) {
 	sched := rngSched{state: 3}
-	for _, width := range []int{1, 2, 4, 8} {
-		cfg := DefaultConfig()
-		cfg.Width = width
-		c := NewCore(0, cfg, trace.NewGenerator(eventTestConfig(1.5, 1)), &stallMem{})
-		rc := c.retireCost
-		clocks := []float64{0, rc, 3 * rc, 1.0 / 3, 7.3, 1000.123456, 0x1p52 * rc, 0x1p53 * rc / 3}
-		for _, e := range []int{1, 4, 10, 20, 30} {
-			p := math.Ldexp(1, e)
-			clocks = append(clocks, math.Nextafter(p, 0), p-rc/3, p-2.5*rc, p-rc)
-		}
-		for i := 0; i < 200; i++ {
-			clocks = append(clocks, float64(sched.intn(1<<30))/7)
-		}
-		for _, clock := range clocks {
-			for _, k := range []uint64{0, 1, 2, 3, 7, 15, 63} {
-				now := int64(clock)
-				for _, bound := range []int64{now - 1, now, now + 1, int64(clock + float64(k)*rc/2), 1 << 52} {
-					want, wantN := clock, uint64(0)
-					for wantN < k && int64(want) <= bound {
-						want += rc
-						wantN++
-					}
-					c.clock = clock
-					if n := c.advanceClock(k, bound); n != wantN || math.Float64bits(c.clock) != math.Float64bits(want) {
-						t.Fatalf("width %d clock %v k %d bound %d: advanced %d slots to %v, per-slot adds give %d to %v",
-							width, clock, k, bound, n, c.clock, wantN, want)
-					}
+	c := NewCore(0, trace.NewGenerator(eventTestConfig(1.5, 1)), &stallMem{})
+	rc := float64(retireCost)
+	clocks := []float64{0, rc, 3 * rc, 1.0 / 3, 7.3, 1000.123456, 0x1p52 * rc, 0x1p53 * rc / 3}
+	for _, e := range []int{1, 4, 10, 20, 30} {
+		p := math.Ldexp(1, e)
+		clocks = append(clocks, math.Nextafter(p, 0), p-rc/3, p-2.5*rc, p-rc)
+	}
+	for i := 0; i < 200; i++ {
+		clocks = append(clocks, float64(sched.intn(1<<30))/7)
+	}
+	for _, clock := range clocks {
+		for _, k := range []uint64{0, 1, 2, 3, 7, 15, 63} {
+			now := int64(clock)
+			for _, bound := range []int64{now - 1, now, now + 1, int64(clock + float64(k)*rc/2), 1 << 52} {
+				want, wantN := clock, uint64(0)
+				for wantN < k && int64(want) <= bound {
+					want += rc
+					wantN++
+				}
+				c.clock = clock
+				if n := c.advanceClock(k, bound); n != wantN || math.Float64bits(c.clock) != math.Float64bits(want) {
+					t.Fatalf("clock %v k %d bound %d: advanced %d slots to %v, per-slot adds give %d to %v",
+						clock, k, bound, n, c.clock, wantN, want)
 				}
 			}
 		}
@@ -389,7 +378,7 @@ func TestAdvanceClockMatchesPerSlot(t *testing.T) {
 // TestStepEventAllocationFree extends the hot-path allocation pinning
 // to the event consumer.
 func TestStepEventAllocationFree(t *testing.T) {
-	c := NewCore(0, DefaultConfig(), trace.NewGenerator(eventTestConfig(2, 3)), &stallMem{})
+	c := NewCore(0, trace.NewGenerator(eventTestConfig(2, 3)), &stallMem{})
 	bound := int64(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		bound += 25
@@ -400,7 +389,7 @@ func TestStepEventAllocationFree(t *testing.T) {
 }
 
 func BenchmarkStepEvent(b *testing.B) {
-	c := NewCore(0, DefaultConfig(), trace.NewGenerator(eventTestConfig(2, 3)), &stallMem{})
+	c := NewCore(0, trace.NewGenerator(eventTestConfig(2, 3)), &stallMem{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	var done uint64
@@ -410,7 +399,7 @@ func BenchmarkStepEvent(b *testing.B) {
 }
 
 func BenchmarkStep(b *testing.B) {
-	c := NewCore(0, DefaultConfig(), trace.NewGenerator(eventTestConfig(2, 3)), &stallMem{})
+	c := NewCore(0, trace.NewGenerator(eventTestConfig(2, 3)), &stallMem{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

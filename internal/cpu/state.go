@@ -9,12 +9,12 @@ import (
 // Snapshot/restore layer (DESIGN.md §14). A core's dynamic state is
 // its clock, retirement counters, the one in-flight event being
 // consumed in place, the warm-up snapshots, the predictor's tables and
-// the trace generator's walk. Everything else (retireCost, missDiv,
-// code bounds, config) is derived at construction from the same
-// RunConfig a restored run rebuilds, so only dynamic state is
-// serialized. The clock is a float64 and JSON round-trips float64
-// exactly (Go marshals the shortest decimal that parses back to the
-// same bits), so off-grid fractional-MLP clocks survive verbatim.
+// the trace generator's walk. Everything else (missDiv and the code
+// bounds) is derived at construction from the same RunConfig a
+// restored run rebuilds, so only dynamic state is serialized. The
+// clock is a float64 and JSON round-trips float64 exactly (Go marshals
+// the shortest decimal that parses back to the same bits), so off-grid
+// fractional-MLP clocks survive verbatim.
 
 // GshareState is the dynamic state of a Gshare predictor.
 type GshareState struct {
@@ -23,7 +23,6 @@ type GshareState struct {
 	BTBTags []uint64
 	BTBLRU  []uint64
 	Clock   uint64
-	Stats   BranchStats
 }
 
 // State returns a deep copy of the predictor's dynamic state.
@@ -34,7 +33,6 @@ func (g *Gshare) State() *GshareState {
 		BTBTags: append([]uint64(nil), g.btbTags...),
 		BTBLRU:  append([]uint64(nil), g.btbLRU...),
 		Clock:   g.clock,
-		Stats:   g.stats,
 	}
 }
 
@@ -50,7 +48,6 @@ func (g *Gshare) Restore(st *GshareState) error {
 	copy(g.btbTags, st.BTBTags)
 	copy(g.btbLRU, st.BTBLRU)
 	g.clock = st.Clock
-	g.stats = st.Stats
 	return nil
 }
 
@@ -62,7 +59,6 @@ type State struct {
 	Retired     uint64
 	FetchLine   uint64
 	Ev          trace.Event
-	Stats       Stats
 	SnapClock   float64
 	SnapRetired uint64
 	Gshare      *GshareState
@@ -76,7 +72,6 @@ func (c *Core) State() *State {
 		Retired:     c.retired,
 		FetchLine:   c.fetchLine,
 		Ev:          c.ev,
-		Stats:       c.stats,
 		SnapClock:   c.snapClock,
 		SnapRetired: c.snapRetired,
 		Gshare:      c.gshare.State(),
@@ -85,8 +80,8 @@ func (c *Core) State() *State {
 }
 
 // Restore overwrites the core's dynamic state with st. The receiver
-// must have been built with the same config, generator config and
-// memory port wiring the snapshot was taken under.
+// must have been built with the same generator config and memory port
+// wiring the snapshot was taken under.
 func (c *Core) Restore(st *State) error {
 	if st.Gshare == nil || st.Gen == nil {
 		return fmt.Errorf("cpu: core %d snapshot missing predictor or generator state", c.id)
@@ -101,7 +96,6 @@ func (c *Core) Restore(st *State) error {
 	c.retired = st.Retired
 	c.fetchLine = st.FetchLine
 	c.ev = st.Ev
-	c.stats = st.Stats
 	c.snapClock = st.SnapClock
 	c.snapRetired = st.SnapRetired
 	return nil

@@ -6,10 +6,11 @@
 // joules: dynamic energy scales with the number of tag ways consulted
 // per access (LLC accesses are serial — tags first, then at most one
 // data way), and static energy scales with how many ways are powered
-// and for how long. The per-event constants below are in arbitrary
-// units with CACTI-like ratios for a 2MB/8-way 45nm SRAM; every ratio
-// that the experiments depend on (tag vs data access, leakage per way,
-// monitoring overhead) is explicit and configurable.
+// and for how long. The per-event constants are in arbitrary units
+// with CACTI-like ratios for a 2MB/8-way 45nm SRAM; every ratio that
+// the experiments depend on (tag vs data access, leakage per way,
+// monitoring overhead) is one named field of DefaultParams, the one
+// parameter set every meter charges.
 package energy
 
 import "fmt"
@@ -49,17 +50,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports parameter errors.
-func (p Params) Validate() error {
-	if p.TagReadPerWay <= 0 || p.DataRead <= 0 || p.LeakPerWayCyc < 0 {
-		return fmt.Errorf("energy: non-positive core parameters %+v", p)
-	}
-	if p.GatedLeakRatio < 0 || p.GatedLeakRatio > 1 {
-		return fmt.Errorf("energy: gated leak ratio %v outside [0,1]", p.GatedLeakRatio)
-	}
-	return nil
-}
-
 // Meter accumulates dynamic and static energy for one LLC over a run.
 type Meter struct {
 	p         Params
@@ -70,21 +60,15 @@ type Meter struct {
 	powered   float64 // currently powered way-equivalents
 }
 
-// NewMeter creates a meter for a cache with the given total ways, all
-// initially powered. It panics on invalid parameters (experiment
-// constants, not user input).
-func NewMeter(p Params, ways int) *Meter {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
+// NewMeter creates a meter charging DefaultParams for a cache with the
+// given total ways, all initially powered. It panics on a non-positive
+// way count (the cache geometry is validated before it gets here).
+func NewMeter(ways int) *Meter {
 	if ways <= 0 {
 		panic(fmt.Sprintf("energy: ways = %d", ways))
 	}
-	return &Meter{p: p, ways: ways, powered: float64(ways)}
+	return &Meter{p: DefaultParams(), ways: ways, powered: float64(ways)}
 }
-
-// Params returns the meter's constants.
-func (m *Meter) Params() Params { return m.p }
 
 // AccessEvent describes one LLC access for energy accounting.
 type AccessEvent struct {

@@ -8,11 +8,11 @@ import (
 
 func TestDynamicScalesWithTagsConsulted(t *testing.T) {
 	p := DefaultParams()
-	m8 := NewMeter(p, 8)
+	m8 := NewMeter(8)
 	m8.OnAccess(AccessEvent{TagsConsulted: 8, DataRead: true})
 	e8 := m8.Dynamic()
 
-	m2 := NewMeter(p, 8)
+	m2 := NewMeter(8)
 	m2.OnAccess(AccessEvent{TagsConsulted: 2, DataRead: true})
 	e2 := m2.Dynamic()
 
@@ -26,10 +26,10 @@ func TestDynamicScalesWithTagsConsulted(t *testing.T) {
 
 func TestStaticScalesWithPoweredWays(t *testing.T) {
 	p := DefaultParams()
-	full := NewMeter(p, 8)
+	full := NewMeter(8)
 	full.Advance(1000)
 
-	half := NewMeter(p, 8)
+	half := NewMeter(8)
 	half.SetPoweredEquiv(0, 4)
 	half.Advance(1000)
 
@@ -44,7 +44,7 @@ func TestStaticScalesWithPoweredWays(t *testing.T) {
 }
 
 func TestAdvanceIsIdempotentBackwards(t *testing.T) {
-	m := NewMeter(DefaultParams(), 4)
+	m := NewMeter(4)
 	m.Advance(100)
 	s := m.Static()
 	m.Advance(50) // time never runs backwards; no double counting
@@ -55,7 +55,7 @@ func TestAdvanceIsIdempotentBackwards(t *testing.T) {
 
 func TestSetPoweredWaysAccountsUpToChange(t *testing.T) {
 	p := DefaultParams()
-	m := NewMeter(p, 8)
+	m := NewMeter(8)
 	m.SetPoweredEquiv(500, 2) // first 500 cycles at 8 ways
 	m.Advance(1000)           // next 500 at 2 on + 6 gated
 	want := 500*p.LeakPerWayCyc*8 + 500*p.LeakPerWayCyc*(2+6*p.GatedLeakRatio)
@@ -65,7 +65,7 @@ func TestSetPoweredWaysAccountsUpToChange(t *testing.T) {
 }
 
 func TestSetPoweredWaysClamps(t *testing.T) {
-	m := NewMeter(DefaultParams(), 8)
+	m := NewMeter(8)
 	m.SetPoweredEquiv(0, -3)
 	if m.powered != 0 {
 		t.Fatalf("powered = %v, want clamp to 0", m.powered)
@@ -78,7 +78,7 @@ func TestSetPoweredWaysClamps(t *testing.T) {
 
 func TestOverheadCharges(t *testing.T) {
 	p := DefaultParams()
-	m := NewMeter(p, 8)
+	m := NewMeter(8)
 	m.OnAccess(AccessEvent{TagsConsulted: 1, PermCheck: true, UMONSampled: true, TakeoverOps: 2})
 	want := p.TagReadPerWay + p.PermRegCheck + p.UMONAccess + 2*p.TakeoverBitOp
 	if math.Abs(m.Dynamic()-want) > 1e-12 {
@@ -92,36 +92,20 @@ func TestOverheadCharges(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	p := DefaultParams()
-	if p.Validate() != nil {
-		t.Fatal("default params should validate")
-	}
-	p.GatedLeakRatio = 1.5
-	if p.Validate() == nil {
-		t.Fatal("gated ratio > 1 should fail")
-	}
-	p = DefaultParams()
-	p.TagReadPerWay = 0
-	if p.Validate() == nil {
-		t.Fatal("zero tag energy should fail")
-	}
-}
-
 func TestNewMeterPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewMeter with 0 ways did not panic")
 		}
 	}()
-	NewMeter(DefaultParams(), 0)
+	NewMeter(0)
 }
 
 // Property: energies are non-negative and monotone over any event
 // sequence.
 func TestPropertyMonotoneAccumulation(t *testing.T) {
 	f := func(tags []uint8) bool {
-		m := NewMeter(DefaultParams(), 16)
+		m := NewMeter(16)
 		now := int64(0)
 		prevDyn, prevStat := 0.0, 0.0
 		for _, tg := range tags {

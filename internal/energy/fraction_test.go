@@ -34,7 +34,7 @@ func expectedStatic(p Params, ways int, from int64, powered float64, segs []segm
 func TestStaticUnderFractionalPoweredSequence(t *testing.T) {
 	p := DefaultParams()
 	const ways = 8
-	m := NewMeter(p, ways)
+	m := NewMeter(ways)
 	segs := []segment{
 		{until: 1000, powered: 5.5},  // CPE: 5 ways + half a way's sets
 		{until: 2500, powered: 2.25}, // deep gating
@@ -63,7 +63,7 @@ func TestStaticFractionBetweenFullAndGated(t *testing.T) {
 	const ways, dt = 16, 10000
 	var prev float64
 	for i, f := range []float64{0, 0.5, 3.25, 8, 12.75, 16} {
-		m := NewMeter(p, ways)
+		m := NewMeter(ways)
 		m.SetPoweredEquiv(0, f)
 		m.Advance(dt)
 		got := m.Static()
@@ -85,7 +85,7 @@ func TestResetAtPreservesFractionalPowered(t *testing.T) {
 	// exactly from the reset point at the preserved fraction.
 	p := DefaultParams()
 	const ways = 8
-	m := NewMeter(p, ways)
+	m := NewMeter(ways)
 	m.SetPoweredEquiv(500, 3.5)
 	m.Advance(2000)
 	m.ResetAt(2000)
@@ -103,8 +103,7 @@ func TestResetAtPreservesFractionalPowered(t *testing.T) {
 }
 
 func TestFractionalTotalCombinesBothComponents(t *testing.T) {
-	p := DefaultParams()
-	m := NewMeter(p, 4)
+	m := NewMeter(4)
 	m.SetPoweredEquiv(0, 1.5)
 	m.OnAccess(AccessEvent{TagsConsulted: 2, DataRead: true})
 	m.Advance(100)

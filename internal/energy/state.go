@@ -2,8 +2,9 @@ package energy
 
 // State is the dynamic portion of a Meter: the energy accumulators,
 // the leakage accounting position and the currently powered
-// way-equivalents (DESIGN.md §14). Params and total ways are rebuilt
-// from the run configuration.
+// way-equivalents (DESIGN.md §14). NewMeter rebuilds the rest: the
+// parameters are DefaultParams and the way count comes from the run
+// configuration.
 type State struct {
 	Dynamic   float64
 	Static    float64

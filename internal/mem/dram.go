@@ -81,9 +81,6 @@ func New(cfg Config) *DRAM {
 	}
 }
 
-// Config returns the DRAM configuration.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // Stats returns the accumulated counters.
 func (d *DRAM) Stats() Stats { return d.stats }
 
@@ -154,16 +151,6 @@ func (d *DRAM) Write(line uint64, now int64) {
 	issue := d.reserve(line, now)
 	d.inflight = append(d.inflight, issue+int64(d.cfg.LatencyCycles))
 	d.stats.Writes++
-}
-
-// Reset clears all timing state and counters.
-func (d *DRAM) Reset() {
-	for i := range d.bankFree {
-		d.bankFree[i] = 0
-	}
-	d.busFree = 0
-	d.inflight = d.inflight[:0]
-	d.stats = Stats{}
 }
 
 // ResetStats clears counters while preserving bank/bus timing state

@@ -204,13 +204,6 @@ func (b *Controller) access(core int, addr uint64, isWrite bool, now int64, h *a
 	}
 
 	b.Record(core, res.Hit, res.TagsConsulted)
-	st := l2.Stats()
-	st.Accesses++
-	if res.Hit {
-		st.Hits++
-	} else {
-		st.Misses++
-	}
 	return res
 }
 

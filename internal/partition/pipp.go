@@ -51,9 +51,6 @@ func NewPIPP(cfg Config) *PIPP {
 // Name implements Scheme.
 func (p *PIPP) Name() string { return "PIPP" }
 
-// Monitors exposes the utility monitors.
-func (p *PIPP) Monitors() []*umon.Monitor { return p.mons }
-
 // stackOrder returns the set's ways ordered LRU-first (invalid ways
 // first, as "below LRU").
 func (p *PIPP) stackOrder(set int) []int {

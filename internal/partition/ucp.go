@@ -53,9 +53,6 @@ func NewUCP(cfg Config) *UCP {
 // Name implements Scheme.
 func (u *UCP) Name() string { return "UCP" }
 
-// Monitors exposes the per-core utility monitors.
-func (u *UCP) Monitors() []*umon.Monitor { return u.mons }
-
 // Access implements Scheme.
 func (u *UCP) Access(core int, addr uint64, isWrite bool, now int64) Result {
 	return u.access(core, addr, isWrite, now, &u.hooks)

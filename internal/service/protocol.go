@@ -72,7 +72,7 @@ func encodeResponse(key string, value any) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding result: %w", err)
 	}
-	return store.Seal(responseMagic, ProtocolVersion, key, payload)
+	return store.Seal(responseMagic, ProtocolVersion, key, payload), nil
 }
 
 // decodeResponse verifies a response body against the key it should

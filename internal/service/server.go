@@ -24,13 +24,9 @@ const maxRequestBytes = 1 << 20
 // ServerOptions parameterise NewServer. The zero value is production
 // defaults.
 type ServerOptions struct {
-	// Workers is each runner's simulation fan-out bound (DynCPE
-	// profile gathering); GOMAXPROCS if zero. Cross-request
-	// parallelism comes from concurrent HTTP requests, bounded by
-	// MaxConcurrent.
-	Workers int
 	// MaxConcurrent bounds simultaneously executing run requests (the
-	// rest queue); GOMAXPROCS if zero.
+	// rest queue); GOMAXPROCS if zero. A request runs one lookup and
+	// never fans out, so this is the server's only parallelism bound.
 	MaxConcurrent int
 	// Store is the shared persistent result cache (nil = per-process
 	// memory only). Every runner the server builds publishes into it;
@@ -53,7 +49,6 @@ type ServerOptions struct {
 // layers the binaries use locally. All methods are safe for
 // concurrent use.
 type Server struct {
-	workers     int
 	store       *store.Store
 	checkpoints *ckpt.Manager
 	logf        func(format string, args ...any)
@@ -71,9 +66,6 @@ type Server struct {
 
 // NewServer builds a Server.
 func NewServer(opts ServerOptions) *Server {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
@@ -84,7 +76,6 @@ func NewServer(opts ServerOptions) *Server {
 		}
 	}
 	return &Server{
-		workers:     opts.Workers,
 		store:       opts.Store,
 		checkpoints: opts.Checkpoints,
 		logf:        logf,
@@ -104,8 +95,7 @@ func (s *Server) runner(sc sim.Scale, seed uint64) *experiments.Runner {
 	r, ok := s.runners[key]
 	if !ok {
 		r = experiments.NewRunner(experiments.Config{
-			Scale: sc, Seed: seed, Workers: s.workers, Store: s.store,
-			Checkpoints: s.checkpoints,
+			Scale: sc, Seed: seed, Store: s.store, Checkpoints: s.checkpoints,
 		})
 		s.runners[key] = r
 	}

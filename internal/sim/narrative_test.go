@@ -74,7 +74,7 @@ func TestNarrativeOverheadMatchesLiveStructures(t *testing.T) {
 	}
 	// takeover: sets*cores; RAP/WAP: ways*cores each.
 	want := core.Overhead{Sets: l2.Sets(), Ways: l2.Ways, Cores: 2}
-	cp := sys.Scheme().(*core.CoopPart)
+	cp := sys.scheme.(*core.CoopPart)
 	gotBits := cp.Cache().NumSets()*2 + cp.Perms().Ways()*2*2
 	if gotBits != want.TotalBits() {
 		t.Fatalf("live overhead %d bits, want %d", gotBits, want.TotalBits())

@@ -147,7 +147,7 @@ func NewSystem(cfg RunConfig) (*System, error) {
 		cfg:          cfg,
 		scheme:       scheme,
 		dram:         dram,
-		meter:        energy.NewMeter(energy.DefaultParams(), l2cfg.Ways),
+		meter:        energy.NewMeter(l2cfg.Ways),
 		nextDecision: cfg.Scale.PhaseCycles,
 		lineBytes:    l2cfg.LineBytes,
 		lineShift:    uint(bits.TrailingZeros(uint(l2cfg.LineBytes))),
@@ -165,19 +165,13 @@ func NewSystem(cfg RunConfig) (*System, error) {
 		s.l1 = append(s.l1, cache.New(cfg.Scale.L1D))
 		s.l1i = append(s.l1i, cache.New(cfg.Scale.L1I))
 		s.mshr = append(s.mshr, cache.NewMSHRFile(cfg.Scale.MSHRs))
-		s.cores = append(s.cores, cpu.NewCore(i, cpu.DefaultConfig(), gen, s))
+		s.cores = append(s.cores, cpu.NewCore(i, gen, s))
 	}
 	if cfg.CaptureProfile {
 		s.profMon = umon.New(umon.Config{Sets: l2cfg.Sets(), Ways: l2cfg.Ways, Sampling: 1})
 	}
 	return s, nil
 }
-
-// Scheme exposes the LLC scheme (reporting/tests).
-func (s *System) Scheme() partition.Scheme { return s.scheme }
-
-// Meter exposes the energy meter.
-func (s *System) Meter() *energy.Meter { return s.meter }
 
 // Access implements cpu.MemPort: the L1D in front of the shared L2.
 func (s *System) Access(coreID int, addr uint64, isWrite bool, now int64) cpu.AccessReply {

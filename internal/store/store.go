@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,21 +58,18 @@ type frameHeader struct {
 // Seal frames payload for storage or transfer: the JSON header line,
 // a newline, then the payload. Store entries and expd responses share
 // this frame and differ only in magic and version.
-func Seal(magic string, version int, key string, payload []byte) ([]byte, error) {
+func Seal(magic string, version int, key string, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	hb, err := json.Marshal(frameHeader{
+	// A struct of strings and ints always encodes.
+	hb, _ := json.Marshal(frameHeader{
 		Magic:   magic,
 		Version: version,
 		Key:     key,
 		Len:     len(payload),
 		SHA256:  hex.EncodeToString(sum[:]),
 	})
-	if err != nil {
-		return nil, fmt.Errorf("encoding header: %w", err)
-	}
 	out := make([]byte, 0, len(hb)+1+len(payload))
-	out = append(append(append(out, hb...), '\n'), payload...)
-	return out, nil
+	return append(append(append(out, hb...), '\n'), payload...)
 }
 
 // Unseal checks a sealed frame and returns its payload. Magic, length
@@ -149,6 +147,11 @@ type Store struct {
 	dir  string
 	fs   FS
 	logf func(format string, args ...any)
+	// token, drawn at Open, names this Store's tmp files next to the
+	// pid, so a Store never collides with the leftovers of an earlier
+	// one of the same pid: one reopened in the same process, or a
+	// rerun that got a crashed publisher's pid.
+	token uint64
 
 	seq         atomic.Uint64
 	hits        atomic.Uint64
@@ -175,6 +178,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:    dir,
 		fs:     opts.FS,
 		logf:   opts.Logf,
+		token:  rand.Uint64(),
 		warned: make(map[string]bool),
 	}
 	if s.fs == nil {
@@ -406,13 +410,10 @@ func (s *Store) put(key string, value any) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding value: %w", err)
 	}
-	entry, err := Seal(entryMagic, FormatVersion, key, payload)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	entry := Seal(entryMagic, FormatVersion, key, payload)
 
 	tmp := filepath.Join(s.sub("tmp"),
-		fmt.Sprintf("%s.%d.%d.tmp", hashName(key), os.Getpid(), s.seq.Add(1)))
+		fmt.Sprintf("%s.%d.%016x.%d.tmp", hashName(key), os.Getpid(), s.token, s.seq.Add(1)))
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
@@ -476,8 +477,9 @@ func (s *Store) sweepTmp() {
 	}
 	for _, e := range ents {
 		parts := strings.Split(e.Name(), ".")
-		// <hash>.<pid>.<seq>.tmp
-		if len(parts) != 4 || parts[3] != "tmp" {
+		// <hash>.<pid>.<token>.<seq>.tmp, or <hash>.<pid>.<seq>.tmp
+		// from a build before the token.
+		if n := len(parts); n != 4 && n != 5 || parts[n-1] != "tmp" {
 			continue
 		}
 		pid, err := strconv.Atoi(parts[1])

@@ -347,24 +347,74 @@ func TestOpenFailureIsReported(t *testing.T) {
 }
 
 // TestSweepTmpReapsDeadProcessFiles: leftover temp files from dead
-// pids are removed at Open; live ones are kept.
+// pids are removed at Open; live ones are kept. Both name forms count:
+// <hash>.<pid>.<token>.<seq>.tmp and the tokenless form older builds
+// write.
 func TestSweepTmpReapsDeadProcessFiles(t *testing.T) {
 	dir := t.TempDir()
 	openTest(t, dir, testOptions(t)) // create layout
 	tmp := filepath.Join(dir, "tmp")
-	dead := filepath.Join(tmp, "abc.999999.1.tmp") // pid 999999: beyond default pid_max
-	live := filepath.Join(tmp, "abc."+strconv.Itoa(os.Getpid())+".2.tmp")
-	for _, p := range []string{dead, live} {
+	pid := strconv.Itoa(os.Getpid())
+	// pid 999999: beyond default pid_max
+	dead := []string{
+		filepath.Join(tmp, "abc.999999.1.tmp"),
+		filepath.Join(tmp, "abc.999999.00000000000000ff.1.tmp"),
+	}
+	live := []string{
+		filepath.Join(tmp, "abc."+pid+".2.tmp"),
+		filepath.Join(tmp, "abc."+pid+".00000000000000ff.2.tmp"),
+	}
+	for _, p := range append(append([]string(nil), dead...), live...) {
 		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	openTest(t, dir, testOptions(t))
-	if _, err := os.Stat(dead); !os.IsNotExist(err) {
-		t.Fatal("dead process's tmp file survived the sweep")
+	for _, p := range dead {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("dead process's tmp file %s survived the sweep", filepath.Base(p))
+		}
 	}
-	if _, err := os.Stat(live); err != nil {
-		t.Fatal("live process's tmp file was reaped")
+	for _, p := range live {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("live process's tmp file %s was reaped", filepath.Base(p))
+		}
+	}
+}
+
+// TestReopenAfterOwnCrashPublishes: a publisher that crashes in its
+// tmp write leaves the tmp file behind, and sweepTmp keeps files of the
+// live pid, so a Store reopened over the directory in the same process
+// (as the crash tests do, and as a rerun that gets the crashed
+// publisher's pid does) meets a leftover with its own pid. Its Put of
+// the same key must still publish.
+func TestReopenAfterOwnCrashPublishes(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(OSFS{})
+	// Write-path calls: Open's five MkdirAlls, the tmp file's OpenFile,
+	// then its Write, torn after 7 bytes.
+	ffs.CrashAtWriteOp(7, 7)
+	opts := testOptions(t)
+	opts.FS = ffs
+	openTest(t, dir, opts).Put("k", samplePayload())
+	if !ffs.Fired() {
+		t.Fatal("the crash did not fire")
+	}
+	if left, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(left) != 1 {
+		t.Fatalf("tmp/ holds %v (%v), want the crashed publisher's file", left, err)
+	}
+
+	s := openTest(t, dir, testOptions(t))
+	s.Put("k", samplePayload())
+	if st := s.Stats(); st.Writes != 1 || st.WriteSkips != 0 || st.Faults != 0 {
+		t.Fatalf("reopened store: %v, want writes=1 write-skips=0 faults=0", st)
+	}
+	if valid, corrupt, err := s.Verify(); err != nil || valid != 1 || corrupt != 0 {
+		t.Fatalf("Verify = %d valid, %d corrupt (%v), want 1 valid, 0 corrupt", valid, corrupt, err)
+	}
+	var got payload
+	if !s.Get("k", &got) || !reflect.DeepEqual(got, samplePayload()) {
+		t.Fatalf("Get after reopen = %+v, want the published payload", got)
 	}
 }
 
@@ -482,10 +532,7 @@ func TestEntryBytesPinned(t *testing.T) {
 // one of another version or key is only a miss.
 func TestUnsealChecksDamageFirst(t *testing.T) {
 	payload := []byte(`{"x":42}`)
-	frame, err := Seal("m", 2, "k", payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := Seal("m", 2, "k", payload)
 	flipped := bytes.Clone(frame)
 	flipped[len(flipped)-2] ^= 1
 	damage := errors.New("damage")

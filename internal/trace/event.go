@@ -88,9 +88,7 @@ func (g *Generator) NextEvent(ev *Event) {
 	ev.ALURun = run
 	ev.HasRec = run < MaxALURun
 	curPC := codeBase + g.codeSpan.mod(g.curPC-codeBase+uint64(run)*4)
-	g.emitted += uint64(run)
 	if ev.HasRec {
-		g.emitted++
 		r := &ev.Rec
 		r.PC = curPC
 		taken := false

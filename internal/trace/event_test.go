@@ -69,9 +69,6 @@ func TestEventStreamMatchesNext(t *testing.T) {
 		for consumed := 0; consumed < 20000; {
 			ev.NextEvent(&evt)
 			consumed += decompressCheck(t, ref, &evt, where)
-			if ev.Emitted() != ref.Emitted() {
-				t.Fatalf("%s: Emitted %d != %d", where, ev.Emitted(), ref.Emitted())
-			}
 		}
 	}
 }
@@ -127,9 +124,6 @@ func TestEventRunCap(t *testing.T) {
 	// back at the base.
 	if ev.ALUPC != base {
 		t.Fatalf("second run starts at %#x, want wrapped %#x", ev.ALUPC, base)
-	}
-	if g.Emitted() != 2*MaxALURun {
-		t.Fatalf("Emitted = %d, want %d", g.Emitted(), 2*MaxALURun)
 	}
 }
 

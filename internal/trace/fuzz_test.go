@@ -72,9 +72,6 @@ func FuzzEventStreamMatchesNext(f *testing.F) {
 		for consumed := 0; consumed < 3000; {
 			ev.NextEvent(&evt)
 			consumed += decompressCheck(t, ref, &evt, "fuzz")
-			if ev.Emitted() != ref.Emitted() {
-				t.Fatalf("Emitted diverged: %d != %d", ev.Emitted(), ref.Emitted())
-			}
 		}
 	})
 }

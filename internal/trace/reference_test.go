@@ -100,5 +100,4 @@ func (g *Generator) Next(r *Record) {
 	} else if g.curPC += 4; g.curPC >= limit {
 		g.curPC = base
 	}
-	g.emitted++
 }

@@ -15,7 +15,6 @@ type State struct {
 	Pattern     uint64
 	MemCount    uint64
 	StrmPos     uint64
-	Emitted     uint64
 	WSPos       []uint64
 	WSActiveCur []int
 	WSSweepPos  []uint64
@@ -29,7 +28,6 @@ func (g *Generator) State() *State {
 		Pattern:     g.pattern,
 		MemCount:    g.memCount,
 		StrmPos:     g.strmPos,
-		Emitted:     g.emitted,
 		WSPos:       append([]uint64(nil), g.wsPos...),
 		WSActiveCur: append([]int(nil), g.wsActiveCur...),
 		WSSweepPos:  append([]uint64(nil), g.wsSweepPos...),
@@ -50,7 +48,6 @@ func (g *Generator) Restore(st *State) error {
 	g.pattern = st.Pattern
 	g.memCount = st.MemCount
 	g.strmPos = st.StrmPos
-	g.emitted = st.Emitted
 	copy(g.wsPos, st.WSPos)
 	copy(g.wsActiveCur, st.WSActiveCur)
 	copy(g.wsSweepPos, st.WSSweepPos)

@@ -245,7 +245,6 @@ type Generator struct {
 	pattern  uint64 // branch-outcome pattern state
 	codeBase uint64 // byte base of the code region
 	curPC    uint64 // current program counter (bytes)
-	emitted  uint64
 
 	// The working sets' two active footprint sizes (the phase scale is
 	// 1 or PhaseDepth) as moduli, and the sweep position cache: an
@@ -318,9 +317,6 @@ func NewGenerator(cfg Config) *Generator {
 	g.pattern = cfg.Seed | 1
 	return g
 }
-
-// Emitted returns how many records have been produced.
-func (g *Generator) Emitted() uint64 { return g.emitted }
 
 // MLP returns the benchmark's intrinsic memory-level parallelism.
 func (g *Generator) MLP() float64 { return g.cfg.MLP }

@@ -9,7 +9,6 @@ type State struct {
 	Tags     []uint64
 	Valid    []uint64
 	Hits     []uint64
-	Misses   uint64
 	Accesses uint64
 }
 
@@ -19,7 +18,6 @@ func (m *Monitor) State() *State {
 		Tags:     append([]uint64(nil), m.tags...),
 		Valid:    append([]uint64(nil), m.valid...),
 		Hits:     append([]uint64(nil), m.hits...),
-		Misses:   m.misses,
 		Accesses: m.accesses,
 	}
 }
@@ -35,7 +33,6 @@ func (m *Monitor) Restore(st *State) error {
 	copy(m.tags, st.Tags)
 	copy(m.valid, st.Valid)
 	copy(m.hits, st.Hits)
-	m.misses = st.Misses
 	m.accesses = st.Accesses
 	return nil
 }

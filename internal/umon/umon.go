@@ -41,7 +41,6 @@ type Monitor struct {
 	tags     []uint64 // sampledSets * ways, ordered most→least recent
 	valid    []uint64 // one word per sampled row
 	hits     []uint64 // hits[d] = hits at stack position d (0-based)
-	misses   uint64
 	accesses uint64
 
 	// sampler holds the set-sampling map: the sampled-set filter
@@ -115,7 +114,6 @@ func (m *Monitor) Access(set int, tag uint64) {
 		low := uint64(1)<<uint(pos+1) - 1
 		m.valid[row] = (vw &^ low) | ((vw<<1 | 1) & low)
 	} else {
-		m.misses++
 		// Shift everything down, dropping the LRU entry.
 		copy(tags[1:], tags[:ways-1])
 		m.valid[row] = (vw<<1 | 1) & m.rowMask
@@ -168,7 +166,6 @@ func (m *Monitor) Decay() {
 	for i := range m.hits {
 		m.hits[i] /= 2
 	}
-	m.misses /= 2
 	m.accesses /= 2
 }
 
@@ -180,6 +177,5 @@ func (m *Monitor) Reset() {
 	for i := range m.hits {
 		m.hits[i] = 0
 	}
-	m.misses = 0
 	m.accesses = 0
 }
